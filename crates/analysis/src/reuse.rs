@@ -198,11 +198,12 @@ impl PoolRunSummary {
 ///
 /// ```
 /// use zssd_analysis::PoolReuseSim;
-/// use zssd_core::LruDeadValuePool;
+/// use zssd_core::{MqConfig, MqDeadValuePool};
 /// use zssd_trace::{SyntheticTrace, WorkloadProfile};
 ///
 /// let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.01), 3);
-/// let summary = PoolReuseSim::new(LruDeadValuePool::new(500)).run(trace.records());
+/// let lru = MqDeadValuePool::new(MqConfig::lru(500));
+/// let summary = PoolReuseSim::new(lru).run(trace.records());
 /// assert!(summary.hits > 0);
 /// assert!(summary.writes_remaining() < summary.writes);
 /// ```
@@ -294,11 +295,19 @@ impl<P: DeadValuePool> PoolReuseSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_core::{IdealPool, LruDeadValuePool, MqConfig, MqDeadValuePool};
+    use zssd_core::{MqConfig, MqDeadValuePool};
     use zssd_trace::{SyntheticTrace, WorkloadProfile};
 
     fn w(seq: u64, lpn: u64, value: u64) -> TraceRecord {
         TraceRecord::write(seq, Lpn::new(lpn), ValueId::new(value))
+    }
+
+    fn lru(entries: usize) -> MqDeadValuePool {
+        MqDeadValuePool::new(MqConfig::lru(entries))
+    }
+
+    fn ideal() -> MqDeadValuePool {
+        MqDeadValuePool::new(MqConfig::ideal())
     }
 
     #[test]
@@ -339,7 +348,7 @@ mod tests {
     fn ideal_pool_matches_infinite_oracle() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.01), 2);
         let oracle = infinite_reuse(trace.records(), false);
-        let summary = PoolReuseSim::new(IdealPool::new()).run(trace.records());
+        let summary = PoolReuseSim::new(ideal()).run(trace.records());
         assert_eq!(summary.hits, oracle.reused);
         assert_eq!(summary.capacity_misses, 0);
     }
@@ -348,7 +357,7 @@ mod tests {
     fn bounded_lru_loses_to_infinite_and_gap_is_capacity_misses() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.02), 2);
         let oracle = infinite_reuse(trace.records(), false);
-        let summary = PoolReuseSim::new(LruDeadValuePool::new(64)).run(trace.records());
+        let summary = PoolReuseSim::new(lru(64)).run(trace.records());
         assert!(summary.hits <= oracle.reused);
         assert_eq!(summary.hits + summary.capacity_misses, oracle.reused);
         assert!(summary.capacity_misses > 0, "tiny buffer must miss");
@@ -357,8 +366,8 @@ mod tests {
     #[test]
     fn larger_buffers_do_no_worse() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::web().scaled(0.02), 4);
-        let small = PoolReuseSim::new(LruDeadValuePool::new(32)).run(trace.records());
-        let large = PoolReuseSim::new(LruDeadValuePool::new(4096)).run(trace.records());
+        let small = PoolReuseSim::new(lru(32)).run(trace.records());
+        let large = PoolReuseSim::new(lru(4096)).run(trace.records());
         assert!(large.hits >= small.hits);
         assert!(large.writes_remaining() <= small.writes_remaining());
     }
@@ -367,7 +376,7 @@ mod tests {
     fn mq_beats_lru_at_equal_capacity_on_skewed_traces() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.03), 8);
         let entries = 256;
-        let lru = PoolReuseSim::new(LruDeadValuePool::new(entries)).run(trace.records());
+        let lru = PoolReuseSim::new(lru(entries)).run(trace.records());
         let mq = PoolReuseSim::new(MqDeadValuePool::new(
             MqConfig::paper_default().with_capacity(entries),
         ))
@@ -383,7 +392,7 @@ mod tests {
     #[test]
     fn miss_breakdown_buckets_by_popularity() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.02), 2);
-        let summary = PoolReuseSim::new(LruDeadValuePool::new(64)).run(trace.records());
+        let summary = PoolReuseSim::new(lru(64)).run(trace.records());
         let bins = summary.mean_misses_by_popularity();
         assert!(!bins.is_empty());
         let total_values: u64 = bins.iter().map(|&(_, _, v)| v).sum();
@@ -393,7 +402,7 @@ mod tests {
     #[test]
     fn empty_trace_summaries_are_zero() {
         assert_eq!(infinite_reuse(&[], true).reuse_fraction(), 0.0);
-        let summary = PoolReuseSim::new(IdealPool::new()).run(&[]);
+        let summary = PoolReuseSim::new(ideal()).run(&[]);
         assert_eq!(summary.writes, 0);
         assert_eq!(summary.writes_remaining(), 0);
     }

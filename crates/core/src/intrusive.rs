@@ -1,8 +1,9 @@
 //! A slab of entries threaded through intrusive doubly-linked lists.
 //!
-//! The MQ and LRU pools need O(1) detach-from-middle (on hits and
-//! promotions) as well as O(1) push-tail / pop-head, across *multiple*
-//! queues whose membership changes. A slab with intrusive prev/next
+//! The MQ pool (in every configuration, one queue included) and the
+//! LX-SSD pool need O(1) detach-from-middle (on hits and promotions)
+//! as well as O(1) push-tail / pop-head, across *multiple* queues
+//! whose membership changes. A slab with intrusive prev/next
 //! links gives all of that without per-node allocation.
 
 /// Index of a slot in the slab.

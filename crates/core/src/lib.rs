@@ -9,15 +9,18 @@
 //! whose hash hits the pool is *short-circuited* — the matching garbage
 //! page is flipped back to valid and no NAND program happens.
 //!
-//! Four pool policies are provided behind the [`DeadValuePool`] trait:
+//! The pools sit behind the [`DeadValuePool`] trait:
 //!
 //! * [`MqDeadValuePool`] — the paper's design (§III-IV): the
 //!   Multi-Queue algorithm with one LRU queue per popularity band,
 //!   `log2(pop+1)` promotion, expiration-driven demotion, and
-//!   on-demand eviction from the lowest queue,
-//! * [`LruDeadValuePool`] — the single-queue strawman of §III-A
-//!   (recency only, no popularity),
-//! * [`IdealPool`] — unbounded, the paper's *Ideal* upper bound,
+//!   on-demand eviction from the lowest queue. Its one-queue settings
+//!   are the paper's two comparison points: [`MqConfig::lru`] is the
+//!   §III-A strawman (recency only, no popularity) and
+//!   [`MqConfig::ideal`] drops the capacity limit too, giving the
+//!   *Ideal* upper bound of §V,
+//! * [`AdaptiveMqPool`] — the MQ pool wrapped in a self-sizing
+//!   capacity controller (the paper's §V future work),
 //! * [`LxSsdPool`] — the prior-work baseline (Zhou et al., LX-SSD):
 //!   recency of the *logical address* rather than of the value, and
 //!   read accesses refresh recency too — precisely the two design
@@ -53,17 +56,13 @@
 #![warn(missing_docs)]
 
 mod adaptive;
-mod ideal;
 mod intrusive;
-mod lru;
 mod lxssd;
 mod mq;
 mod pool;
 mod system;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveMqPool};
-pub use ideal::IdealPool;
-pub use lru::LruDeadValuePool;
 pub use lxssd::{LxSsdConfig, LxSsdPool};
 pub use mq::{MqConfig, MqDeadValuePool};
 pub use pool::{DeadValuePool, NoPool, PoolStats};

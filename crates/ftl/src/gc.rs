@@ -161,7 +161,7 @@ impl GcPolicy for PopularityAwareGc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_core::{DeadValuePool, IdealPool, NoPool};
+    use zssd_core::{DeadValuePool, MqConfig, MqDeadValuePool, NoPool};
     use zssd_flash::{FlashTiming, Geometry};
     use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, SimTime, ValueId, WriteClock};
 
@@ -236,7 +236,7 @@ mod tests {
         // Block 1: 2 invalid pages of cold values.
         fill_block(&mut flash, 0, 3);
         fill_block(&mut flash, 1, 2);
-        let mut pool = IdealPool::new();
+        let mut pool = MqDeadValuePool::new(MqConfig::ideal());
         for ppn in 0..3u64 {
             pool.insert_dead(
                 Fingerprint::of_value(ValueId::new(ppn)),

@@ -4,7 +4,7 @@
 //! at full scale.
 
 use zombie_ssd::analysis::{infinite_reuse, PoolReuseSim, ValueLifecycles};
-use zombie_ssd::core::{LruDeadValuePool, MqConfig, MqDeadValuePool, SystemKind};
+use zombie_ssd::core::{MqConfig, MqDeadValuePool, SystemKind};
 use zombie_ssd::ftl::{Ssd, SsdConfig};
 use zombie_ssd::trace::{SyntheticTrace, WorkloadProfile};
 use zombie_ssd::types::{Lpn, SimTime, ValueId};
@@ -92,7 +92,7 @@ fn mq_ge_lru_le_infinite() {
     let t = trace(&profile, 4);
     let entries = 512;
     let oracle = infinite_reuse(t.records(), false);
-    let lru = PoolReuseSim::new(LruDeadValuePool::new(entries)).run(t.records());
+    let lru = PoolReuseSim::new(MqDeadValuePool::new(MqConfig::lru(entries))).run(t.records());
     let mq = PoolReuseSim::new(MqDeadValuePool::new(
         MqConfig::paper_default().with_capacity(entries),
     ))
