@@ -23,9 +23,9 @@ mod grid;
 use std::fmt::Display;
 
 use zssd_core::SystemKind;
-use zssd_ftl::{RunReport, SsdConfig, SsdError};
+use zssd_ftl::{RunReport, SsdConfig};
 use zssd_metrics::Json;
-use zssd_trace::{ArrivalProcess, SyntheticTrace, TraceRecord, WorkloadProfile};
+use zssd_trace::{ArrivalProcess, SyntheticTrace, WorkloadProfile};
 use zssd_types::SimDuration;
 
 pub use grid::{
@@ -118,63 +118,6 @@ pub fn config_for(profile: &WorkloadProfile, system: SystemKind) -> SsdConfig {
         .with_dedup_index_entries(scaled_entries(PAPER_POOL_ENTRIES));
     let arrival = arrival_for(config.arrival.mean_interval());
     config.with_arrival(arrival)
-}
-
-/// Runs one full-system simulation of `records` under `system`, sized
-/// for `profile`.
-///
-/// Note: superseded by [`run_grid`], which runs many such cells in
-/// parallel and shares each trace buffer instead of copying it; this
-/// single-cell wrapper is kept for API compatibility and convenience.
-///
-/// # Errors
-///
-/// Propagates simulator errors (configuration, out-of-space).
-pub fn run_system(
-    profile: &WorkloadProfile,
-    records: &[TraceRecord],
-    system: SystemKind,
-) -> Result<RunReport, SsdError> {
-    GridCell::new(
-        profile.name.clone(),
-        system.to_string(),
-        config_for(profile, system),
-        records.into(),
-    )
-    .run()
-}
-
-/// Runs the same records under several systems, returning reports in
-/// system order.
-///
-/// Note: superseded by [`run_grid`] — this wrapper builds the
-/// single-row grid for you (sharing one copy of `records` across the
-/// cells) and fans it across [`grid_threads`] workers. Callers
-/// running more than one workload should build the full grid with
-/// [`grid_for`] instead, so all cells parallelize together.
-///
-/// # Errors
-///
-/// Propagates the error of the earliest failing system.
-pub fn compare_systems(
-    profile: &WorkloadProfile,
-    records: &[TraceRecord],
-    systems: &[SystemKind],
-) -> Result<Vec<RunReport>, SsdError> {
-    let shared: std::sync::Arc<[TraceRecord]> = records.into();
-    run_grid(
-        systems
-            .iter()
-            .map(|&system| {
-                GridCell::new(
-                    profile.name.clone(),
-                    system.to_string(),
-                    config_for(profile, system),
-                    shared.clone(),
-                )
-            })
-            .collect(),
-    )
 }
 
 /// A minimal aligned text table for experiment output.

@@ -1,9 +1,10 @@
-//! Typed simulator events and the zero-cost-when-disabled sink.
+//! Typed simulator events and the log that records them.
 //!
-//! The observability layer (DESIGN.md §13) threads an [`EventSink`]
-//! through the simulator's hot paths. When tracing is off the sink is
-//! `None` and every emission site reduces to a single branch on an
-//! always-false flag — no allocation, no formatting, no clock reads.
+//! The observability layer (DESIGN.md §13) keeps an
+//! `Option<`[`EventLog`]`>` beside the simulator's hot paths. When
+//! tracing is off the log is `None` and every emission site reduces to
+//! a single branch on it — no allocation, no formatting, no clock
+//! reads.
 //! When tracing is on, each site records a small `Copy` payload tagged
 //! with its simulated timestamp and a global sequence number, so the
 //! full causal order of a run can be replayed, filtered, or exported.
@@ -201,36 +202,12 @@ impl fmt::Display for TracedEvent {
     }
 }
 
-/// Destination for simulator events.
-///
-/// Emission sites guard on [`enabled`](EventSink::enabled) before
-/// assembling payloads, so a disabled sink costs one predictable
-/// branch per site.
-pub trait EventSink {
-    /// Whether emissions will be recorded; `false` lets hot paths skip
-    /// payload assembly entirely.
-    fn enabled(&self) -> bool;
-    /// Records one event at simulated time `at`.
-    fn emit(&mut self, at: SimTime, event: Event);
-}
-
-/// The disabled sink: drops everything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn emit(&mut self, _at: SimTime, _event: Event) {}
-}
-
 /// An in-memory, sequence-numbered event recorder.
 ///
 /// # Examples
 ///
 /// ```
-/// use zssd_metrics::{Event, EventLog, EventSink};
+/// use zssd_metrics::{Event, EventLog};
 /// use zssd_types::{Lpn, SimDuration, SimTime};
 ///
 /// let mut log = EventLog::new();
@@ -251,6 +228,17 @@ impl EventLog {
     /// Creates an empty log.
     pub fn new() -> Self {
         EventLog::default()
+    }
+
+    /// Records one event at simulated time `at`, numbering it after
+    /// the previous one.
+    pub fn emit(&mut self, at: SimTime, event: Event) {
+        self.events.push(TracedEvent {
+            seq: self.next_seq,
+            at,
+            event,
+        });
+        self.next_seq += 1;
     }
 
     /// Number of recorded events.
@@ -287,33 +275,6 @@ impl EventLog {
     }
 }
 
-impl EventSink for EventLog {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn emit(&mut self, at: SimTime, event: Event) {
-        self.events.push(TracedEvent {
-            seq: self.next_seq,
-            at,
-            event,
-        });
-        self.next_seq += 1;
-    }
-}
-
-impl EventSink for Option<EventLog> {
-    fn enabled(&self) -> bool {
-        self.is_some()
-    }
-
-    fn emit(&mut self, at: SimTime, event: Event) {
-        if let Some(log) = self {
-            log.emit(at, event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,23 +292,6 @@ mod tests {
         assert!(log.is_empty());
         log.emit(SimTime::ZERO, Event::GcErase { block: 0 });
         assert_eq!(log.events()[0].seq, 0, "clear resets sequencing");
-    }
-
-    #[test]
-    fn null_and_option_sinks_gate_on_enabled() {
-        let mut null = NullSink;
-        assert!(!null.enabled());
-        null.emit(SimTime::ZERO, Event::GcErase { block: 0 });
-
-        let mut off: Option<EventLog> = None;
-        assert!(!off.enabled());
-        off.emit(SimTime::ZERO, Event::GcErase { block: 0 });
-        assert!(off.is_none());
-
-        let mut on = Some(EventLog::new());
-        assert!(on.enabled());
-        on.emit(SimTime::ZERO, Event::GcErase { block: 0 });
-        assert_eq!(on.as_ref().map(EventLog::len), Some(1));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! * [`Counter`] — a monotone event counter,
 //! * [`LatencyRecorder`] — exact mean/percentile statistics over
 //!   recorded request latencies,
-//! * [`Histogram`] — fixed-width bucketing for distribution displays,
 //! * [`Cdf`] — empirical cumulative distribution over integer samples
 //!   (Fig 2-style "fraction of values with ≤ k invalidations"),
 //! * [`ShareCurve`] — Lorenz-style "top x% of values account for y% of
@@ -17,7 +16,7 @@
 //! On top of those sits the run-wide observability layer (DESIGN.md
 //! §13):
 //!
-//! * [`Event`] / [`EventSink`] / [`EventLog`] — typed, timestamped,
+//! * [`Event`] / [`EventLog`] — typed, timestamped,
 //!   zero-cost-when-disabled event tracing through the simulator's hot
 //!   paths,
 //! * [`CounterRegistry`] / [`PhaseTimers`] — deterministic name → value
@@ -47,7 +46,6 @@ mod cdf;
 mod counter;
 mod events;
 mod export;
-mod histogram;
 mod latency;
 mod registry;
 mod share;
@@ -55,12 +53,11 @@ mod timeline;
 
 pub use cdf::Cdf;
 pub use counter::{reduction_pct, Counter};
-pub use events::{Event, EventLog, EventSink, FaultEvent, NullSink, TracedEvent};
+pub use events::{Event, EventLog, FaultEvent, TracedEvent};
 pub use export::{
     events_to_csv, events_to_json, windows_from_json, windows_to_csv, windows_to_json, Json,
     JsonParseError,
 };
-pub use histogram::Histogram;
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use registry::{CounterRegistry, PhaseTimers, PhaseTotal};
 pub use share::{ShareCurve, SharePoint};
