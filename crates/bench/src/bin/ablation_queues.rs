@@ -1,6 +1,6 @@
-//! **Ablation** — number of MQ queues (1 queue degenerates toward
-//! LRU; the paper uses 8). Runs the mail workload with the 200 K-entry
-//! pool.
+//! **Ablation** — number of MQ queues (1 queue is the LRU-DVP
+//! strawman; the paper uses 8). Runs the mail workload with the
+//! 200 K-entry pool.
 //!
 //! Run with `cargo run -p zssd-bench --release --bin ablation_queues`.
 
