@@ -9,9 +9,7 @@ use zssd_types::{Fingerprint, Ppn, ValueId};
 fn filled_store(values: u64) -> DedupStore {
     let mut store = DedupStore::new();
     for i in 0..values {
-        store
-            .register(Fingerprint::of_value(ValueId::new(i)), Ppn::new(i))
-            .expect("fresh registration");
+        store.register(Fingerprint::of_value(ValueId::new(i)), Ppn::new(i));
     }
     store
 }
@@ -30,18 +28,6 @@ fn bench_ops(c: &mut Criterion) {
         let store = filled_store(1_000_000);
         let fp = Fingerprint::of_value(ValueId::new(u64::MAX));
         b.iter(|| black_box(store.lookup(black_box(fp))));
-    });
-    group.bench_function("reference_release_cycle_1m", |b| {
-        let mut store = filled_store(1_000_000);
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 1_000_000;
-            let ppn = store
-                .reference(Fingerprint::of_value(ValueId::new(i)))
-                .expect("live value");
-            store.release(ppn).expect("tracked page");
-            black_box(ppn)
-        });
     });
     group.finish();
 }

@@ -3,21 +3,18 @@
 //! With deduplication, the FTL keeps a **many-to-one** mapping: several
 //! logical pages may point at one physical page holding their shared
 //! content. A physical page "turns into garbage only when all pointers
-//! to that page are removed" — i.e. when its reference count drops to
-//! zero.
+//! to that page are removed". Those pointers are the owner list of the
+//! page's reverse-map record in the FTL, so the FTL alone decides when
+//! a page dies; this crate holds no per-page reference counts.
 //!
-//! The [`DedupStore`] has two parts with different budgets, as in
-//! CAFTL/CA-SSD:
-//!
-//! * the **per-page reference counts** (`PPN → fingerprint, refs`) are
-//!   FTL metadata and are kept for every live page, and
-//! * the **fingerprint index** (`fingerprint → PPN`) lives in scarce
-//!   controller RAM and is therefore *capacity-bounded* with LRU
-//!   replacement. Evicting an index entry does not affect the page or
-//!   its references — it only means future duplicates of that content
-//!   can no longer be detected and will be programmed again (possibly
-//!   creating a second live physical copy, exactly as on a real
-//!   bounded-index deduplicating SSD).
+//! The [`DedupStore`] is the **fingerprint index** (`fingerprint →
+//! PPN`). It lives in scarce controller RAM and is therefore
+//! *capacity-bounded* with LRU replacement, as in CAFTL/CA-SSD.
+//! Evicting an index entry does not affect the page or its owners — it
+//! only means future duplicates of that content can no longer be
+//! detected and will be programmed again (possibly creating a second
+//! live physical copy, exactly as on a real bounded-index
+//! deduplicating SSD).
 //!
 //! # Examples
 //!
@@ -29,63 +26,23 @@
 //! let fp = Fingerprint::of_value(ValueId::new(1));
 //!
 //! // First write of a value programs a page and registers it.
-//! store.register(fp, Ppn::new(10))?;
+//! store.register(fp, Ppn::new(10));
 //! // A second logical copy deduplicates against it.
 //! assert_eq!(store.reference(fp), Some(Ppn::new(10)));
-//! assert_eq!(store.refs(Ppn::new(10)), Some(2));
 //!
-//! // Overwrites release references; the page dies at zero.
-//! assert_eq!(store.release(Ppn::new(10))?.remaining, 1);
-//! let released = store.release(Ppn::new(10))?;
-//! assert_eq!(released.remaining, 0);      // page is now garbage
-//! assert_eq!(released.fingerprint, fp);   // ...and can enter the DVP
-//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! // When the FTL sees the page's last owner leave, the page is
+//! // garbage and its index entry goes.
+//! store.forget(fp, Ppn::new(10));
+//! assert_eq!(store.lookup(fp), None);
+//! assert_eq!(store.stats().deaths, 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use core::fmt;
 use std::collections::BTreeMap;
-use std::error::Error;
 
 use zssd_types::{Fingerprint, FxHashMap, Ppn};
-
-/// An inconsistent use of the deduplication index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DedupError {
-    /// `register` was called for a physical page already tracked.
-    PpnInUse {
-        /// The busy page.
-        ppn: Ppn,
-    },
-    /// `release`/`relocate` was called for an untracked physical page.
-    UnknownPpn {
-        /// The unknown page.
-        ppn: Ppn,
-    },
-}
-
-impl fmt::Display for DedupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DedupError::PpnInUse { ppn } => write!(f, "physical page {ppn} already registered"),
-            DedupError::UnknownPpn { ppn } => write!(f, "physical page {ppn} not in dedup index"),
-        }
-    }
-}
-
-impl Error for DedupError {}
-
-/// The result of releasing one logical reference to a physical page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefRelease {
-    /// The content of the page (still physically present).
-    pub fingerprint: Fingerprint,
-    /// References remaining. Zero means the page just became garbage —
-    /// the moment the paper's dead-value pool takes over (§VII).
-    pub remaining: u32,
-}
 
 /// Usage counters for the dedup index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,16 +53,10 @@ pub struct DedupStats {
     pub misses: u64,
     /// New unique values registered.
     pub registrations: u64,
-    /// Pages whose last reference was released (true deaths).
+    /// Pages whose last owner left (true deaths).
     pub deaths: u64,
     /// Fingerprint index entries evicted for capacity.
     pub index_evictions: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PageEntry {
-    fp: Fingerprint,
-    refs: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -114,11 +65,10 @@ struct IndexEntry {
     stamp: u64,
 }
 
-/// The content-addressed index of live values: a bounded
-/// fingerprint → physical-page lookup plus per-page reference counts.
+/// The content-addressed index of live values: a bounded,
+/// LRU-replaced fingerprint → physical-page lookup.
 #[derive(Debug, Clone, Default)]
 pub struct DedupStore {
-    pages: FxHashMap<Ppn, PageEntry>,
     index: FxHashMap<Fingerprint, IndexEntry>,
     lru: BTreeMap<u64, Fingerprint>,
     next_stamp: u64,
@@ -133,8 +83,7 @@ impl DedupStore {
     }
 
     /// Creates a store whose fingerprint index holds at most
-    /// `entries` fingerprints (LRU-replaced). Reference counts are
-    /// unaffected by index evictions.
+    /// `entries` fingerprints (LRU-replaced).
     ///
     /// # Panics
     ///
@@ -176,15 +125,51 @@ impl DedupStore {
         self.next_stamp += 1;
         if let Some(cap) = self.capacity {
             while self.index.len() > cap {
-                let (&stamp, &victim) = self.lru.iter().next().expect("index non-empty");
-                self.lru.remove(&stamp);
+                let Some((_, victim)) = self.lru.pop_first() else {
+                    break;
+                };
                 self.index.remove(&victim);
                 self.stats.index_evictions += 1;
             }
         }
     }
 
-    fn index_remove_if(&mut self, fp: Fingerprint, ppn: Ppn) {
+    /// Looks up the live copy of a value without counting a hit or
+    /// refreshing recency.
+    pub fn lookup(&self, fp: Fingerprint) -> Option<Ppn> {
+        self.index.get(&fp).map(|e| e.ppn)
+    }
+
+    /// Finds the live copy a new logical page of this value should
+    /// share, if the index still knows one. Counts a dedup hit (an
+    /// eliminated write) on success and refreshes the entry's recency;
+    /// counts a miss otherwise.
+    pub fn reference(&mut self, fp: Fingerprint) -> Option<Ppn> {
+        let Some(&IndexEntry { ppn, .. }) = self.index.get(&fp) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.touch(fp);
+        self.stats.dedup_hits += 1;
+        Some(ppn)
+    }
+
+    /// Makes a freshly programmed (or revived) copy of a value the
+    /// index's target for that fingerprint.
+    ///
+    /// Registering a fingerprint that already has an indexed copy
+    /// repoints the index at the new page (the old copy keeps its
+    /// owners and dies when they leave). This is what happens on a
+    /// real bounded-index device after an index miss on duplicated
+    /// content.
+    pub fn register(&mut self, fp: Fingerprint, ppn: Ppn) {
+        self.index_insert(fp, ppn);
+        self.stats.registrations += 1;
+    }
+
+    /// Records the death of the page at `ppn` holding `fp` (its last
+    /// owner left): drops the index entry if it pointed there.
+    pub fn forget(&mut self, fp: Fingerprint, ppn: Ppn) {
         if let Some(entry) = self.index.get(&fp) {
             if entry.ppn == ppn {
                 let stamp = entry.stamp;
@@ -192,127 +177,28 @@ impl DedupStore {
                 self.lru.remove(&stamp);
             }
         }
+        self.stats.deaths += 1;
     }
 
-    /// Looks up the live copy of a value without taking a reference or
-    /// refreshing recency.
-    pub fn lookup(&self, fp: Fingerprint) -> Option<Ppn> {
-        self.index.get(&fp).map(|e| e.ppn)
-    }
-
-    /// Takes a reference to the live copy of a value, if the index
-    /// still knows one: returns the physical page the new logical page
-    /// should point at. Counts a dedup hit (an eliminated write) on
-    /// success and refreshes the entry's recency.
-    pub fn reference(&mut self, fp: Fingerprint) -> Option<Ppn> {
-        let Some(&IndexEntry { ppn, .. }) = self.index.get(&fp) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        self.pages
-            .get_mut(&ppn)
-            .expect("indexed pages are tracked")
-            .refs += 1;
-        self.touch(fp);
-        self.stats.dedup_hits += 1;
-        Some(ppn)
-    }
-
-    /// Registers a freshly programmed copy of a value with one
-    /// reference, making it the index's target for that fingerprint.
-    ///
-    /// Registering a fingerprint that already has an indexed copy is
-    /// allowed — it repoints the index at the new page (the old copy
-    /// keeps its references and dies when they drain). This is what
-    /// happens on a real bounded-index device after an index miss on
-    /// duplicated content.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the physical page is already registered.
-    pub fn register(&mut self, fp: Fingerprint, ppn: Ppn) -> Result<(), DedupError> {
-        if self.pages.contains_key(&ppn) {
-            return Err(DedupError::PpnInUse { ppn });
-        }
-        self.pages.insert(ppn, PageEntry { fp, refs: 1 });
-        self.index_insert(fp, ppn);
-        self.stats.registrations += 1;
-        Ok(())
-    }
-
-    /// Releases one logical reference to a physical page (an overwrite
-    /// of one of the logical pages sharing it). When the count reaches
-    /// zero the page is forgotten: it is garbage now.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is not tracked.
-    pub fn release(&mut self, ppn: Ppn) -> Result<RefRelease, DedupError> {
-        let entry = self
-            .pages
-            .get_mut(&ppn)
-            .ok_or(DedupError::UnknownPpn { ppn })?;
-        entry.refs -= 1;
-        let remaining = entry.refs;
-        let fp = entry.fp;
-        if remaining == 0 {
-            self.pages.remove(&ppn);
-            self.index_remove_if(fp, ppn);
-            self.stats.deaths += 1;
-        }
-        Ok(RefRelease {
-            fingerprint: fp,
-            remaining,
-        })
-    }
-
-    /// Rebinds a live page to a new physical location (GC relocated
-    /// it), updating the index if it pointed at the old location.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `old` is untracked or `new` is already in
-    /// use.
-    pub fn relocate(&mut self, old: Ppn, new: Ppn) -> Result<(), DedupError> {
-        if self.pages.contains_key(&new) {
-            return Err(DedupError::PpnInUse { ppn: new });
-        }
-        let entry = self
-            .pages
-            .remove(&old)
-            .ok_or(DedupError::UnknownPpn { ppn: old })?;
-        if let Some(idx) = self.index.get_mut(&entry.fp) {
+    /// Follows a live page holding `fp` from `old` to `new` (GC or a
+    /// scrub relocated it), updating the index if it pointed at `old`.
+    pub fn relocate(&mut self, fp: Fingerprint, old: Ppn, new: Ppn) {
+        if let Some(idx) = self.index.get_mut(&fp) {
             if idx.ppn == old {
                 idx.ppn = new;
             }
         }
-        self.pages.insert(new, entry);
-        Ok(())
     }
 
-    /// Reference count of a physical page, if tracked.
-    pub fn refs(&self, ppn: Ppn) -> Option<u32> {
-        self.pages.get(&ppn).map(|e| e.refs)
-    }
-
-    /// Fingerprint stored in a physical page, if tracked.
-    pub fn fingerprint_of(&self, ppn: Ppn) -> Option<Fingerprint> {
-        self.pages.get(&ppn).map(|e| e.fp)
-    }
-
-    /// Number of live tracked pages.
-    pub fn len(&self) -> usize {
-        self.pages.len()
+    /// Every indexed fingerprint with the physical page it names, in
+    /// no particular order.
+    pub fn entries(&self) -> impl Iterator<Item = (Fingerprint, Ppn)> + '_ {
+        self.index.iter().map(|(&fp, e)| (fp, e.ppn))
     }
 
     /// Number of fingerprints currently in the bounded index.
     pub fn indexed_len(&self) -> usize {
         self.index.len()
-    }
-
-    /// Whether no pages are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
     }
 
     /// Usage counters.
@@ -331,18 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn reference_counts_rise_and_fall() {
+    fn references_hit_until_the_page_is_forgotten() {
         let mut s = DedupStore::new();
-        s.register(fp(1), Ppn::new(1)).expect("register");
+        s.register(fp(1), Ppn::new(1));
         assert_eq!(s.reference(fp(1)), Some(Ppn::new(1)));
         assert_eq!(s.reference(fp(1)), Some(Ppn::new(1)));
-        assert_eq!(s.refs(Ppn::new(1)), Some(3));
-        assert_eq!(s.release(Ppn::new(1)).expect("release").remaining, 2);
-        assert_eq!(s.release(Ppn::new(1)).expect("release").remaining, 1);
-        let last = s.release(Ppn::new(1)).expect("release");
-        assert_eq!(last.remaining, 0);
-        assert_eq!(last.fingerprint, fp(1));
-        assert!(s.is_empty());
+        s.forget(fp(1), Ppn::new(1));
+        assert_eq!(s.reference(fp(1)), None);
         assert_eq!(s.indexed_len(), 0);
         assert_eq!(s.stats().deaths, 1);
         assert_eq!(s.stats().dedup_hits, 2);
@@ -351,121 +232,88 @@ mod tests {
     #[test]
     fn lookup_does_not_take_references() {
         let mut s = DedupStore::new();
-        s.register(fp(1), Ppn::new(1)).expect("register");
+        s.register(fp(1), Ppn::new(1));
         assert_eq!(s.lookup(fp(1)), Some(Ppn::new(1)));
-        assert_eq!(s.refs(Ppn::new(1)), Some(1));
         assert_eq!(s.lookup(fp(2)), None);
-    }
-
-    #[test]
-    fn busy_ppn_rejected() {
-        let mut s = DedupStore::new();
-        s.register(fp(1), Ppn::new(1)).expect("register");
-        assert!(matches!(
-            s.register(fp(2), Ppn::new(1)),
-            Err(DedupError::PpnInUse { .. })
-        ));
-    }
-
-    #[test]
-    fn release_unknown_rejected() {
-        let mut s = DedupStore::new();
-        assert!(matches!(
-            s.release(Ppn::new(9)),
-            Err(DedupError::UnknownPpn { .. })
-        ));
+        assert_eq!(s.stats().dedup_hits, 0, "lookups are not hits");
+        assert_eq!(s.stats().misses, 0, "...nor misses");
     }
 
     #[test]
     fn relocate_moves_the_live_copy() {
         let mut s = DedupStore::new();
-        s.register(fp(1), Ppn::new(1)).expect("register");
+        s.register(fp(1), Ppn::new(1));
         s.reference(fp(1));
-        s.relocate(Ppn::new(1), Ppn::new(5)).expect("relocate");
+        s.relocate(fp(1), Ppn::new(1), Ppn::new(5));
         assert_eq!(s.lookup(fp(1)), Some(Ppn::new(5)));
-        assert_eq!(s.refs(Ppn::new(5)), Some(2));
-        assert_eq!(s.refs(Ppn::new(1)), None);
-        assert_eq!(s.fingerprint_of(Ppn::new(5)), Some(fp(1)));
-        assert!(matches!(
-            s.relocate(Ppn::new(1), Ppn::new(6)),
-            Err(DedupError::UnknownPpn { .. })
-        ));
-    }
-
-    #[test]
-    fn relocate_to_busy_page_rejected() {
-        let mut s = DedupStore::new();
-        s.register(fp(1), Ppn::new(1)).expect("register");
-        s.register(fp(2), Ppn::new(2)).expect("register");
-        assert!(matches!(
-            s.relocate(Ppn::new(1), Ppn::new(2)),
-            Err(DedupError::PpnInUse { .. })
-        ));
+        // A stale source no longer matches the index entry.
+        s.relocate(fp(1), Ppn::new(1), Ppn::new(6));
+        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(5)));
     }
 
     #[test]
     fn a_value_can_be_reregistered_after_death() {
         let mut s = DedupStore::new();
-        s.register(fp(1), Ppn::new(1)).expect("register");
-        assert_eq!(s.release(Ppn::new(1)).expect("release").remaining, 0);
-        s.register(fp(1), Ppn::new(1)).expect("re-register");
-        assert_eq!(s.refs(Ppn::new(1)), Some(1));
+        s.register(fp(1), Ppn::new(1));
+        s.forget(fp(1), Ppn::new(1));
+        assert_eq!(s.lookup(fp(1)), None);
+        s.register(fp(1), Ppn::new(1));
+        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(1)));
+        assert_eq!(s.stats().registrations, 2);
     }
 
     #[test]
     fn bounded_index_evicts_lru_fingerprints() {
         let mut s = DedupStore::with_index_capacity(2);
-        s.register(fp(1), Ppn::new(1)).expect("register");
-        s.register(fp(2), Ppn::new(2)).expect("register");
+        s.register(fp(1), Ppn::new(1));
+        s.register(fp(2), Ppn::new(2));
         s.reference(fp(1)); // refresh 1; 2 becomes LRU
-        s.register(fp(3), Ppn::new(3)).expect("register"); // evicts fp(2)
+        s.register(fp(3), Ppn::new(3)); // evicts fp(2)
         assert_eq!(s.lookup(fp(2)), None, "index entry evicted");
-        assert_eq!(s.refs(Ppn::new(2)), Some(1), "references survive eviction");
         assert_eq!(s.indexed_len(), 2);
         assert_eq!(s.stats().index_evictions, 1);
-        // Page 2 still releases normally.
-        assert_eq!(s.release(Ppn::new(2)).expect("release").remaining, 0);
+        // Page 2 still dies normally, leaving the index alone.
+        s.forget(fp(2), Ppn::new(2));
+        assert_eq!(s.indexed_len(), 2);
+        assert_eq!(s.stats().deaths, 1);
     }
 
     #[test]
     fn duplicate_content_can_be_registered_twice_after_eviction() {
         let mut s = DedupStore::with_index_capacity(1);
-        s.register(fp(1), Ppn::new(1)).expect("register");
-        s.register(fp(2), Ppn::new(2)).expect("register"); // evicts fp(1)
-                                                           // fp(1) content arrives again: index miss, a second physical
-                                                           // copy is programmed and registered.
+        s.register(fp(1), Ppn::new(1));
+        s.register(fp(2), Ppn::new(2)); // evicts fp(1)
+
+        // fp(1) content arrives again: index miss, a second physical
+        // copy is programmed and registered.
         assert_eq!(s.reference(fp(1)), None);
-        s.register(fp(1), Ppn::new(3)).expect("second copy");
+        s.register(fp(1), Ppn::new(3));
         assert_eq!(s.lookup(fp(1)), Some(Ppn::new(3)));
-        // Both copies carry independent references.
-        assert_eq!(s.refs(Ppn::new(1)), Some(1));
-        assert_eq!(s.refs(Ppn::new(3)), Some(1));
-        // Releasing the *indexed* copy clears its index entry...
-        s.release(Ppn::new(3)).expect("release");
+        // The death of the *indexed* copy clears its index entry...
+        s.forget(fp(1), Ppn::new(3));
         assert_eq!(s.lookup(fp(1)), None);
-        // ...while releasing a non-indexed copy leaves the index alone.
-        s.register(fp(1), Ppn::new(4)).expect("third copy");
-        s.release(Ppn::new(1)).expect("release old copy");
+        // ...while the death of a non-indexed copy leaves it alone.
+        s.register(fp(1), Ppn::new(4));
+        s.forget(fp(1), Ppn::new(1));
         assert_eq!(s.lookup(fp(1)), Some(Ppn::new(4)));
     }
 
     #[test]
     fn reregistering_a_fingerprint_repoints_the_index() {
         let mut s = DedupStore::new();
-        s.register(fp(1), Ppn::new(1)).expect("register");
-        s.register(fp(1), Ppn::new(2)).expect("repoint");
+        s.register(fp(1), Ppn::new(1));
+        s.register(fp(1), Ppn::new(2));
         assert_eq!(s.lookup(fp(1)), Some(Ppn::new(2)));
-        assert_eq!(s.len(), 2, "both physical copies tracked");
+        assert_eq!(s.indexed_len(), 1, "one entry per fingerprint");
     }
 
     #[test]
     fn relocate_of_non_indexed_copy_keeps_index() {
         let mut s = DedupStore::new();
-        s.register(fp(1), Ppn::new(1)).expect("register");
-        s.register(fp(1), Ppn::new(2)).expect("repoint");
-        s.relocate(Ppn::new(1), Ppn::new(9)).expect("relocate old");
+        s.register(fp(1), Ppn::new(1));
+        s.register(fp(1), Ppn::new(2));
+        s.relocate(fp(1), Ppn::new(1), Ppn::new(9));
         assert_eq!(s.lookup(fp(1)), Some(Ppn::new(2)));
-        assert_eq!(s.refs(Ppn::new(9)), Some(1));
     }
 
     #[test]
@@ -473,7 +321,7 @@ mod tests {
         let mut s = DedupStore::new();
         assert_eq!(s.reference(fp(3)), None);
         assert_eq!(s.stats().misses, 1);
-        assert_eq!(s.len(), 0);
+        assert_eq!(s.indexed_len(), 0);
     }
 
     #[test]

@@ -69,8 +69,9 @@ pub struct SsdConfig {
     /// [`SystemKind::pool_entries`]).
     pub mq: MqConfig,
     /// RAM budget of the deduplication fingerprint index, in entries
-    /// (CAFTL-style bounded index; reference counts are FTL metadata
-    /// and are not bounded by this).
+    /// (CAFTL-style bounded index; the reverse map's per-page owner
+    /// lists, which decide when a shared page dies, are not bounded by
+    /// this).
     pub dedup_index_entries: usize,
     /// Fill every logical page with unique content before the trace
     /// (and reset clocks), so reads hit mapped pages and GC pressure is

@@ -3,7 +3,6 @@
 use core::fmt;
 use std::error::Error;
 
-use zssd_dedup::DedupError;
 use zssd_flash::FlashOpError;
 use zssd_types::{AddressError, ConfigError};
 
@@ -19,9 +18,6 @@ pub enum SsdError {
     Flash(FlashOpError),
     /// A host request addressed a page outside the logical capacity.
     Address(AddressError),
-    /// The deduplication index rejected an operation — indicates an
-    /// FTL bookkeeping bug.
-    Dedup(DedupError),
     /// GC could not reclaim space: every candidate block in the plane
     /// is fully valid. The drive is over-committed (raise
     /// over-provisioning or lower the logical footprint).
@@ -37,7 +33,6 @@ impl fmt::Display for SsdError {
             SsdError::Config(e) => write!(f, "{e}"),
             SsdError::Flash(e) => write!(f, "flash: {e}"),
             SsdError::Address(e) => write!(f, "{e}"),
-            SsdError::Dedup(e) => write!(f, "dedup: {e}"),
             SsdError::OutOfSpace { plane } => {
                 write!(
                     f,
@@ -54,7 +49,6 @@ impl Error for SsdError {
             SsdError::Config(e) => Some(e),
             SsdError::Flash(e) => Some(e),
             SsdError::Address(e) => Some(e),
-            SsdError::Dedup(e) => Some(e),
             SsdError::OutOfSpace { .. } => None,
         }
     }
@@ -78,12 +72,6 @@ impl From<AddressError> for SsdError {
     }
 }
 
-impl From<DedupError> for SsdError {
-    fn from(e: DedupError) -> Self {
-        SsdError::Dedup(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +91,7 @@ mod tests {
         fn takes(_: SsdError) {}
         takes(AddressError::out_of_range("lpn", 1, 1).into());
         takes(
-            DedupError::UnknownPpn {
+            FlashOpError::ProgramFailed {
                 ppn: zssd_types::Ppn::new(0),
             }
             .into(),

@@ -13,7 +13,10 @@
 //! * [`Ssd`] — the device: write/read service paths wiring the
 //!   dead-value pool ([`zssd_core`]) and optional deduplication
 //!   ([`zssd_dedup`]) into the FTL, garbage collection, and latency
-//!   accounting on the [`zssd_flash`] timing model,
+//!   accounting on the [`zssd_flash`] timing model. One reverse-map
+//!   record per physical page holds its content and owning logical
+//!   pages; under dedup the owner list is the reference count, and a
+//!   shared page dies only when its last owner leaves (§VII),
 //! * [`SsdConfig`] — a builder with Table I defaults and scaled-down
 //!   presets for experiments,
 //! * [`RunReport`] — everything the paper's figures report: write /

@@ -1,9 +1,9 @@
 //! The reverse map: physical page → content record.
 //!
 //! Every live or garbage physical page carries a [`PhysPage`] record
-//! (its fingerprint, content identity, and owning logical pages). The
-//! write path probes this map on every revival, dedup hit, kill, and
-//! GC relocation, so its representation matters:
+//! (its content identity and owning logical pages). The write path
+//! probes this map on every revival, dedup hit, kill, and GC
+//! relocation, so its representation matters:
 //!
 //! * [`Rmap::Dense`] — a `Vec<Option<PhysPage>>` indexed directly by
 //!   PPN. Physical page numbers are dense by construction (the flash
@@ -25,11 +25,22 @@ use zssd_types::{Fingerprint, Lpn, Ppn, ValueId};
 /// What the controller knows about the data in one physical page:
 /// its content identity and the logical pages referencing it (empty
 /// for garbage pages — kept so revival and GC know the content).
+///
+/// `owners` is the page's only reference count: under deduplication
+/// the page dies when its last owner leaves. The fingerprint is not
+/// stored; it is derived from `value` when needed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PhysPage {
-    pub(crate) fp: Fingerprint,
     pub(crate) value: ValueId,
     pub(crate) owners: Vec<Lpn>,
+}
+
+impl PhysPage {
+    /// The content hash of the page's data.
+    #[inline]
+    pub(crate) fn fingerprint(&self) -> Fingerprint {
+        Fingerprint::of_value(self.value)
+    }
 }
 
 /// Reverse mapping from physical page numbers to their records.
@@ -103,7 +114,6 @@ mod tests {
 
     fn page(value: u64, owners: &[u64]) -> PhysPage {
         PhysPage {
-            fp: Fingerprint::of_value(ValueId::new(value)),
             value: ValueId::new(value),
             owners: owners.iter().copied().map(Lpn::new).collect(),
         }
@@ -123,6 +133,13 @@ mod tests {
         assert_eq!(rmap.remove(Ppn::new(3)), Some(page(8, &[2])));
         assert!(rmap.remove(Ppn::new(3)).is_none());
         assert!(rmap.get_mut(Ppn::new(3)).is_none());
+    }
+
+    #[test]
+    fn a_dense_slot_is_32_bytes() {
+        // A value id plus the owner list; the empty slot costs nothing
+        // extra (the `Vec` pointer is the `None` niche).
+        assert_eq!(std::mem::size_of::<Option<PhysPage>>(), 32);
     }
 
     #[test]

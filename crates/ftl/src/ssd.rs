@@ -168,19 +168,17 @@ impl Ssd {
         for lpn in 0..self.config.logical_pages {
             let lpn = Lpn::new(lpn);
             let value = initial_value_of(lpn);
-            let fp = Fingerprint::of_value(value);
             let (ppn, _) = self.program_host_page(SimTime::ZERO)?;
             self.rmap.insert(
                 ppn,
                 PhysPage {
-                    fp,
                     value,
                     owners: vec![lpn],
                 },
             );
             self.mapping.update(lpn, ppn)?;
             if let Some(dedup) = self.dedup.as_mut() {
-                dedup.register(fp, ppn)?;
+                dedup.register(Fingerprint::of_value(value), ppn);
             }
         }
         self.flash.reset_time();
@@ -259,11 +257,11 @@ impl Ssd {
                 .get_mut(zombie)
                 .expect("tracked garbage pages keep their physical-page record");
             debug_assert!(page.owners.is_empty());
-            debug_assert_eq!(page.fp, fp);
+            debug_assert_eq!(page.fingerprint(), fp);
             page.owners.push(lpn);
             self.mapping.update(lpn, zombie)?;
             if let Some(dedup) = self.dedup.as_mut() {
-                dedup.register(fp, zombie)?;
+                dedup.register(fp, zombie);
             }
             self.stats.revived_writes += 1;
             // No program, but the completion still goes out through the
@@ -278,12 +276,8 @@ impl Ssd {
         // 2. Deduplication against live copies.
         if let Some(dedup) = self.dedup.as_mut() {
             if let Some(shared) = dedup.reference(fp) {
-                let old = self.mapping.lookup(lpn)?;
-                if old == Some(shared) {
-                    // Same content rewritten in place: drop the extra
-                    // reference we just took; nothing changes.
-                    dedup.release(shared)?;
-                } else {
+                // Same content rewritten in place changes nothing.
+                if self.mapping.lookup(lpn)? != Some(shared) {
                     self.kill_current(lpn, now)?;
                     self.mapping.update(lpn, shared)?;
                     self.rmap
@@ -307,14 +301,13 @@ impl Ssd {
         self.rmap.insert(
             ppn,
             PhysPage {
-                fp,
                 value,
                 owners: vec![lpn],
             },
         );
         self.mapping.update(lpn, ppn)?;
         if let Some(dedup) = self.dedup.as_mut() {
-            dedup.register(fp, ppn)?;
+            dedup.register(fp, ppn);
         }
         let plane = self
             .config
@@ -537,6 +530,9 @@ impl Ssd {
     /// 4. **Block accounting** — each block's cached
     ///    valid/invalid/free/bad counters match a recount of its page
     ///    states, and sum to the block size.
+    /// 5. **Dedup-index hygiene** — every fingerprint index entry
+    ///    names a *valid* page whose record holds that fingerprint, so
+    ///    a dedup hit always shares live, matching content.
     ///
     /// # Errors
     ///
@@ -629,6 +625,18 @@ impl Ssd {
                 return Err(format!("{block} counters do not sum to the block size"));
             }
         }
+        // 5. Dedup index -> live pages.
+        for (fp, ppn) in self.dedup.iter().flat_map(DedupStore::entries) {
+            let state = self.flash.page_state(ppn).map_err(|e| e.to_string())?;
+            if state != PageState::Valid {
+                return Err(format!("dedup index names {ppn} in state {state}"));
+            }
+            if self.rmap.get(ppn).map(PhysPage::fingerprint) != Some(fp) {
+                return Err(format!(
+                    "dedup index entry {fp} names {ppn}, which holds other content"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -639,36 +647,27 @@ impl Ssd {
         self.emit(done, Event::HostWrite { lpn, latency });
     }
 
-    /// Kills the content currently mapped at `lpn` (if any): releases
-    /// the dedup reference, invalidates the physical page when its
-    /// last reference drops, and offers the fresh zombie to the pool
-    /// (§IV-C "Updates").
+    /// Kills the content currently mapped at `lpn` (if any): removes
+    /// `lpn` from the page's owners and, when that was the last owner
+    /// (always, without dedup), invalidates the physical page, drops
+    /// it from the dedup index, and offers the fresh zombie to the
+    /// pool (§IV-C "Updates", §VII).
     fn kill_current(&mut self, lpn: Lpn, now: WriteClock) -> Result<(), SsdError> {
         let Some(old) = self.mapping.lookup(lpn)? else {
             return Ok(());
         };
         let pop = self.mapping.popularity(lpn)?;
-        if let Some(dedup) = self.dedup.as_mut() {
-            let release = dedup.release(old)?;
-            let page = self
-                .rmap
-                .get_mut(old)
-                .expect("live pages have physical-page records");
-            page.owners.retain(|&l| l != lpn);
-            if release.remaining == 0 {
-                debug_assert!(page.owners.is_empty());
-                self.flash.invalidate_page(old)?;
-                self.pool
-                    .insert_dead(release.fingerprint, old, lpn, pop, now);
-            }
-        } else {
-            let page = self
-                .rmap
-                .get_mut(old)
-                .expect("live pages have physical-page records");
-            page.owners.clear();
-            let fp = page.fp;
+        let page = self
+            .rmap
+            .get_mut(old)
+            .expect("live pages have physical-page records");
+        page.owners.retain(|&l| l != lpn);
+        if page.owners.is_empty() {
+            let fp = page.fingerprint();
             self.flash.invalidate_page(old)?;
+            if let Some(dedup) = self.dedup.as_mut() {
+                dedup.forget(fp, old);
+            }
             self.pool.insert_dead(fp, old, lpn, pop, now);
         }
         Ok(())
@@ -733,7 +732,7 @@ impl Ssd {
             self.mapping.update(owner, new_ppn)?;
         }
         if let Some(dedup) = self.dedup.as_mut() {
-            dedup.relocate(ppn, new_ppn)?;
+            dedup.relocate(page.fingerprint(), ppn, new_ppn);
         }
         self.rmap.insert(new_ppn, page);
         // The worn-out old copy is garbage but deliberately *not*
@@ -875,9 +874,7 @@ impl Ssd {
                         self.mapping.update(owner, new_ppn)?;
                     }
                     if let Some(dedup) = self.dedup.as_mut() {
-                        if !page.owners.is_empty() {
-                            dedup.relocate(ppn, new_ppn)?;
-                        }
+                        dedup.relocate(page.fingerprint(), ppn, new_ppn);
                     }
                     self.rmap.insert(new_ppn, page);
                     self.flash.invalidate_page(ppn)?;

@@ -3,6 +3,8 @@
 //! moves the metrics. These are the claims `EXPERIMENTS.md` verifies
 //! at full scale.
 
+use std::sync::OnceLock;
+
 use zombie_ssd::analysis::{infinite_reuse, PoolReuseSim, ValueLifecycles};
 use zombie_ssd::core::{MqConfig, MqDeadValuePool, SystemKind};
 use zombie_ssd::ftl::{Ssd, SsdConfig};
@@ -196,35 +198,88 @@ fn fig10_erase_reduction_meets_the_papers_average() {
     );
 }
 
-/// Fig 14 magnitude: stacking dedup on the DVP removes ~11% more of
-/// the baseline's programs on average across the six paper workloads
-/// (the paper's "extra" write reduction from deduplication).
+/// One workload's Fig 14 program reductions against Baseline.
+struct Fig14Cell {
+    name: String,
+    dvp: f64,
+    dedup: f64,
+    combo: f64,
+}
+
+/// Fig 14's cells for the six paper workloads at scale 0.02, seed 8.
+/// Computed once and shared by the Fig 14 tests.
+fn fig14_reductions() -> &'static [Fig14Cell] {
+    static CELLS: OnceLock<Vec<Fig14Cell>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        WorkloadProfile::paper_set()
+            .into_iter()
+            .map(|profile| {
+                let p = profile.scaled(0.02);
+                let t = trace(&p, 8);
+                let base = run(&p, &t, SystemKind::Baseline).flash_programs as f64;
+                let reduction = |system| 1.0 - run(&p, &t, system).flash_programs as f64 / base;
+                Fig14Cell {
+                    dvp: reduction(SystemKind::MqDvp { entries: 4096 }),
+                    dedup: reduction(SystemKind::Dedup),
+                    combo: reduction(SystemKind::DvpPlusDedup { entries: 4096 }),
+                    name: p.name,
+                }
+            })
+            .collect()
+    })
+}
+
+/// Fig 14, dedup stacked on the DVP: (DVP − DVP+Dedup)/Baseline, the
+/// programs deduplication removes that the pool alone cannot. This is
+/// the reverse of the paper's ~11% (see the next test); here it
+/// measures 11.8% mean at scale 0.02, seed 8.
 #[test]
-fn fig14_dedup_stacking_magnitude_is_about_eleven_percent() {
+fn fig14_dedup_stacked_on_the_dvp_removes_more_programs() {
     let mut extras = Vec::new();
-    for profile in WorkloadProfile::paper_set() {
-        let p = profile.scaled(0.02);
-        let t = trace(&p, 8);
-        let base = run(&p, &t, SystemKind::Baseline);
-        let dvp = run(&p, &t, SystemKind::MqDvp { entries: 4096 });
-        let combo = run(&p, &t, SystemKind::DvpPlusDedup { entries: 4096 });
-        let dvp_red = 1.0 - dvp.flash_programs as f64 / base.flash_programs as f64;
-        let combo_red = 1.0 - combo.flash_programs as f64 / base.flash_programs as f64;
-        let extra = combo_red - dvp_red;
+    for cell in fig14_reductions() {
+        let extra = cell.combo - cell.dvp;
         assert!(
             extra > 0.0,
             "{}: dedup must remove programs the pool alone cannot \
              (DVP {:.1}% vs DVP+Dedup {:.1}%)",
-            p.name,
-            dvp_red * 100.0,
-            combo_red * 100.0
+            cell.name,
+            cell.dvp * 100.0,
+            cell.combo * 100.0
         );
         extras.push(extra);
     }
     let mean = extras.iter().sum::<f64>() / extras.len() as f64;
     assert!(
         (0.06..=0.18).contains(&mean),
-        "mean extra write reduction {:.1}% must sit near the paper's ~11%",
+        "mean extra write reduction {:.1}% left its 6-18% band",
+        mean * 100.0
+    );
+}
+
+/// Fig 14, the paper's quantity: the DVP stacked on dedup,
+/// (Dedup − DVP+Dedup)/Baseline. The paper reports ~11%; our
+/// synthetic traces leave the pool less to add on top of dedup
+/// (EXPERIMENTS.md, known divergence 3). Pinned to the value measured
+/// at scale 0.02, seed 8 (4.1% mean), so drift either way fails.
+#[test]
+fn fig14_dvp_stacked_on_dedup_diverges_low_from_the_papers_eleven_percent() {
+    let mut extras = Vec::new();
+    for cell in fig14_reductions() {
+        let extra = cell.combo - cell.dedup;
+        assert!(
+            extra > 0.0,
+            "{}: the pool must remove programs dedup alone cannot \
+             (Dedup {:.1}% vs DVP+Dedup {:.1}%)",
+            cell.name,
+            cell.dedup * 100.0,
+            cell.combo * 100.0
+        );
+        extras.push(extra);
+    }
+    let mean = extras.iter().sum::<f64>() / extras.len() as f64;
+    assert!(
+        (0.035..=0.047).contains(&mean),
+        "mean DVP-on-dedup write reduction {:.1}% left its 3.5-4.7% band",
         mean * 100.0
     );
 }
