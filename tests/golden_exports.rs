@@ -1,0 +1,116 @@
+//! Golden `zssd-metrics-v1` exports: three small full-system cells
+//! whose `RunReport::to_json` text is checked in under `tests/golden/`
+//! and must be reproduced byte for byte. Any change to simulated
+//! behaviour — counters, latencies, phase timers, wear, timeline —
+//! shows up here as a diff, so a refactor or speed-up that claims to
+//! leave behaviour alone is held to it by `cargo test`.
+//!
+//! The cells pin every knob the environment could otherwise supply
+//! (seed, arrival process, fault plan), so the files do not depend on
+//! `ZSSD_*` settings. After a deliberate behaviour change, regenerate
+//! them with
+//!
+//! ```text
+//! cargo test --release --test golden_exports -- --ignored
+//! ```
+//!
+//! and review the diff.
+
+use std::path::PathBuf;
+
+use zombie_ssd::core::SystemKind;
+use zombie_ssd::flash::FaultConfig;
+use zombie_ssd::ftl::{Ssd, SsdConfig};
+use zombie_ssd::trace::{SyntheticTrace, WorkloadProfile};
+use zssd_bench::METRICS_WINDOW;
+
+const SCALE: f64 = 0.01;
+const SEED: u64 = 42;
+/// The paper's 200 K pool and dedup-index entries at [`SCALE`].
+const ENTRIES: usize = 2_000;
+
+/// `(file stem, workload, system)` for every golden cell.
+fn cells() -> [(&'static str, WorkloadProfile, SystemKind); 3] {
+    [
+        (
+            "web-mq-dvp",
+            WorkloadProfile::web(),
+            SystemKind::MqDvp { entries: ENTRIES },
+        ),
+        (
+            "mail-dvp-dedup",
+            WorkloadProfile::mail(),
+            SystemKind::DvpPlusDedup { entries: ENTRIES },
+        ),
+        (
+            "hadoop-baseline",
+            WorkloadProfile::hadoop(),
+            SystemKind::Baseline,
+        ),
+    ]
+}
+
+fn golden_path(stem: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{stem}.json"))
+}
+
+/// The export of one cell, exactly as `zssd run --metrics-out` would
+/// write it.
+fn export(profile: &WorkloadProfile, system: SystemKind) -> String {
+    let profile = profile.scaled(SCALE);
+    let trace = SyntheticTrace::generate(&profile, SEED);
+    let config = SsdConfig::for_footprint(profile.lpn_space)
+        .with_system(system)
+        .with_dedup_index_entries(ENTRIES)
+        .with_faults(FaultConfig::none());
+    let report = Ssd::new(config)
+        .expect("drive")
+        .run_trace(trace.records())
+        .expect("run");
+    format!("{}\n", report.to_json(METRICS_WINDOW))
+}
+
+#[test]
+fn exports_match_the_golden_files() {
+    for (stem, profile, system) in cells() {
+        let path = golden_path(stem);
+        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "{}: {e}; run `cargo test --release --test golden_exports -- --ignored`",
+                path.display()
+            )
+        });
+        let fresh = export(&profile, system);
+        if fresh != golden {
+            // The export is one line; point at the first differing byte.
+            let at = fresh
+                .bytes()
+                .zip(golden.bytes())
+                .position(|(a, b)| a != b)
+                .unwrap_or(fresh.len().min(golden.len()));
+            let near = |s: &str| {
+                s.get(at.saturating_sub(40)..(at + 40).min(s.len()))
+                    .map(str::to_owned)
+            };
+            panic!(
+                "{stem}: export differs from {} at byte {at}\n  fresh:  {:?}\n  golden: {:?}",
+                path.display(),
+                near(&fresh),
+                near(&golden)
+            );
+        }
+    }
+}
+
+/// Rewrites `tests/golden/` from the current simulator. Run manually
+/// after a deliberate behaviour change (see the module docs).
+#[test]
+#[ignore = "writes tests/golden/; run manually to regenerate the golden exports"]
+fn regenerate_golden_exports() {
+    for (stem, profile, system) in cells() {
+        let path = golden_path(stem);
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("golden dir writable");
+        std::fs::write(&path, export(&profile, system)).expect("golden file writable");
+        println!("{stem} -> {}", path.display());
+    }
+}
