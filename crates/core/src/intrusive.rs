@@ -4,7 +4,10 @@
 //! LX-SSD pool need O(1) detach-from-middle (on hits and promotions)
 //! as well as O(1) push-tail / pop-head, across *multiple* queues
 //! whose membership changes. A slab with intrusive prev/next
-//! links gives all of that without per-node allocation.
+//! links gives all of that without per-node allocation. [`PpnSlots`]
+//! finds the entry tracking a garbage page.
+
+use zssd_types::Ppn;
 
 /// Index of a slot in the slab.
 pub(crate) type SlotId = u32;
@@ -89,6 +92,46 @@ impl<T> Slab<T> {
     }
 }
 
+/// The slab slot tracking each garbage page, indexed by PPN. PPNs are
+/// dense, so a lookup is one array read; the table grows on demand to
+/// the highest PPN inserted, and [`SlotId::MAX`] marks an untracked page.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PpnSlots {
+    slots: Vec<SlotId>,
+    len: usize,
+}
+
+impl PpnSlots {
+    const EMPTY: SlotId = SlotId::MAX;
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, ppn: Ppn) -> Option<SlotId> {
+        let id = *self.slots.get(ppn.index() as usize)?;
+        (id != Self::EMPTY).then_some(id)
+    }
+
+    /// Records that slot `id` tracks `ppn`, which must be untracked.
+    pub(crate) fn insert(&mut self, ppn: Ppn, id: SlotId) {
+        let index = ppn.index() as usize;
+        if index >= self.slots.len() {
+            self.slots.resize(index + 1, Self::EMPTY);
+        }
+        debug_assert_eq!(self.slots[index], Self::EMPTY, "{ppn} already tracked");
+        self.slots[index] = id;
+        self.len += 1;
+    }
+
+    pub(crate) fn remove(&mut self, ppn: Ppn) -> Option<SlotId> {
+        let id = std::mem::replace(self.slots.get_mut(ppn.index() as usize)?, Self::EMPTY);
+        self.len -= usize::from(id != Self::EMPTY);
+        (id != Self::EMPTY).then_some(id)
+    }
+}
+
 /// Head/tail of one intrusive list over a [`Slab`].
 ///
 /// Head is the LRU end (pop side); tail is the MRU end (push side).
@@ -159,13 +202,6 @@ impl ListHandle {
         self.len -= 1;
     }
 
-    /// Removes and returns the head (LRU) slot id, if any.
-    pub(crate) fn pop_head<T>(&mut self, slab: &mut Slab<T>) -> Option<SlotId> {
-        let id = self.head?;
-        self.detach(slab, id);
-        Some(id)
-    }
-
     /// Iterates slot ids from head (LRU) to tail (MRU).
     #[cfg_attr(not(test), allow(dead_code))] // exercised by the list tests
     pub(crate) fn iter<'a, T>(&self, slab: &'a Slab<T>) -> ListIter<'a, T> {
@@ -209,7 +245,8 @@ mod tests {
         }
         assert_eq!(list.len(), 4);
         let mut order = Vec::new();
-        while let Some(id) = list.pop_head(&mut slab) {
+        while let Some(id) = list.head() {
+            list.detach(&mut slab, id);
             order.push(slab.remove(id));
         }
         assert_eq!(order, vec![0, 1, 2, 3]);
@@ -246,7 +283,7 @@ mod tests {
         assert_eq!(list.head(), Some(a));
         list.detach(&mut slab, a); // head == tail
         assert!(list.is_empty());
-        assert_eq!(list.pop_head(&mut slab), None);
+        assert_eq!(list.head(), None);
     }
 
     #[test]
@@ -259,6 +296,37 @@ mod tests {
         assert_eq!(*slab.get(b), 2);
         *slab.get_mut(b) = 9;
         assert_eq!(*slab.get(b), 9);
+    }
+
+    #[test]
+    fn ppn_slots_grow_on_demand() {
+        let mut table = PpnSlots::default();
+        assert_eq!(table.len(), 0);
+        assert_eq!(table.get(Ppn::new(0)), None, "out of range reads as empty");
+        table.insert(Ppn::new(1000), 7);
+        assert_eq!(table.get(Ppn::new(1000)), Some(7));
+        assert_eq!(table.get(Ppn::new(999)), None, "grown but empty");
+        assert_eq!(table.get(Ppn::new(1001)), None, "beyond the growth");
+        table.insert(Ppn::new(3), 0);
+        assert_eq!(table.get(Ppn::new(3)), Some(0), "slot 0 is a real slot");
+        assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn ppn_slots_remove_once() {
+        let mut table = PpnSlots::default();
+        assert_eq!(table.remove(Ppn::new(5)), None, "out of range");
+        table.insert(Ppn::new(5), 2);
+        table.insert(Ppn::new(6), 3);
+        assert_eq!(table.remove(Ppn::new(4)), None, "in range but empty");
+        assert_eq!(table.remove(Ppn::new(5)), Some(2));
+        assert_eq!(table.remove(Ppn::new(5)), None);
+        assert_eq!(table.get(Ppn::new(5)), None);
+        assert_eq!(table.len(), 1);
+        // A freed page can be tracked again, by another slot.
+        table.insert(Ppn::new(5), 9);
+        assert_eq!(table.get(Ppn::new(5)), Some(9));
+        assert_eq!(table.len(), 2);
     }
 
     #[test]

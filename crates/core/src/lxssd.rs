@@ -25,7 +25,7 @@ use zssd_types::FxHashMap;
 
 use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
 
-use crate::intrusive::{ListHandle, Slab, SlotId};
+use crate::intrusive::{ListHandle, PpnSlots, Slab, SlotId};
 use crate::pool::{DeadValuePool, PoolStats};
 
 /// Configuration of the [`LxSsdPool`].
@@ -89,7 +89,7 @@ pub struct LxSsdPool {
     lru: ListHandle,
     /// All garbage pages currently holding each content hash.
     by_fp: FxHashMap<Fingerprint, Vec<SlotId>>,
-    by_ppn: FxHashMap<Ppn, SlotId>,
+    by_ppn: PpnSlots,
     /// Entries whose recency is refreshed by accesses to an address.
     by_lpn: FxHashMap<Lpn, Vec<SlotId>>,
     stats: PoolStats,
@@ -108,7 +108,7 @@ impl LxSsdPool {
             slab: Slab::with_capacity(cfg.capacity.min(1 << 20)),
             lru: ListHandle::new(),
             by_fp: FxHashMap::default(),
-            by_ppn: FxHashMap::default(),
+            by_ppn: PpnSlots::default(),
             by_lpn: FxHashMap::default(),
             stats: PoolStats::default(),
         }
@@ -124,36 +124,30 @@ impl LxSsdPool {
         self.lru.push_tail(&mut self.slab, id);
     }
 
-    /// Removes an entry from every index. The entry must already be
-    /// detached from the LRU list.
-    fn drop_indexes(&mut self, id: SlotId, entry: Entry) {
+    fn evict_one(&mut self) {
+        if let Some(id) = self.lru.head() {
+            self.remove_entry(id);
+            self.stats.evictions += 1;
+        }
+    }
+
+    /// Unlinks an entry and removes it from every index.
+    fn remove_entry(&mut self, id: SlotId) -> Entry {
+        self.lru.detach(&mut self.slab, id);
+        let entry = self.slab.remove(id);
         if let Some(ids) = self.by_fp.get_mut(&entry.fp) {
             ids.retain(|&e| e != id);
             if ids.is_empty() {
                 self.by_fp.remove(&entry.fp);
             }
         }
-        self.by_ppn.remove(&entry.ppn);
+        self.by_ppn.remove(entry.ppn);
         if let Some(ids) = self.by_lpn.get_mut(&entry.lpn) {
             ids.retain(|&e| e != id);
             if ids.is_empty() {
                 self.by_lpn.remove(&entry.lpn);
             }
         }
-    }
-
-    fn evict_one(&mut self) {
-        if let Some(id) = self.lru.pop_head(&mut self.slab) {
-            let entry = self.slab.remove(id);
-            self.drop_indexes(id, entry);
-            self.stats.evictions += 1;
-        }
-    }
-
-    fn remove_entry(&mut self, id: SlotId) -> Entry {
-        self.lru.detach(&mut self.slab, id);
-        let entry = self.slab.remove(id);
-        self.drop_indexes(id, entry);
         entry
     }
 }
@@ -178,7 +172,7 @@ impl DeadValuePool for LxSsdPool {
         pop: PopularityDegree,
         _now: WriteClock,
     ) {
-        if self.by_ppn.contains_key(&ppn) {
+        if self.by_ppn.get(ppn).is_some() {
             return;
         }
         self.stats.insertions += 1;
@@ -193,7 +187,7 @@ impl DeadValuePool for LxSsdPool {
     }
 
     fn remove_ppn(&mut self, ppn: Ppn) {
-        let Some(&id) = self.by_ppn.get(&ppn) else {
+        let Some(id) = self.by_ppn.get(ppn) else {
             return;
         };
         self.remove_entry(id);
@@ -201,7 +195,7 @@ impl DeadValuePool for LxSsdPool {
     }
 
     fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
-        self.by_ppn.get(&ppn).map(|&id| self.slab.get(id).pop)
+        self.by_ppn.get(ppn).map(|id| self.slab.get(id).pop)
     }
 
     /// Any host access — including reads — to an LBA with tracked

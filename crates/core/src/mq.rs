@@ -4,7 +4,7 @@ use zssd_types::FxHashMap;
 
 use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
 
-use crate::intrusive::{ListHandle, Slab, SlotId};
+use crate::intrusive::{ListHandle, PpnSlots, Slab, SlotId};
 use crate::pool::{DeadValuePool, PoolStats};
 
 /// Configuration of the [`MqDeadValuePool`].
@@ -113,7 +113,7 @@ pub struct MqDeadValuePool {
     slab: Slab<Entry>,
     queues: Vec<ListHandle>,
     by_fp: FxHashMap<Fingerprint, SlotId>,
-    by_ppn: FxHashMap<Ppn, SlotId>,
+    by_ppn: PpnSlots,
     hottest_pop: PopularityDegree,
     hottest_interval: u64,
     stats: PoolStats,
@@ -133,7 +133,7 @@ impl MqDeadValuePool {
             slab: Slab::with_capacity(cfg.capacity.min(1 << 20)),
             queues: vec![ListHandle::new(); cfg.num_queues],
             by_fp: FxHashMap::default(),
-            by_ppn: FxHashMap::default(),
+            by_ppn: PpnSlots::default(),
             hottest_pop: PopularityDegree::ZERO,
             hottest_interval: cfg.initial_hottest_interval,
             stats: PoolStats::default(),
@@ -239,16 +239,11 @@ impl MqDeadValuePool {
 
     /// Evicts the LRU head of the lowest non-empty queue.
     fn evict_one(&mut self) {
-        for q in 0..self.cfg.num_queues {
-            if let Some(id) = self.queues[q].pop_head(&mut self.slab) {
-                let entry = self.slab.remove(id);
-                self.by_fp.remove(&entry.fp);
-                for ppn in &entry.ppns {
-                    self.by_ppn.remove(ppn);
-                }
-                self.stats.evictions += 1;
-                return;
+        if let Some(id) = self.queues.iter().find_map(ListHandle::head) {
+            for ppn in self.unlink_entry(id).ppns {
+                self.by_ppn.remove(ppn);
             }
+            self.stats.evictions += 1;
         }
     }
 
@@ -287,7 +282,7 @@ impl DeadValuePool for MqDeadValuePool {
             let ppn = entry.ppns.pop().expect("entries always track >= 1 ppn");
             (ppn, entry.ppns.is_empty())
         };
-        self.by_ppn.remove(&ppn);
+        self.by_ppn.remove(ppn);
         if emptied {
             // §IV-C Writes: "If the dead-value pool entry containing
             // H(D) has only one PPN, this entry is removed since it
@@ -309,7 +304,7 @@ impl DeadValuePool for MqDeadValuePool {
         pop: PopularityDegree,
         now: WriteClock,
     ) {
-        if self.by_ppn.contains_key(&ppn) {
+        if self.by_ppn.get(ppn).is_some() {
             return; // already tracked (defensive; FTL never re-offers)
         }
         self.stats.insertions += 1;
@@ -345,7 +340,7 @@ impl DeadValuePool for MqDeadValuePool {
     }
 
     fn remove_ppn(&mut self, ppn: Ppn) {
-        let Some(id) = self.by_ppn.remove(&ppn) else {
+        let Some(id) = self.by_ppn.remove(ppn) else {
             return;
         };
         self.stats.gc_removals += 1;
@@ -365,7 +360,7 @@ impl DeadValuePool for MqDeadValuePool {
     }
 
     fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
-        self.by_ppn.get(&ppn).map(|&id| self.slab.get(id).pop)
+        self.by_ppn.get(ppn).map(|id| self.slab.get(id).pop)
     }
 
     fn len(&self) -> usize {

@@ -77,11 +77,6 @@ pub struct SsdConfig {
     /// (and reset clocks), so reads hit mapped pages and GC pressure is
     /// realistic from the first request.
     pub precondition: bool,
-    /// Use the hash-based reverse map instead of the default dense
-    /// (direct-indexed) one. The two are behaviorally identical; the
-    /// sparse representation is kept as an equivalence oracle for
-    /// property tests and costs a hash probe per lookup.
-    pub sparse_rmap: bool,
     /// Seeded NAND fault injection (program/erase/read failures). The
     /// default comes from the `ZSSD_FAULTS` environment knob and is
     /// [`FaultConfig::none`] when the knob is unset, which makes the
@@ -122,7 +117,6 @@ impl SsdConfig {
             mq: MqConfig::paper_default(),
             dedup_index_entries: 200_000,
             precondition: true,
-            sparse_rmap: false,
             faults: FaultConfig::from_env(),
             trace_events: false,
         }
@@ -238,15 +232,6 @@ impl SsdConfig {
     /// Skips preconditioning (unit tests that want a fresh drive).
     pub fn without_precondition(mut self) -> Self {
         self.precondition = false;
-        self
-    }
-
-    /// Selects the reverse-map representation: `true` for the
-    /// hash-based map, `false` (the default) for the dense
-    /// direct-indexed vector. Results are identical either way; the
-    /// sparse path exists so equivalence tests can compare the two.
-    pub fn with_sparse_rmap(mut self, sparse: bool) -> Self {
-        self.sparse_rmap = sparse;
         self
     }
 

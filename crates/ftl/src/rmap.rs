@@ -3,22 +3,10 @@
 //! Every live or garbage physical page carries a [`PhysPage`] record
 //! (its content identity and owning logical pages). The write path
 //! probes this map on every revival, dedup hit, kill, and GC
-//! relocation, so its representation matters:
-//!
-//! * [`Rmap::Dense`] — a `Vec<Option<PhysPage>>` indexed directly by
-//!   PPN. Physical page numbers are dense by construction (the flash
-//!   geometry numbers them `0..total_pages`), so a flat vector turns
-//!   every probe into one bounds-checked array access with no hashing.
-//!   This is the default.
-//! * [`Rmap::Sparse`] — the original `HashMap<Ppn, PhysPage>`. Kept
-//!   behind [`SsdConfig::with_sparse_rmap`] as an equivalence oracle:
-//!   property tests replay the same trace against both representations
-//!   and assert identical [`RunReport`]s.
-//!
-//! [`SsdConfig::with_sparse_rmap`]: crate::SsdConfig::with_sparse_rmap
-//! [`RunReport`]: crate::RunReport
-
-use std::collections::HashMap;
+//! relocation, so it is a `Vec<Option<PhysPage>>` indexed directly by
+//! PPN: physical page numbers are dense by construction (the flash
+//! geometry numbers them `0..total_pages`), so every probe is one
+//! bounds-checked array access with no hashing.
 
 use zssd_types::{Fingerprint, Lpn, Ppn, ValueId};
 
@@ -32,7 +20,7 @@ use zssd_types::{Fingerprint, Lpn, Ppn, ValueId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PhysPage {
     pub(crate) value: ValueId,
-    pub(crate) owners: Vec<Lpn>,
+    pub(crate) owners: Owners,
 }
 
 impl PhysPage {
@@ -43,68 +31,95 @@ impl PhysPage {
     }
 }
 
-/// Reverse mapping from physical page numbers to their records.
+/// The logical pages mapped to one physical page, in arrival order.
+/// Only dedup gives a page a second owner, so the first is stored
+/// inline and only later ones allocate.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Owners {
+    first: Option<Lpn>,
+    /// `Some` only while non-empty, and then `first` is set too.
+    #[expect(
+        clippy::box_collection,
+        reason = "a thin pointer keeps the rmap slot at 32 bytes; a bare Vec would make it 48"
+    )]
+    rest: Option<Box<Vec<Lpn>>>,
+}
+
+impl Owners {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    pub(crate) fn push(&mut self, lpn: Lpn) {
+        match self.first {
+            None => self.first = Some(lpn),
+            Some(_) => self.rest.get_or_insert_with(Box::default).push(lpn),
+        }
+    }
+
+    /// Removes `lpn` if it is an owner, keeping the others in order.
+    pub(crate) fn remove(&mut self, lpn: Lpn) {
+        if self.first == Some(lpn) {
+            self.first = self.rest.as_mut().map(|rest| rest.remove(0));
+        } else if let Some(rest) = self.rest.as_mut() {
+            rest.retain(|&l| l != lpn);
+        }
+        if self.rest.as_ref().is_some_and(|rest| rest.is_empty()) {
+            self.rest = None;
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Lpn> + '_ {
+        let rest = self.rest.iter().flat_map(|rest| rest.iter().copied());
+        self.first.into_iter().chain(rest)
+    }
+}
+
+/// Reverse mapping from physical page numbers to their records, one
+/// slot per physical page. Writing a PPN beyond the geometry panics:
+/// the flash layer never produces one.
 #[derive(Debug)]
-pub(crate) enum Rmap {
-    /// Direct-indexed by PPN; one slot per physical page.
-    Dense(Vec<Option<PhysPage>>),
-    /// Hash-mapped; the pre-optimization representation, kept as an
-    /// equivalence oracle for property tests.
-    Sparse(HashMap<Ppn, PhysPage>),
+pub(crate) struct Rmap {
+    slots: Vec<Option<PhysPage>>,
 }
 
 impl Rmap {
-    /// A dense map with one (empty) slot per physical page.
-    pub(crate) fn dense(total_pages: u64) -> Self {
+    pub(crate) fn new(total_pages: u64) -> Self {
         let slots = usize::try_from(total_pages).expect("page count fits in memory");
-        Rmap::Dense(vec![None; slots])
+        Rmap {
+            slots: vec![None; slots],
+        }
     }
 
-    /// An empty hash-based map.
-    pub(crate) fn sparse() -> Self {
-        Rmap::Sparse(HashMap::new())
-    }
-
-    /// The record of `ppn`, if one is tracked.
     #[inline]
     pub(crate) fn get(&self, ppn: Ppn) -> Option<&PhysPage> {
-        match self {
-            Rmap::Dense(slots) => slots.get(ppn.index() as usize)?.as_ref(),
-            Rmap::Sparse(map) => map.get(&ppn),
-        }
+        self.slots.get(ppn.index() as usize)?.as_ref()
     }
 
-    /// Mutable access to the record of `ppn`, if one is tracked.
     #[inline]
     pub(crate) fn get_mut(&mut self, ppn: Ppn) -> Option<&mut PhysPage> {
-        match self {
-            Rmap::Dense(slots) => slots.get_mut(ppn.index() as usize)?.as_mut(),
-            Rmap::Sparse(map) => map.get_mut(&ppn),
-        }
+        self.slots.get_mut(ppn.index() as usize)?.as_mut()
     }
 
-    /// Tracks `page` at `ppn`, returning the previous record if any.
-    ///
-    /// # Panics
-    ///
-    /// A dense map panics if `ppn` is beyond the geometry it was sized
-    /// for — that would mean the flash layer produced an address it
-    /// never announced.
+    /// Records a freshly programmed page holding `value` for `owner`.
     #[inline]
-    pub(crate) fn insert(&mut self, ppn: Ppn, page: PhysPage) -> Option<PhysPage> {
-        match self {
-            Rmap::Dense(slots) => slots[ppn.index() as usize].replace(page),
-            Rmap::Sparse(map) => map.insert(ppn, page),
-        }
+    pub(crate) fn insert(&mut self, ppn: Ppn, value: ValueId, owner: Lpn) {
+        let owners = Owners {
+            first: Some(owner),
+            rest: None,
+        };
+        self.slots[ppn.index() as usize] = Some(PhysPage { value, owners });
     }
 
-    /// Stops tracking `ppn`, returning its record if one existed.
+    /// Moves the record of `from` to `to`.
+    #[inline]
+    pub(crate) fn relocate(&mut self, from: Ppn, to: Ppn) {
+        self.slots[to.index() as usize] = self.slots[from.index() as usize].take();
+    }
+
     #[inline]
     pub(crate) fn remove(&mut self, ppn: Ppn) -> Option<PhysPage> {
-        match self {
-            Rmap::Dense(slots) => slots.get_mut(ppn.index() as usize)?.take(),
-            Rmap::Sparse(map) => map.remove(&ppn),
-        }
+        self.slots.get_mut(ppn.index() as usize)?.take()
     }
 }
 
@@ -112,49 +127,103 @@ impl Rmap {
 mod tests {
     use super::*;
 
-    fn page(value: u64, owners: &[u64]) -> PhysPage {
+    fn owners(lpns: &[u64]) -> Owners {
+        let mut owners = Owners::default();
+        for &lpn in lpns {
+            owners.push(Lpn::new(lpn));
+        }
+        owners
+    }
+
+    fn listed(owners: &Owners) -> Vec<u64> {
+        owners.iter().map(Lpn::index).collect()
+    }
+
+    fn page(value: u64, lpns: &[u64]) -> PhysPage {
         PhysPage {
             value: ValueId::new(value),
-            owners: owners.iter().copied().map(Lpn::new).collect(),
+            owners: owners(lpns),
         }
     }
 
-    fn exercise(mut rmap: Rmap) {
+    #[test]
+    fn a_dense_slot_is_32_bytes() {
+        // A value id plus the owner list; the empty slot costs nothing
+        // extra (the inline owner's tag is the `None` niche).
+        assert_eq!(std::mem::size_of::<Option<PhysPage>>(), 32);
+    }
+
+    #[test]
+    fn a_single_owner_allocates_nothing() {
+        let mut rmap = Rmap::new(1);
+        rmap.insert(Ppn::new(0), ValueId::new(7), Lpn::new(5));
+        let one = &rmap.get(Ppn::new(0)).expect("tracked").owners;
+        assert!(one.rest.is_none());
+        assert_eq!(listed(one), [5]);
+        assert_eq!(*one, owners(&[5]));
+        assert!(!one.is_empty());
+        assert!(Owners::default().is_empty());
+    }
+
+    #[test]
+    fn a_second_owner_goes_to_the_overflow_list() {
+        let mut two = owners(&[5]);
+        two.push(Lpn::new(9));
+        assert_eq!(two.first, Some(Lpn::new(5)));
+        assert_eq!(two.rest.as_deref(), Some(&vec![Lpn::new(9)]));
+        assert_eq!(listed(&two), [5, 9]);
+    }
+
+    #[test]
+    fn removing_the_inline_owner_keeps_the_others_in_order() {
+        let mut shared = owners(&[1, 2, 3, 4]);
+        shared.remove(Lpn::new(1));
+        assert_eq!(listed(&shared), [2, 3, 4]);
+        shared.remove(Lpn::new(3));
+        assert_eq!(listed(&shared), [2, 4]);
+        shared.remove(Lpn::new(7)); // not an owner: no change
+        assert_eq!(listed(&shared), [2, 4]);
+    }
+
+    #[test]
+    fn the_overflow_list_is_freed_when_one_owner_is_left() {
+        let mut shared = owners(&[1, 2, 3]);
+        shared.remove(Lpn::new(3));
+        assert!(shared.rest.is_some());
+        shared.remove(Lpn::new(1));
+        assert!(shared.rest.is_none(), "one owner left: no allocation");
+        assert_eq!(shared, owners(&[2]));
+        shared.remove(Lpn::new(2));
+        assert!(shared.is_empty());
+        assert_eq!(shared, Owners::default());
+        // An emptied list takes owners again.
+        shared.push(Lpn::new(8));
+        assert_eq!(shared, owners(&[8]));
+    }
+
+    #[test]
+    fn dense_round_trips() {
+        let mut rmap = Rmap::new(16);
         assert!(rmap.get(Ppn::new(3)).is_none());
-        assert!(rmap.insert(Ppn::new(3), page(7, &[0])).is_none());
+        rmap.insert(Ppn::new(3), ValueId::new(7), Lpn::new(0));
         assert_eq!(rmap.get(Ppn::new(3)), Some(&page(7, &[0])));
         rmap.get_mut(Ppn::new(3))
             .expect("tracked")
             .owners
             .push(Lpn::new(1));
         assert_eq!(rmap.get(Ppn::new(3)), Some(&page(7, &[0, 1])));
-        let old = rmap.insert(Ppn::new(3), page(8, &[2]));
-        assert_eq!(old, Some(page(7, &[0, 1])));
-        assert_eq!(rmap.remove(Ppn::new(3)), Some(page(8, &[2])));
-        assert!(rmap.remove(Ppn::new(3)).is_none());
-        assert!(rmap.get_mut(Ppn::new(3)).is_none());
-    }
-
-    #[test]
-    fn a_dense_slot_is_32_bytes() {
-        // A value id plus the owner list; the empty slot costs nothing
-        // extra (the `Vec` pointer is the `None` niche).
-        assert_eq!(std::mem::size_of::<Option<PhysPage>>(), 32);
-    }
-
-    #[test]
-    fn dense_round_trips() {
-        exercise(Rmap::dense(16));
-    }
-
-    #[test]
-    fn sparse_round_trips() {
-        exercise(Rmap::sparse());
+        rmap.relocate(Ppn::new(3), Ppn::new(5));
+        assert!(rmap.get(Ppn::new(3)).is_none());
+        assert_eq!(rmap.get(Ppn::new(5)), Some(&page(7, &[0, 1])));
+        rmap.insert(Ppn::new(5), ValueId::new(8), Lpn::new(2));
+        assert_eq!(rmap.remove(Ppn::new(5)), Some(page(8, &[2])));
+        assert!(rmap.remove(Ppn::new(5)).is_none());
+        assert!(rmap.get_mut(Ppn::new(5)).is_none());
     }
 
     #[test]
     fn dense_out_of_range_reads_are_none() {
-        let mut rmap = Rmap::dense(4);
+        let mut rmap = Rmap::new(4);
         assert!(rmap.get(Ppn::new(4)).is_none());
         assert!(rmap.get_mut(Ppn::new(4)).is_none());
         assert!(rmap.remove(Ppn::new(4)).is_none());
@@ -163,7 +232,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn dense_out_of_range_insert_panics() {
-        let mut rmap = Rmap::dense(4);
-        rmap.insert(Ppn::new(4), page(1, &[]));
+        let mut rmap = Rmap::new(4);
+        rmap.insert(Ppn::new(4), ValueId::new(1), Lpn::new(0));
     }
 }

@@ -115,11 +115,7 @@ impl Ssd {
             gc,
             pool,
             dedup,
-            rmap: if config.sparse_rmap {
-                Rmap::sparse()
-            } else {
-                Rmap::dense(config.geometry.total_pages())
-            },
+            rmap: Rmap::new(config.geometry.total_pages()),
             clock: WriteClock::ZERO,
             stats: SsdStats::new(),
             events: config.trace_events.then(EventLog::new),
@@ -169,13 +165,7 @@ impl Ssd {
             let lpn = Lpn::new(lpn);
             let value = initial_value_of(lpn);
             let (ppn, _) = self.program_host_page(SimTime::ZERO)?;
-            self.rmap.insert(
-                ppn,
-                PhysPage {
-                    value,
-                    owners: vec![lpn],
-                },
-            );
+            self.rmap.insert(ppn, value, lpn);
             self.mapping.update(lpn, ppn)?;
             if let Some(dedup) = self.dedup.as_mut() {
                 dedup.register(Fingerprint::of_value(value), ppn);
@@ -252,10 +242,7 @@ impl Ssd {
             );
             self.kill_current(lpn, now)?;
             self.flash.revive_page(zombie)?;
-            let page = self
-                .rmap
-                .get_mut(zombie)
-                .expect("tracked garbage pages keep their physical-page record");
+            let page = record(&mut self.rmap, zombie);
             debug_assert!(page.owners.is_empty());
             debug_assert_eq!(page.fingerprint(), fp);
             page.owners.push(lpn);
@@ -280,11 +267,7 @@ impl Ssd {
                 if self.mapping.lookup(lpn)? != Some(shared) {
                     self.kill_current(lpn, now)?;
                     self.mapping.update(lpn, shared)?;
-                    self.rmap
-                        .get_mut(shared)
-                        .expect("live pages have physical-page records")
-                        .owners
-                        .push(lpn);
+                    record(&mut self.rmap, shared).owners.push(lpn);
                 }
                 self.stats.deduped_writes += 1;
                 let done = self.flash.controller_complete(Some(shared), t)?;
@@ -298,13 +281,7 @@ impl Ssd {
         self.kill_current(lpn, now)?;
         let (ppn, done) = self.program_host_page(t)?;
         self.stats.host_programs += 1;
-        self.rmap.insert(
-            ppn,
-            PhysPage {
-                value,
-                owners: vec![lpn],
-            },
-        );
+        self.rmap.insert(ppn, value, lpn);
         self.mapping.update(lpn, ppn)?;
         if let Some(dedup) = self.dedup.as_mut() {
             dedup.register(fp, ppn);
@@ -340,11 +317,7 @@ impl Ssd {
             Some(ppn) => {
                 let (read_done, retried) = self.flash.read_page_outcome(ppn, arrival)?;
                 done = read_done;
-                value = self
-                    .rmap
-                    .get(ppn)
-                    .expect("mapped pages have physical-page records")
-                    .value;
+                value = record(&mut self.rmap, ppn).value;
                 if retried {
                     // The data survived the ECC retry but the page is
                     // suspect: scrub it onto fresh flash in the
@@ -551,7 +524,7 @@ impl Ssd {
             let Some(page) = self.rmap.get(ppn) else {
                 return Err(format!("{lpn} maps to {ppn}, which has no record"));
             };
-            if !page.owners.contains(&lpn) {
+            if !page.owners.iter().any(|owner| owner == lpn) {
                 return Err(format!("{lpn} maps to {ppn} but is not an owner"));
             }
         }
@@ -569,7 +542,7 @@ impl Ssd {
                     if page.owners.is_empty() {
                         return Err(format!("valid {ppn} has no owners"));
                     }
-                    for &owner in &page.owners {
+                    for owner in page.owners.iter() {
                         if self.mapping.lookup(owner).map_err(|e| e.to_string())? != Some(ppn) {
                             return Err(format!("{ppn} lists owner {owner} mapped elsewhere"));
                         }
@@ -657,11 +630,8 @@ impl Ssd {
             return Ok(());
         };
         let pop = self.mapping.popularity(lpn)?;
-        let page = self
-            .rmap
-            .get_mut(old)
-            .expect("live pages have physical-page records");
-        page.owners.retain(|&l| l != lpn);
+        let page = record(&mut self.rmap, old);
+        page.owners.remove(lpn);
         if page.owners.is_empty() {
             let fp = page.fingerprint();
             self.flash.invalidate_page(old)?;
@@ -724,21 +694,23 @@ impl Ssd {
                 dest: new_ppn,
             },
         );
-        let page = self
-            .rmap
-            .remove(ppn)
-            .expect("mapped pages have physical-page records");
-        for &owner in &page.owners {
-            self.mapping.update(owner, new_ppn)?;
+        self.relocate(ppn, new_ppn)
+    }
+
+    /// Points the record, every owner and the dedup index of the valid
+    /// page `from` at its copy `to`, and invalidates `from`. The old
+    /// copy is deliberately *not* offered to the dead-value pool: its
+    /// content is still live at `to`.
+    fn relocate(&mut self, from: Ppn, to: Ppn) -> Result<(), SsdError> {
+        let page = record(&mut self.rmap, from);
+        for owner in page.owners.iter() {
+            self.mapping.update(owner, to)?;
         }
         if let Some(dedup) = self.dedup.as_mut() {
-            dedup.relocate(page.fingerprint(), ppn, new_ppn);
+            dedup.relocate(page.fingerprint(), from, to);
         }
-        self.rmap.insert(new_ppn, page);
-        // The worn-out old copy is garbage but deliberately *not*
-        // offered to the dead-value pool: its content is still live at
-        // the new address, so revival would resurrect the suspect page.
-        self.flash.invalidate_page(ppn)?;
+        self.rmap.relocate(from, to);
+        self.flash.invalidate_page(from)?;
         Ok(())
     }
 
@@ -824,7 +796,7 @@ impl Ssd {
             );
         }
         let mut t = now;
-        for ppn in geometry.pages_of(victim).collect::<Vec<_>>() {
+        for ppn in geometry.pages_of(victim) {
             match self.flash.page_state(ppn)? {
                 PageState::Valid => {
                     // In-plane relocation uses the copyback advanced
@@ -866,18 +838,7 @@ impl Ssd {
                             dest: new_ppn,
                         },
                     );
-                    let page = self
-                        .rmap
-                        .remove(ppn)
-                        .expect("valid pages have physical-page records");
-                    for &owner in &page.owners {
-                        self.mapping.update(owner, new_ppn)?;
-                    }
-                    if let Some(dedup) = self.dedup.as_mut() {
-                        dedup.relocate(page.fingerprint(), ppn, new_ppn);
-                    }
-                    self.rmap.insert(new_ppn, page);
-                    self.flash.invalidate_page(ppn)?;
+                    self.relocate(ppn, new_ppn)?;
                 }
                 PageState::Invalid => {
                     self.pool.remove_ppn(ppn);
@@ -938,6 +899,17 @@ impl Ssd {
         self.stats.gc_collections += 1;
         Ok(self.flash.chip_free_at(geometry.first_ppn_of(victim)))
     }
+}
+
+/// The record of a mapped, valid or pool-tracked page. Cannot fail:
+/// between host operations [`Ssd::check_invariants`] holds, so a
+/// mapped PPN (clause 1) or dedup-indexed PPN (5) is valid, every
+/// valid page has a record (2), and every PPN the pool tracks keeps
+/// its record (3). Callers look the PPN up before their operation
+/// changes that page's state.
+fn record(rmap: &mut Rmap, ppn: Ppn) -> &mut PhysPage {
+    rmap.get_mut(ppn)
+        .expect("mapped, valid and pool-tracked pages have physical-page records")
 }
 
 #[cfg(test)]
