@@ -349,12 +349,20 @@ fn replay(argv: &[String]) -> CliResult {
     let records = read_file(args.required("trace")?)?;
     let entries: usize = args.parse_or("entries", 200_000)?;
     let system = system(args.required("system")?, entries)?;
-    let max_lpn = records
-        .iter()
-        .map(|r| r.lpn.index() + 1)
-        .max()
-        .unwrap_or(64);
-    let footprint: u64 = args.parse_or("footprint", max_lpn.max(64))?;
+    // The default footprint covers the highest LPN, and at least 64
+    // pages. LPN u64::MAX fits no footprint, so it is rejected here
+    // rather than overflowing `lpn + 1`.
+    let mut covered = 64;
+    for r in &records {
+        let pages = r.lpn.index().checked_add(1).ok_or_else(|| {
+            ArgError(format!(
+                "trace LPN {} is out of range: the drive would need LPN + 1 logical pages",
+                r.lpn.index()
+            ))
+        })?;
+        covered = covered.max(pages);
+    }
+    let footprint: u64 = args.parse_or("footprint", covered)?;
     let arrival = ArrivalFlags::from_args(&args)?;
     let faults = fault_flags(&args)?;
     simulate(
@@ -621,6 +629,28 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         dispatch(&argv).expect("analyze");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn replay_rejects_an_lpn_no_footprint_can_hold() {
+        let dir = std::env::temp_dir().join(format!("zssd-cli-lpn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("max-lpn.trace");
+        std::fs::write(&path, "0 W 3 7\n1 W 18446744073709551615 8\n").expect("writable");
+        let path_str = path.to_str().expect("utf8 path").to_owned();
+        let argv: Vec<String> = ["replay", "--trace", &path_str, "--system", "baseline"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = dispatch(&argv).expect_err("LPN u64::MAX fits no drive");
+        let arg = err
+            .downcast_ref::<ArgError>()
+            .expect("a typed argument error");
+        assert!(
+            arg.to_string().contains("LPN 18446744073709551615"),
+            "{arg}"
+        );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
