@@ -61,9 +61,11 @@ pub struct SsdConfig {
     /// GC starts when a plane's free-block count drops below this.
     pub gc_low_watermark: u32,
     /// Use the §IV-D popularity-aware victim selector instead of
-    /// greedy max-invalid.
+    /// greedy max-invalid. Only systems with a dead-value pool use it;
+    /// with `gc_popularity_weight` 0 it is greedy.
     pub popularity_aware_gc: bool,
-    /// Weight of the popular-garbage penalty in the §IV-D metric.
+    /// Weight `w` of the popular-garbage penalty in the §IV-D score
+    /// `255·invalid − w·Σpop`.
     pub gc_popularity_weight: f64,
     /// MQ parameters (queue count; capacity comes from
     /// [`SystemKind::pool_entries`]).

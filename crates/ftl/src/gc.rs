@@ -1,186 +1,166 @@
-//! Garbage-collection victim selection.
+//! Garbage-collection victim selection: one total order over a plane's
+//! blocks, with the paper's popularity score on top of it.
+//!
+//! **The rank.** More invalid pages wins, then less wear (a mild
+//! wear-levelling bias), then the higher block id. Greedy selection is
+//! the top-ranked candidate.
+//!
+//! **The score** (§IV-D): "instead of selecting a block with most
+//! number of invalid/garbage pages, we calculate the new
+//! popularity-aware metric which relates to the weighted sum of
+//! popularity degrees of garbage pages in a block". A block scores
+//! `255·invalid − w·Σpop`, where Σpop sums the popularity degree of
+//! each of its garbage pages the dead-value pool tracks. The highest
+//! score wins and equal scores fall back to the rank, so blocks full
+//! of *popular* garbage (likely to be revived soon) are erased later.
+//! Weight 0 is greedy.
 
-use core::fmt;
+use std::cmp::Reverse;
 
 use zssd_core::DeadValuePool;
-use zssd_flash::{BlockId, FlashArray};
+use zssd_flash::{BlockId, BlockInfo, FlashArray};
 
-/// Chooses which full block of a plane to reclaim.
-///
-/// Implementations see the flash occupancy and the dead-value pool (to
-/// weigh popular garbage). Only *full* blocks (no free pages) with at
-/// least one invalid page are legal victims, and the plane's active
-/// block is excluded by the caller.
-pub trait GcPolicy: fmt::Debug {
-    /// Selects a victim block in `plane`, or `None` if no block is
-    /// reclaimable.
-    fn select_victim(
-        &self,
-        flash: &FlashArray,
-        plane: u64,
-        exclude: Option<BlockId>,
-        pool: &dyn DeadValuePool,
-    ) -> Option<BlockId>;
-}
+/// A block's place in the victim order; the greatest rank wins:
+/// `(invalid pages, Reverse(erase count), block)`.
+type Rank = (u32, Reverse<u64>, BlockId);
 
-/// Iterates the candidate blocks of a plane: full, with invalid pages,
-/// and not the active block.
-fn candidates(
-    flash: &FlashArray,
+/// How many top-ranked candidates get the full per-page popularity
+/// scoring. A block outside this set has no more invalid pages than
+/// any block inside it, so its score (≤ 255·invalid) can only win when
+/// the popular-garbage penalty demotes all of them — rare enough that
+/// bounding the scan preserves the policy while keeping victim
+/// selection O(blocks + K·pages).
+const SCORED_CANDIDATES: usize = 12;
+
+/// Ranks the blocks of `plane` that `admit` accepts.
+fn ranked<'a>(
+    flash: &'a FlashArray,
     plane: u64,
-    exclude: Option<BlockId>,
-) -> impl Iterator<Item = (BlockId, u32, u64)> + '_ {
-    let geometry = flash.geometry();
-    let bpp = u64::from(geometry.blocks_per_plane());
+    admit: impl Fn(BlockId, &BlockInfo) -> bool + 'a,
+) -> impl Iterator<Item = Rank> + 'a {
+    let bpp = u64::from(flash.geometry().blocks_per_plane());
     (plane * bpp..(plane + 1) * bpp).filter_map(move |b| {
         let block = BlockId::new(b);
-        if exclude == Some(block) {
-            return None;
-        }
         let info = flash.block_info(block).expect("block within device");
-        if info.is_full() && info.invalid_pages > 0 {
-            Some((block, info.invalid_pages, info.erase_count))
-        } else {
-            None
-        }
+        admit(block, &info).then_some((info.invalid_pages, Reverse(info.erase_count), block))
     })
 }
 
-/// The conventional greedy selector: most invalid pages wins (ties
-/// break toward the least-worn block, a mild wear-levelling bias).
+/// Chooses the block of `plane` to reclaim, or `None` if none is
+/// reclaimable. Candidates are full (no free page), hold at least one
+/// invalid page, and are not `exclude` (the plane's active block).
 ///
-/// # Examples
-///
-/// ```
-/// use zssd_ftl::GreedyGc;
-/// let gc = GreedyGc::new();
-/// assert_eq!(format!("{gc:?}"), "GreedyGc");
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyGc;
-
-impl GreedyGc {
-    /// Creates the greedy selector.
-    pub fn new() -> Self {
-        GreedyGc
-    }
-}
-
-impl GcPolicy for GreedyGc {
-    fn select_victim(
-        &self,
-        flash: &FlashArray,
-        plane: u64,
-        exclude: Option<BlockId>,
-        _pool: &dyn DeadValuePool,
-    ) -> Option<BlockId> {
-        candidates(flash, plane, exclude)
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)))
-            .map(|(block, _, _)| block)
-    }
-}
-
-/// The paper's §IV-D selector: "instead of selecting a block with most
-/// number of invalid/garbage pages, we calculate the new
-/// popularity-aware metric which relates to the weighted sum of
-/// popularity degrees of garbage pages in a block".
-///
-/// Score = `invalid_pages − weight · Σ pop(garbage page in pool)/255`;
-/// the highest score wins, so blocks full of *popular* garbage (likely
-/// to be revived soon) are erased later.
-#[derive(Debug, Clone, Copy)]
-pub struct PopularityAwareGc {
+/// With `weight` 0 this is greedy: the top-ranked candidate, found in
+/// one pass without reading `pool`. Otherwise the
+/// [`SCORED_CANDIDATES`] top-ranked candidates are scored by
+/// `255·invalid − weight·Σpop` (see the module docs).
+pub(crate) fn select_victim(
+    flash: &FlashArray,
+    plane: u64,
+    exclude: Option<BlockId>,
+    pool: &dyn DeadValuePool,
     weight: f64,
-}
-
-impl PopularityAwareGc {
-    /// Creates the selector with the given popularity penalty weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative or non-finite.
-    pub fn new(weight: f64) -> Self {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "weight must be finite and non-negative"
-        );
-        PopularityAwareGc { weight }
+) -> Option<BlockId> {
+    let candidates = ranked(flash, plane, |block, info| {
+        info.is_full() && info.invalid_pages > 0 && Some(block) != exclude
+    });
+    if weight == 0.0 {
+        return candidates.max().map(|(_, _, block)| block);
     }
-
-    /// The configured weight.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-}
-
-impl Default for PopularityAwareGc {
-    fn default() -> Self {
-        PopularityAwareGc::new(2.0)
-    }
-}
-
-/// How many top-by-invalid-count candidates get the full per-page
-/// popularity scoring. A block outside this set has fewer invalid
-/// pages than every block inside it, so its score (≤ its invalid
-/// count) can only win when the popular-garbage penalty demotes all of
-/// them — rare enough that bounding the scan preserves the policy
-/// while keeping victim selection O(blocks + K·pages).
-const SCORED_CANDIDATES: usize = 12;
-
-impl GcPolicy for PopularityAwareGc {
-    fn select_victim(
-        &self,
-        flash: &FlashArray,
-        plane: u64,
-        exclude: Option<BlockId>,
-        pool: &dyn DeadValuePool,
-    ) -> Option<BlockId> {
-        let geometry = flash.geometry();
-        let mut top: Vec<(BlockId, u32, u64)> = candidates(flash, plane, exclude).collect();
-        top.sort_unstable_by_key(|&(_, invalid, _)| std::cmp::Reverse(invalid));
+    let mut top: Vec<Rank> = candidates.collect();
+    if top.len() > SCORED_CANDIDATES {
+        // Descending, so the first SCORED_CANDIDATES are the top ranks.
+        top.select_nth_unstable_by(SCORED_CANDIDATES - 1, |a, b| b.cmp(a));
         top.truncate(SCORED_CANDIDATES);
-        top.into_iter()
-            .map(|(block, invalid, wear)| {
-                let popular: f64 = geometry
-                    .pages_of(block)
-                    .filter_map(|ppn| pool.garbage_weight(ppn))
-                    .map(|pop| f64::from(pop.get()) / 255.0)
-                    .sum();
-                let score = f64::from(invalid) - self.weight * popular;
-                (block, score, wear)
-            })
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("scores are finite")
-                    .then(b.2.cmp(&a.2))
-            })
-            .map(|(block, _, _)| block)
     }
+    let geometry = flash.geometry();
+    top.into_iter()
+        .map(|rank| {
+            let popularity: u64 = geometry
+                .pages_of(rank.2)
+                .filter_map(|ppn| pool.garbage_weight(ppn))
+                .map(|pop| u64::from(pop.get()))
+                .sum();
+            (255.0 * f64::from(rank.0) - weight * popularity as f64, rank)
+        })
+        .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .map(|(_, (_, _, block))| block)
+}
+
+/// The last-resort victim, for a plane with no free block and no
+/// reclaimable full block: the top-ranked block with any invalid page,
+/// full or not, the active block included (erase does not need a full
+/// block; only programs are sequential).
+pub(crate) fn emergency_victim(flash: &FlashArray, plane: u64) -> Option<BlockId> {
+    ranked(flash, plane, |_, info| info.invalid_pages > 0)
+        .max()
+        .map(|(_, _, block)| block)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_core::{DeadValuePool, MqConfig, MqDeadValuePool, NoPool};
+    use proptest::prelude::*;
+    use zssd_core::{MqConfig, MqDeadValuePool, NoPool};
     use zssd_flash::{FlashTiming, Geometry};
     use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, SimTime, ValueId, WriteClock};
 
+    /// One plane of `blocks` blocks of 4 pages.
+    fn plane_of(blocks: u32) -> FlashArray {
+        let geom = Geometry::new(1, 1, 1, 1, blocks, 4).expect("valid geometry");
+        FlashArray::new(geom, FlashTiming::paper_table1())
+    }
+
     /// One plane, 3 blocks of 4 pages.
     fn setup() -> FlashArray {
-        let geom = Geometry::new(1, 1, 1, 1, 3, 4).expect("valid geometry");
-        FlashArray::new(geom, FlashTiming::paper_table1())
+        plane_of(3)
+    }
+
+    /// Programs the first `programmed` pages of a block and invalidates
+    /// the first `kill` of them.
+    fn write_block(flash: &mut FlashArray, block: u64, programmed: usize, kill: usize) {
+        let block = BlockId::new(block);
+        let pages: Vec<Ppn> = flash.geometry().pages_of(block).take(programmed).collect();
+        for _ in &pages {
+            flash.program_next(block, SimTime::ZERO).expect("program");
+        }
+        for &ppn in pages.iter().take(kill) {
+            flash.invalidate_page(ppn).expect("invalidate");
+        }
     }
 
     /// Fills a block and invalidates `kill` of its pages.
     fn fill_block(flash: &mut FlashArray, block: u64, kill: usize) {
-        let block = BlockId::new(block);
-        let pages: Vec<Ppn> = flash.geometry().pages_of(block).collect();
-        for _ in &pages {
-            flash.program_next(block, SimTime::ZERO).expect("program");
+        write_block(flash, block, 4, kill);
+    }
+
+    /// Raises a block's erase count by `cycles`, leaving it erased.
+    fn wear_block(flash: &mut FlashArray, block: u64, cycles: u64) {
+        for _ in 0..cycles {
+            fill_block(flash, block, 4);
+            flash
+                .erase_block(BlockId::new(block), SimTime::ZERO)
+                .expect("erase");
         }
-        for ppn in pages.into_iter().take(kill) {
-            flash.invalidate_page(ppn).expect("invalidate");
+    }
+
+    /// A pool holding each of `pages` as garbage of popularity `pop`.
+    fn pool_with(pages: impl IntoIterator<Item = (u64, u8)>) -> MqDeadValuePool {
+        let mut pool = MqDeadValuePool::new(MqConfig::ideal());
+        for (ppn, pop) in pages {
+            pool.insert_dead(
+                Fingerprint::of_value(ValueId::new(ppn)),
+                Ppn::new(ppn),
+                Lpn::new(ppn),
+                PopularityDegree::new(pop),
+                WriteClock::ZERO,
+            );
         }
+        pool
+    }
+
+    fn greedy(flash: &FlashArray, exclude: Option<BlockId>) -> Option<BlockId> {
+        select_victim(flash, 0, exclude, &NoPool::new(), 0.0)
     }
 
     #[test]
@@ -189,8 +169,7 @@ mod tests {
         fill_block(&mut flash, 0, 1);
         fill_block(&mut flash, 1, 3);
         fill_block(&mut flash, 2, 2);
-        let victim = GreedyGc::new().select_victim(&flash, 0, None, &NoPool::new());
-        assert_eq!(victim, Some(BlockId::new(1)));
+        assert_eq!(greedy(&flash, None), Some(BlockId::new(1)));
     }
 
     #[test]
@@ -201,32 +180,25 @@ mod tests {
         // Block 2 is only partially programmed (3 of 4 pages), yet all
         // of its written pages are invalid — the most garbage in the
         // plane. Unfull, so it must never be a candidate.
-        let block2 = BlockId::new(2);
-        let pages: Vec<Ppn> = flash.geometry().pages_of(block2).take(3).collect();
-        for _ in &pages {
-            flash.program_next(block2, SimTime::ZERO).expect("program");
-        }
-        for ppn in pages {
-            flash.invalidate_page(ppn).expect("invalidate");
-        }
+        write_block(&mut flash, 2, 3, 3);
         // Without exclusion: block 1 wins (full, 3 invalid); block 2's
         // 3 invalid pages don't count because it is not full.
-        let victim = GreedyGc::new().select_victim(&flash, 0, None, &NoPool::new());
-        assert_eq!(victim, Some(BlockId::new(1)));
+        assert_eq!(greedy(&flash, None), Some(BlockId::new(1)));
         // Excluding block 1 (the active block): selection falls back to
         // block 0 (2 invalid), still skipping the garbage-richer but
         // unfull block 2.
-        let fallback =
-            GreedyGc::new().select_victim(&flash, 0, Some(BlockId::new(1)), &NoPool::new());
-        assert_eq!(fallback, Some(BlockId::new(0)));
+        assert_eq!(greedy(&flash, Some(BlockId::new(1))), Some(BlockId::new(0)));
+        // The emergency path takes any block with garbage: block 2's
+        // three invalid pages tie block 1, and the higher id wins.
+        assert_eq!(emergency_victim(&flash, 0), Some(BlockId::new(2)));
     }
 
     #[test]
     fn greedy_returns_none_without_reclaimable_blocks() {
         let mut flash = setup();
         fill_block(&mut flash, 0, 0); // full but fully valid
-        let victim = GreedyGc::new().select_victim(&flash, 0, None, &NoPool::new());
-        assert_eq!(victim, None);
+        assert_eq!(greedy(&flash, None), None);
+        assert_eq!(emergency_victim(&flash, 0), None);
     }
 
     #[test]
@@ -236,22 +208,18 @@ mod tests {
         // Block 1: 2 invalid pages of cold values.
         fill_block(&mut flash, 0, 3);
         fill_block(&mut flash, 1, 2);
-        let mut pool = MqDeadValuePool::new(MqConfig::ideal());
-        for ppn in 0..3u64 {
-            pool.insert_dead(
-                Fingerprint::of_value(ValueId::new(ppn)),
-                Ppn::new(ppn),
-                Lpn::new(ppn),
-                PopularityDegree::new(255),
-                WriteClock::ZERO,
-            );
-        }
-        // Greedy would take block 0 (3 invalid > 2); the §IV-D metric
-        // penalizes its popular garbage: 3 - 2.0*3.0 = -3 < 2 - 0 = 2.
-        let greedy = GreedyGc::new().select_victim(&flash, 0, None, &pool);
-        assert_eq!(greedy, Some(BlockId::new(0)));
-        let aware = PopularityAwareGc::new(2.0).select_victim(&flash, 0, None, &pool);
-        assert_eq!(aware, Some(BlockId::new(1)));
+        let pool = pool_with((0..3).map(|ppn| (ppn, 255)));
+        // Greedy takes block 0 (3 invalid > 2); the §IV-D metric
+        // penalizes its popular garbage:
+        // 255·3 − 2·765 = −765 < 255·2 − 0 = 510.
+        assert_eq!(
+            select_victim(&flash, 0, None, &pool, 0.0),
+            Some(BlockId::new(0))
+        );
+        assert_eq!(
+            select_victim(&flash, 0, None, &pool, 2.0),
+            Some(BlockId::new(1))
+        );
     }
 
     #[test]
@@ -259,14 +227,167 @@ mod tests {
         let mut flash = setup();
         fill_block(&mut flash, 0, 3);
         fill_block(&mut flash, 1, 2);
-        let aware = PopularityAwareGc::new(0.0).select_victim(&flash, 0, None, &NoPool::new());
-        assert_eq!(aware, Some(BlockId::new(0)));
-        assert_eq!(PopularityAwareGc::default().weight(), 2.0);
+        let popular = pool_with((0..3).map(|ppn| (ppn, 255)));
+        for pool in [&popular as &dyn DeadValuePool, &NoPool::new()] {
+            assert_eq!(
+                select_victim(&flash, 0, None, pool, 0.0),
+                Some(BlockId::new(0))
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "weight")]
-    fn negative_weight_rejected() {
-        let _ = PopularityAwareGc::new(-0.5);
+    fn equal_invalid_counts_go_to_the_least_worn_block() {
+        let mut flash = setup();
+        wear_block(&mut flash, 0, 1);
+        wear_block(&mut flash, 1, 3);
+        wear_block(&mut flash, 2, 2);
+        for block in 0..3 {
+            fill_block(&mut flash, block, 2);
+        }
+        assert_eq!(greedy(&flash, None), Some(BlockId::new(0)));
+        assert_eq!(emergency_victim(&flash, 0), Some(BlockId::new(0)));
+        let cold = NoPool::new();
+        assert_eq!(
+            select_victim(&flash, 0, None, &cold, 0.5),
+            Some(BlockId::new(0))
+        );
+    }
+
+    #[test]
+    fn equal_invalid_counts_and_wear_go_to_the_higher_block_id() {
+        let mut flash = setup();
+        fill_block(&mut flash, 0, 2);
+        fill_block(&mut flash, 1, 2);
+        fill_block(&mut flash, 2, 1);
+        assert_eq!(greedy(&flash, None), Some(BlockId::new(1)));
+        assert_eq!(emergency_victim(&flash, 0), Some(BlockId::new(1)));
+        let cold = NoPool::new();
+        assert_eq!(
+            select_victim(&flash, 0, None, &cold, 0.5),
+            Some(BlockId::new(1))
+        );
+    }
+
+    #[test]
+    fn equal_scores_are_broken_by_rank() {
+        let mut flash = setup();
+        // Block 0: 1 cold invalid page, score 255.
+        // Block 1: 3 invalid pages, one of popularity 255, score
+        //   255·3 − 1·255 = 510.
+        // Block 2: 2 cold invalid pages, score 255·2 = 510.
+        // Blocks 1 and 2 tie on score; block 1 ranks higher (more
+        // invalid pages) although block 2 has the higher id.
+        fill_block(&mut flash, 0, 1);
+        fill_block(&mut flash, 1, 3);
+        fill_block(&mut flash, 2, 2);
+        let pool = pool_with([(4, 255)]);
+        assert_eq!(
+            select_victim(&flash, 0, None, &pool, 1.0),
+            Some(BlockId::new(1))
+        );
+        // Blocks 0 and 1 both hold 3 invalid pages, one of them
+        // popular (score 510), but block 1 is more worn: block 0 ranks
+        // higher although its id is lower.
+        let mut flash = setup();
+        wear_block(&mut flash, 1, 1);
+        fill_block(&mut flash, 0, 3);
+        fill_block(&mut flash, 1, 3);
+        let pool = pool_with([(0, 255), (4, 255)]);
+        assert_eq!(
+            select_victim(&flash, 0, None, &pool, 1.0),
+            Some(BlockId::new(0))
+        );
+    }
+
+    /// The documented selection, spelled out: sort every candidate by
+    /// the rank (invalid descending, wear ascending, id descending);
+    /// greedy takes the first, popularity-aware scores the first
+    /// [`SCORED_CANDIDATES`] and takes the first of the best score.
+    fn brute_force(
+        flash: &FlashArray,
+        exclude: Option<BlockId>,
+        pool: &dyn DeadValuePool,
+        weight: f64,
+    ) -> Option<BlockId> {
+        let mut all: Vec<(BlockId, BlockInfo)> = flash
+            .blocks()
+            .filter(|&(block, info)| {
+                info.is_full() && info.invalid_pages > 0 && Some(block) != exclude
+            })
+            .collect();
+        all.sort_by(|(a, x), (b, y)| {
+            y.invalid_pages
+                .cmp(&x.invalid_pages)
+                .then(x.erase_count.cmp(&y.erase_count))
+                .then(b.cmp(a))
+        });
+        if weight == 0.0 {
+            return all.first().map(|&(block, _)| block);
+        }
+        let mut best: Option<(f64, BlockId)> = None;
+        for &(block, info) in all.iter().take(SCORED_CANDIDATES) {
+            let mut popularity = 0u64;
+            for ppn in flash.geometry().pages_of(block) {
+                if let Some(pop) = pool.garbage_weight(ppn) {
+                    popularity += u64::from(pop.get());
+                }
+            }
+            let score = 255.0 * f64::from(info.invalid_pages) - weight * popularity as f64;
+            if best.is_none_or(|(top, _)| score > top) {
+                best = Some((score, block));
+            }
+        }
+        best.map(|(_, block)| block)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Each block is `(erase cycles, programmed pages, invalid
+        /// pages, popularity choice)`; programmed counts past 4 fill
+        /// the block, and the popularity choice decides whether the
+        /// block's garbage is pooled and how popular it is. Up to 48
+        /// blocks of 4 pages, two thirds of them full, give many more
+        /// than SCORED_CANDIDATES candidates and many rank ties. In `hot`
+        /// cases all garbage is pooled at popularity 128 or 255, so at
+        /// weight ≥ 2 every score falls with the invalid count and a
+        /// block outside the scored set would win if it were scored.
+        #[test]
+        fn selection_matches_the_brute_force_order(
+            blocks in prop::collection::vec((0u64..3, 0usize..12, 0usize..5, 0u8..4), 1..48),
+            exclude in 0u64..56,
+            weight in 0usize..5,
+            hot in 0u8..2,
+        ) {
+            let mut flash = plane_of(blocks.len() as u32);
+            let mut pooled = Vec::new();
+            for (b, &(cycles, programmed, kill, pop)) in blocks.iter().enumerate() {
+                let b = b as u64;
+                wear_block(&mut flash, b, cycles);
+                let programmed = programmed.min(4);
+                let kill = kill.min(programmed);
+                write_block(&mut flash, b, programmed, kill);
+                let pop = if hot == 1 {
+                    [128, 255][usize::from(pop % 2)]
+                } else {
+                    [0, 1, 128, 255][usize::from(pop)]
+                };
+                if pop > 0 {
+                    let first = flash.geometry().first_ppn_of(BlockId::new(b)).index();
+                    pooled.extend((first..first + kill as u64).map(|ppn| (ppn, pop)));
+                }
+            }
+            let pool = pool_with(pooled);
+            // Out-of-range ids exclude nothing.
+            let exclude = Some(BlockId::new(exclude));
+            for weight in [0.0, [0.5, 1.0, 2.0, 8.0, 1e-3][weight]] {
+                prop_assert_eq!(
+                    select_victim(&flash, 0, exclude, &pool, weight),
+                    brute_force(&flash, exclude, &pool, weight),
+                    "weight {}", weight
+                );
+            }
+        }
     }
 }

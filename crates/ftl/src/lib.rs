@@ -7,9 +7,14 @@
 //!   1-byte popularity counter per logical page (§IV-C, Fig 8),
 //! * [`Allocator`] — striped active-block allocation across planes
 //!   with per-plane free lists,
-//! * [`GcPolicy`] / [`GreedyGc`] / [`PopularityAwareGc`] — victim
-//!   selection, including the paper's popularity-aware selector that
-//!   delays erasing blocks holding popular garbage (§IV-D),
+//! * GC victim selection — one order over a plane's blocks (more
+//!   invalid pages, then less wear, then the higher block id). Greedy
+//!   takes the top-ranked block; the paper's popularity-aware selector
+//!   (§IV-D) scores the top-ranked blocks by
+//!   `255·invalid − w·Σpop(pooled garbage)`, so blocks holding popular
+//!   garbage are erased later. Set through
+//!   [`SsdConfig::popularity_aware_gc`] and
+//!   [`SsdConfig::gc_popularity_weight`],
 //! * [`Ssd`] — the device: write/read service paths wiring the
 //!   dead-value pool ([`zssd_core`]) and optional deduplication
 //!   ([`zssd_dedup`]) into the FTL, garbage collection, and latency
@@ -60,7 +65,6 @@ mod stats;
 pub use allocator::Allocator;
 pub use config::SsdConfig;
 pub use error::SsdError;
-pub use gc::{GcPolicy, GreedyGc, PopularityAwareGc};
 pub use mapping::MappingTable;
 pub use ssd::Ssd;
 pub use stats::{RunReport, SsdStats};

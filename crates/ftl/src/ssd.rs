@@ -12,15 +12,14 @@ use zssd_types::{Fingerprint, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteCloc
 
 use crate::config::SsdConfig;
 use crate::error::SsdError;
-use crate::gc::{GcPolicy, GreedyGc, PopularityAwareGc};
+use crate::gc;
 use crate::mapping::MappingTable;
 use crate::rmap::{PhysPage, Rmap};
 use crate::stats::{RunReport, SsdStats};
 use crate::Allocator;
 
 /// A simulated SSD assembled per [`SystemKind`]: flash array, mapping
-/// table, allocator, GC policy, dead-value pool, and (optionally) the
-/// dedup index.
+/// table, allocator, dead-value pool, and (optionally) the dedup index.
 ///
 /// Drive it with [`Ssd::run_trace`] for whole-trace experiments, or
 /// with [`Ssd::write`] / [`Ssd::read`] for fine-grained control.
@@ -52,7 +51,10 @@ pub struct Ssd {
     flash: FlashArray,
     mapping: MappingTable,
     allocator: Allocator,
-    gc: Box<dyn GcPolicy>,
+    /// The popular-garbage penalty of GC victim selection: the
+    /// configured weight when popularity-aware GC is on and the system
+    /// has a pool, else 0 (greedy).
+    gc_weight: f64,
     pool: Box<dyn DeadValuePool>,
     dedup: Option<DedupStore>,
     rmap: Rmap,
@@ -101,10 +103,10 @@ impl Ssd {
             .system
             .uses_dedup()
             .then(|| DedupStore::with_index_capacity(config.dedup_index_entries));
-        let gc: Box<dyn GcPolicy> = if config.popularity_aware_gc && config.system.uses_pool() {
-            Box::new(PopularityAwareGc::new(config.gc_popularity_weight))
+        let gc_weight = if config.popularity_aware_gc && config.system.uses_pool() {
+            config.gc_popularity_weight
         } else {
-            Box::new(GreedyGc::new())
+            0.0
         };
         let mut flash = FlashArray::with_faults(config.geometry, config.timing, config.faults);
         flash.set_event_tracing(config.trace_events);
@@ -112,7 +114,7 @@ impl Ssd {
             flash,
             mapping: MappingTable::new(config.logical_pages),
             allocator: Allocator::new(&config.geometry),
-            gc,
+            gc_weight,
             pool,
             dedup,
             rmap: Rmap::new(config.geometry.total_pages()),
@@ -721,23 +723,24 @@ impl Ssd {
     fn maybe_gc(&mut self, plane: u64, now: SimTime) -> Result<SimTime, SsdError> {
         let mut t = now;
         while self.allocator.free_blocks_in(plane) < self.config.gc_low_watermark as usize {
-            let victim = self.gc.select_victim(
+            let victim = gc::select_victim(
                 &self.flash,
                 plane,
                 self.allocator.active_block(plane),
                 self.pool.as_ref(),
+                self.gc_weight,
             );
             match victim {
                 Some(victim) => t = self.collect_block(victim, plane, t, false)?,
                 None if self.allocator.free_blocks_in(plane) == 0 => {
                     // No *full* block is reclaimable but the plane is
                     // dry: the invalid pages are trapped in the active
-                    // block (or nowhere). Retire and reclaim whichever
-                    // block holds the most garbage, relocating its
+                    // block (or nowhere). Retire and reclaim the
+                    // top-ranked block with any garbage, relocating its
                     // valid pages cross-plane if need be; erase does
                     // not require a full block — only programs are
                     // sequential.
-                    let Some(victim) = self.emergency_victim(plane) else {
+                    let Some(victim) = gc::emergency_victim(&self.flash, plane) else {
                         return Err(SsdError::OutOfSpace { plane });
                     };
                     if self.allocator.active_block(plane) == Some(victim) {
@@ -753,22 +756,6 @@ impl Ssd {
             self.stats.phases.add("gc_stall", stalled);
         }
         Ok(t)
-    }
-
-    /// Last-resort victim: any block of the plane with invalid pages
-    /// (including the active block, which is retired first), fullest
-    /// of garbage first.
-    fn emergency_victim(&self, plane: u64) -> Option<zssd_flash::BlockId> {
-        let geometry = &self.config.geometry;
-        let bpp = u64::from(geometry.blocks_per_plane());
-        (plane * bpp..(plane + 1) * bpp)
-            .map(zssd_flash::BlockId::new)
-            .filter_map(|b| {
-                let info = self.flash.block_info(b).ok()?;
-                (info.invalid_pages > 0).then_some((b, info.invalid_pages))
-            })
-            .max_by_key(|&(_, invalid)| invalid)
-            .map(|(b, _)| b)
     }
 
     /// Relocates the victim's valid pages, drops its garbage from the
