@@ -1,13 +1,17 @@
-//! Golden `zssd-metrics-v1` exports: five small full-system cells
+//! Golden `zssd-metrics-v1` exports: eight small full-system cells
 //! whose `RunReport::to_json` text is checked in under `tests/golden/`
 //! and must be reproduced byte for byte. Any change to simulated
 //! behaviour — counters, latencies, phase timers, wear, timeline —
 //! shows up here as a diff, so a refactor or speed-up that claims to
 //! leave behaviour alone is held to it by `cargo test`.
 //!
-//! The three scale-0.01 cells collect no garbage. The two `-gc` cells
-//! run web at scale 0.05, where greedy (Baseline) and popularity-aware
-//! (MQ-DVP) victim selection each run hundreds of collections.
+//! Of the four scale-0.01 cells only `mail-dedup` (deduplication
+//! without a pool) collects garbage, a handful of times. The four `-gc`
+//! cells run web at scale 0.05, where greedy (Baseline) and
+//! popularity-aware (MQ-DVP, LX-SSD, adaptive MQ) victim selection each
+//! run hundreds of collections; `web-lxssd-gc` also covers LX-SSD's
+//! read refresh. The adaptive pool never fills there, so its export
+//! differs from `web-mq-dvp-gc` only in the system label.
 //!
 //! The cells pin every knob the environment could otherwise supply
 //! (seed, arrival process, fault plan), so the files do not depend on
@@ -45,7 +49,7 @@ impl Cell {
     }
 }
 
-fn cells() -> [Cell; 5] {
+fn cells() -> [Cell; 8] {
     let cell = |stem, profile, scale, system| Cell {
         stem,
         profile,
@@ -67,6 +71,18 @@ fn cells() -> [Cell; 5] {
         }),
         cell("web-mq-dvp-gc", WorkloadProfile::web(), 0.05, |entries| {
             SystemKind::MqDvp { entries }
+        }),
+        cell("web-lxssd-gc", WorkloadProfile::web(), 0.05, |entries| {
+            SystemKind::LxSsd { entries }
+        }),
+        cell("web-adaptive-gc", WorkloadProfile::web(), 0.05, |entries| {
+            SystemKind::AdaptiveDvp {
+                min_entries: entries / 4,
+                max_entries: 2 * entries,
+            }
+        }),
+        cell("mail-dedup", WorkloadProfile::mail(), 0.01, |_| {
+            SystemKind::Dedup
         }),
     ]
 }
