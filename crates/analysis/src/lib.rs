@@ -10,9 +10,9 @@
 //! * [`infinite_reuse`] — the Fig 1 study: how many writes an
 //!   *unlimited* dead-value buffer would short-circuit, with and
 //!   without deduplication,
-//! * [`PoolReuseSim`] — replay a trace against any
-//!   [`DeadValuePool`](zssd_core::DeadValuePool) (Fig 5's LRU sweep,
-//!   Fig 6's per-popularity miss breakdown, and MQ-vs-LRU ablations).
+//! * [`PoolReuseSim`] — replay a trace against an MQ pool in any
+//!   setting (Fig 5's LRU sweep, Fig 6's per-popularity miss
+//!   breakdown, and MQ-vs-LRU ablations).
 //!
 //! # Examples
 //!

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use zssd_core::DeadValuePool;
+use zssd_core::MqDeadValuePool;
 use zssd_trace::TraceRecord;
 use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
@@ -186,8 +186,8 @@ impl PoolRunSummary {
     }
 }
 
-/// Replays a trace's write stream against a real [`DeadValuePool`]
-/// implementation, tracking an infinite-buffer oracle alongside so
+/// Replays a trace's write stream against a real MQ dead-value pool
+/// (in any setting: MQ, LRU, Ideal), tracking an infinite-buffer oracle alongside so
 /// capacity misses can be attributed (Fig 6).
 ///
 /// Dead pages are identified by synthetic PPNs (the death ordinal);
@@ -208,24 +208,18 @@ impl PoolRunSummary {
 /// assert!(summary.writes_remaining() < summary.writes);
 /// ```
 #[derive(Debug)]
-pub struct PoolReuseSim<P> {
-    pool: P,
+pub struct PoolReuseSim {
+    pool: MqDeadValuePool,
 }
 
-impl<P: DeadValuePool> PoolReuseSim<P> {
+impl PoolReuseSim {
     /// Wraps a pool for trace replay.
-    pub fn new(pool: P) -> Self {
+    pub fn new(pool: MqDeadValuePool) -> Self {
         PoolReuseSim { pool }
     }
 
-    /// Replays the write stream and returns the hit/miss summary plus
-    /// the pool (for stats inspection).
-    pub fn run(self, records: &[TraceRecord]) -> PoolRunSummary {
-        self.run_with_pool(records).0
-    }
-
-    /// Like [`run`](PoolReuseSim::run) but also hands back the pool.
-    pub fn run_with_pool(mut self, records: &[TraceRecord]) -> (PoolRunSummary, P) {
+    /// Replays the write stream and returns the hit/miss summary.
+    pub fn run(mut self, records: &[TraceRecord]) -> PoolRunSummary {
         let mut summary = PoolRunSummary::default();
         let mut clock = WriteClock::ZERO;
         // Address -> (value, synthetic ppn of the live copy).
@@ -288,14 +282,14 @@ impl<P: DeadValuePool> PoolReuseSim<P> {
             }
             content.insert(record.lpn, (value, live_ppn));
         }
-        (summary, self.pool)
+        summary
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_core::{MqConfig, MqDeadValuePool};
+    use zssd_core::MqConfig;
     use zssd_trace::{SyntheticTrace, WorkloadProfile};
 
     fn w(seq: u64, lpn: u64, value: u64) -> TraceRecord {

@@ -7,7 +7,7 @@ use zssd_dedup::DedupStore;
 use zssd_types::{Fingerprint, Ppn, ValueId};
 
 fn filled_store(values: u64) -> DedupStore {
-    let mut store = DedupStore::new();
+    let mut store = DedupStore::new(values as usize);
     for i in 0..values {
         store.register(Fingerprint::of_value(ValueId::new(i)), Ppn::new(i));
     }

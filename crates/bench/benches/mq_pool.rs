@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use zssd_core::{DeadValuePool, MqConfig, MqDeadValuePool};
+use zssd_core::{MqConfig, MqDeadValuePool};
 use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
 fn filled_pool(entries: usize) -> MqDeadValuePool {

@@ -17,7 +17,7 @@
 use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
 
 use crate::mq::{MqConfig, MqDeadValuePool};
-use crate::pool::{DeadValuePool, PoolStats};
+use crate::pool::PoolStats;
 
 /// Configuration of the [`AdaptiveMqPool`] controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,7 +90,8 @@ impl Default for AdaptiveConfig {
 ///     epoch: 50,
 ///     ..AdaptiveConfig::paper_default()
 /// });
-/// assert_eq!(pool.capacity(), Some(200));
+/// assert_eq!(pool.current_capacity(), 200);
+/// assert_eq!(DeadValuePool::Adaptive(pool).capacity(), Some(200));
 /// ```
 #[derive(Debug)]
 pub struct AdaptiveMqPool {
@@ -122,11 +123,6 @@ impl AdaptiveMqPool {
             resizes: 0,
             cfg,
         }
-    }
-
-    /// The controller configuration.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
     }
 
     /// Current capacity in entries.
@@ -167,10 +163,8 @@ impl AdaptiveMqPool {
         self.epoch_lookups = 0;
         self.epoch_evictions_start = self.inner.stats().evictions;
     }
-}
 
-impl DeadValuePool for AdaptiveMqPool {
-    fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn> {
+    pub(crate) fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn> {
         let result = self.inner.take_match(fp, now);
         self.epoch_lookups += 1;
         if result.is_some() {
@@ -180,7 +174,7 @@ impl DeadValuePool for AdaptiveMqPool {
         result
     }
 
-    fn insert_dead(
+    pub(crate) fn insert_dead(
         &mut self,
         fp: Fingerprint,
         ppn: Ppn,
@@ -192,27 +186,27 @@ impl DeadValuePool for AdaptiveMqPool {
         self.on_event();
     }
 
-    fn remove_ppn(&mut self, ppn: Ppn) {
+    pub(crate) fn remove_ppn(&mut self, ppn: Ppn) {
         self.inner.remove_ppn(ppn);
     }
 
-    fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
+    pub(crate) fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
         self.inner.garbage_weight(ppn)
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.len()
     }
 
-    fn tracked_ppns(&self) -> usize {
+    pub(crate) fn tracked_ppns(&self) -> usize {
         self.inner.tracked_ppns()
     }
 
-    fn capacity(&self) -> Option<usize> {
+    pub(crate) fn capacity(&self) -> Option<usize> {
         Some(self.current_capacity())
     }
 
-    fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         self.inner.stats()
     }
 }
@@ -343,7 +337,7 @@ mod tests {
             Some(PopularityDegree::new(2))
         );
         pool.remove_ppn(Ppn::new(1));
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
         assert_eq!(pool.stats().gc_removals, 1);
     }
 

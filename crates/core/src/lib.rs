@@ -9,7 +9,7 @@
 //! whose hash hits the pool is *short-circuited* — the matching garbage
 //! page is flipped back to valid and no NAND program happens.
 //!
-//! The pools sit behind the [`DeadValuePool`] trait:
+//! [`DeadValuePool`] is an enum over the three pool designs:
 //!
 //! * [`MqDeadValuePool`] — the paper's design (§III-IV): the
 //!   Multi-Queue algorithm with one LRU queue per popularity band,
@@ -35,7 +35,7 @@
 //! # Examples
 //!
 //! ```
-//! use zssd_core::{DeadValuePool, MqConfig, MqDeadValuePool};
+//! use zssd_core::{MqConfig, MqDeadValuePool};
 //! use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 //!
 //! let mut pool = MqDeadValuePool::new(MqConfig::default());
@@ -56,14 +56,14 @@
 #![warn(missing_docs)]
 
 mod adaptive;
-mod intrusive;
 mod lxssd;
 mod mq;
 mod pool;
+mod slots;
 mod system;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveMqPool};
 pub use lxssd::{LxSsdConfig, LxSsdPool};
 pub use mq::{MqConfig, MqDeadValuePool};
-pub use pool::{DeadValuePool, NoPool, PoolStats};
+pub use pool::{DeadValuePool, PoolStats};
 pub use system::SystemKind;

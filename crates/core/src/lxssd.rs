@@ -21,12 +21,12 @@
 //! values than the paper's MQ pool — the scalability gap the paper
 //! demonstrates on mail.
 
-use zssd_types::FxHashMap;
+use zssd_types::{
+    Fingerprint, FxHashMap, ListHandle, Lpn, PopularityDegree, Ppn, Slab, SlotId, WriteClock,
+};
 
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
-
-use crate::intrusive::{ListHandle, PpnSlots, Slab, SlotId};
-use crate::pool::{DeadValuePool, PoolStats};
+use crate::pool::PoolStats;
+use crate::slots::PpnSlots;
 
 /// Configuration of the [`LxSsdPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,12 +74,12 @@ struct Entry {
 /// use zssd_core::{DeadValuePool, LxSsdConfig, LxSsdPool};
 /// use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 ///
-/// let mut pool = LxSsdPool::new(LxSsdConfig::default().with_capacity(10));
+/// let mut pool = DeadValuePool::LxSsd(LxSsdPool::new(LxSsdConfig::default().with_capacity(10)));
 /// let fp = Fingerprint::of_value(ValueId::new(1));
 /// pool.insert_dead(fp, Ppn::new(1), Lpn::new(7), PopularityDegree::ZERO, WriteClock::ZERO);
 /// // A *read* of LBA 7 refreshes the entry — the behaviour the paper
 /// // identifies as a mistake.
-/// pool.note_lpn_access(Lpn::new(7), WriteClock::from_count(1));
+/// pool.note_lpn_access(Lpn::new(7));
 /// assert_eq!(pool.take_match(fp, WriteClock::from_count(2)), Some(Ppn::new(1)));
 /// ```
 #[derive(Debug, Clone)]
@@ -106,22 +106,12 @@ impl LxSsdPool {
         LxSsdPool {
             cfg,
             slab: Slab::with_capacity(cfg.capacity.min(1 << 20)),
-            lru: ListHandle::new(),
+            lru: ListHandle::default(),
             by_fp: FxHashMap::default(),
             by_ppn: PpnSlots::default(),
             by_lpn: FxHashMap::default(),
             stats: PoolStats::default(),
         }
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &LxSsdConfig {
-        &self.cfg
-    }
-
-    fn touch(&mut self, id: SlotId) {
-        self.lru.detach(&mut self.slab, id);
-        self.lru.push_tail(&mut self.slab, id);
     }
 
     fn evict_one(&mut self) {
@@ -150,10 +140,8 @@ impl LxSsdPool {
         }
         entry
     }
-}
 
-impl DeadValuePool for LxSsdPool {
-    fn take_match(&mut self, fp: Fingerprint, _now: WriteClock) -> Option<Ppn> {
+    pub(crate) fn take_match(&mut self, fp: Fingerprint, _now: WriteClock) -> Option<Ppn> {
         let Some(ids) = self.by_fp.get(&fp) else {
             self.stats.misses += 1;
             return None;
@@ -164,7 +152,7 @@ impl DeadValuePool for LxSsdPool {
         Some(entry.ppn)
     }
 
-    fn insert_dead(
+    pub(crate) fn insert_dead(
         &mut self,
         fp: Fingerprint,
         ppn: Ppn,
@@ -186,7 +174,7 @@ impl DeadValuePool for LxSsdPool {
         }
     }
 
-    fn remove_ppn(&mut self, ppn: Ppn) {
+    pub(crate) fn remove_ppn(&mut self, ppn: Ppn) {
         let Some(id) = self.by_ppn.get(ppn) else {
             return;
         };
@@ -194,7 +182,7 @@ impl DeadValuePool for LxSsdPool {
         self.stats.gc_removals += 1;
     }
 
-    fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
+    pub(crate) fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
         self.by_ppn.get(ppn).map(|id| self.slab.get(id).pop)
     }
 
@@ -202,29 +190,29 @@ impl DeadValuePool for LxSsdPool {
     /// garbage refreshes those entries' recency and bumps their
     /// (read+write) popularity. This is LX-SSD's behaviour, not the
     /// DVP's.
-    fn note_lpn_access(&mut self, lpn: Lpn, _now: WriteClock) {
+    pub(crate) fn note_lpn_access(&mut self, lpn: Lpn) {
         let Some(ids) = self.by_lpn.get(&lpn) else {
             return;
         };
         for id in ids.clone() {
             self.slab.get_mut(id).pop.increment();
-            self.touch(id);
+            self.lru.move_to_tail(&mut self.slab, id);
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slab.len()
     }
 
-    fn tracked_ppns(&self) -> usize {
+    pub(crate) fn tracked_ppns(&self) -> usize {
         self.by_ppn.len()
     }
 
-    fn capacity(&self) -> Option<usize> {
+    pub(crate) fn capacity(&self) -> Option<usize> {
         Some(self.cfg.capacity)
     }
 
-    fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         self.stats
     }
 }
@@ -259,7 +247,7 @@ mod tests {
         insert(&mut p, 2, 2, 20, 2);
         // A read of LBA 10 keeps value 1's page hot even though its
         // value is never rewritten...
-        p.note_lpn_access(Lpn::new(10), WriteClock::from_count(3));
+        p.note_lpn_access(Lpn::new(10));
         insert(&mut p, 3, 3, 30, 4); // evicts value 2, not value 1
         assert!(p.take_match(fp(1), WriteClock::from_count(5)).is_some());
         assert_eq!(p.take_match(fp(2), WriteClock::from_count(6)), None);
@@ -286,7 +274,7 @@ mod tests {
         let mut p = pool(4);
         insert(&mut p, 1, 1, 10, 1);
         assert_eq!(p.garbage_weight(Ppn::new(1)), Some(PopularityDegree::ZERO));
-        p.note_lpn_access(Lpn::new(10), WriteClock::from_count(2));
+        p.note_lpn_access(Lpn::new(10));
         assert_eq!(
             p.garbage_weight(Ppn::new(1)),
             Some(PopularityDegree::new(1))
@@ -297,7 +285,7 @@ mod tests {
     fn unrelated_lpn_access_is_ignored() {
         let mut p = pool(4);
         insert(&mut p, 1, 1, 10, 1);
-        p.note_lpn_access(Lpn::new(99), WriteClock::from_count(2));
+        p.note_lpn_access(Lpn::new(99));
         assert_eq!(p.len(), 1);
     }
 
@@ -316,7 +304,7 @@ mod tests {
             p.take_match(fp(1), WriteClock::from_count(4)),
             Some(Ppn::new(1))
         );
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
     }
 
     #[test]
@@ -332,7 +320,7 @@ mod tests {
         p.remove_ppn(Ppn::new(5)); // idempotent
         assert_eq!(p.stats().gc_removals, 1);
         // The evicted entries' LBAs no longer resolve.
-        p.note_lpn_access(Lpn::new(10), WriteClock::from_count(9));
+        p.note_lpn_access(Lpn::new(10));
         assert_eq!(p.len(), 1);
     }
 
@@ -344,7 +332,7 @@ mod tests {
         insert(&mut p, 1, 1, 10, 1);
         insert(&mut p, 2, 2, 10, 2);
         insert(&mut p, 3, 3, 30, 3);
-        p.note_lpn_access(Lpn::new(10), WriteClock::from_count(4));
+        p.note_lpn_access(Lpn::new(10));
         insert(&mut p, 4, 4, 40, 5);
         insert(&mut p, 5, 5, 50, 6); // evicts value 3 (LRU), not 1 or 2
         assert_eq!(p.take_match(fp(3), WriteClock::from_count(7)), None);

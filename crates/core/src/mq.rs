@@ -1,11 +1,11 @@
 //! The Multi-Queue dead-value pool (§III-B, §IV of the paper).
 
-use zssd_types::FxHashMap;
+use zssd_types::{
+    Fingerprint, FxHashMap, ListHandle, Lpn, PopularityDegree, Ppn, Slab, SlotId, WriteClock,
+};
 
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
-
-use crate::intrusive::{ListHandle, PpnSlots, Slab, SlotId};
-use crate::pool::{DeadValuePool, PoolStats};
+use crate::pool::PoolStats;
+use crate::slots::PpnSlots;
 
 /// Configuration of the [`MqDeadValuePool`].
 ///
@@ -96,7 +96,7 @@ struct Entry {
 /// # Examples
 ///
 /// ```
-/// use zssd_core::{DeadValuePool, MqConfig, MqDeadValuePool};
+/// use zssd_core::{MqConfig, MqDeadValuePool};
 /// use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 ///
 /// let mut pool = MqDeadValuePool::new(MqConfig::default().with_capacity(1000));
@@ -131,7 +131,7 @@ impl MqDeadValuePool {
         MqDeadValuePool {
             cfg,
             slab: Slab::with_capacity(cfg.capacity.min(1 << 20)),
-            queues: vec![ListHandle::new(); cfg.num_queues],
+            queues: vec![ListHandle::default(); cfg.num_queues],
             by_fp: FxHashMap::default(),
             by_ppn: PpnSlots::default(),
             hottest_pop: PopularityDegree::ZERO,
@@ -267,10 +267,9 @@ impl MqDeadValuePool {
             .sum();
         assert_eq!(ppns, self.by_ppn.len());
     }
-}
 
-impl DeadValuePool for MqDeadValuePool {
-    fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn> {
+    /// Looks up a write's hash; a hit removes and returns a dead copy.
+    pub fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn> {
         let Some(&id) = self.by_fp.get(&fp) else {
             self.stats.misses += 1;
             return None;
@@ -296,7 +295,8 @@ impl DeadValuePool for MqDeadValuePool {
         Some(ppn)
     }
 
-    fn insert_dead(
+    /// Offers a freshly dead page to the pool.
+    pub fn insert_dead(
         &mut self,
         fp: Fingerprint,
         ppn: Ppn,
@@ -339,7 +339,8 @@ impl DeadValuePool for MqDeadValuePool {
         self.demote_expired(now);
     }
 
-    fn remove_ppn(&mut self, ppn: Ppn) {
+    /// Drops a page GC erased; untracked pages are ignored.
+    pub fn remove_ppn(&mut self, ppn: Ppn) {
         let Some(id) = self.by_ppn.remove(ppn) else {
             return;
         };
@@ -359,23 +360,33 @@ impl DeadValuePool for MqDeadValuePool {
         }
     }
 
-    fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
+    /// Popularity degree of a tracked garbage page, `None` if untracked.
+    pub fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
         self.by_ppn.get(ppn).map(|id| self.slab.get(id).pop)
     }
 
-    fn len(&self) -> usize {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
         self.slab.len()
     }
 
-    fn tracked_ppns(&self) -> usize {
+    /// Whether the pool holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of garbage pages tracked.
+    pub fn tracked_ppns(&self) -> usize {
         self.by_ppn.len()
     }
 
-    fn capacity(&self) -> Option<usize> {
+    /// Entry capacity, or `None` when unbounded.
+    pub fn capacity(&self) -> Option<usize> {
         (self.cfg.capacity != usize::MAX).then_some(self.cfg.capacity)
     }
 
-    fn stats(&self) -> PoolStats {
+    /// Usage counters.
+    pub fn stats(&self) -> PoolStats {
         self.stats
     }
 }

@@ -1,10 +1,14 @@
-//! The [`DeadValuePool`] trait and shared statistics.
+//! The [`DeadValuePool`] type and shared statistics.
 
 use core::fmt;
 
 use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
 
-/// Counters shared by every pool implementation.
+use crate::{
+    AdaptiveConfig, AdaptiveMqPool, LxSsdConfig, LxSsdPool, MqConfig, MqDeadValuePool, SystemKind,
+};
+
+/// Counters shared by every pool design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Write lookups that found (and consumed) a matching garbage page.
@@ -53,10 +57,11 @@ impl fmt::Display for PoolStats {
 }
 
 /// A buffer of dead values: content hashes of garbage pages and the
-/// physical pages that still hold them.
+/// physical pages that still hold them. One variant per pool design;
+/// each method dispatches to the variant's own.
 ///
 /// All methods take the paper's logical clock (`now` = number of write
-/// requests issued so far, §IV-A); implementations use it for recency,
+/// requests issued so far, §IV-A); the pools use it for recency,
 /// expiration, and interval bookkeeping.
 ///
 /// # Contract
@@ -69,143 +74,161 @@ impl fmt::Display for PoolStats {
 ///   revives it, so it is no longer garbage.
 /// * [`remove_ppn`](DeadValuePool::remove_ppn) must be called when GC
 ///   erases a tracked page, and is idempotent.
-pub trait DeadValuePool: fmt::Debug {
+///
+/// # Examples
+///
+/// ```
+/// use zssd_core::{DeadValuePool, MqConfig, SystemKind};
+///
+/// let pool = DeadValuePool::for_system(SystemKind::LruDvp { entries: 64 }, MqConfig::default());
+/// assert_eq!(pool.map(|p| p.capacity()), Some(Some(64)));
+/// // Baseline and Dedup recycle nothing, so they get no pool at all.
+/// assert!(DeadValuePool::for_system(SystemKind::Baseline, MqConfig::default()).is_none());
+/// ```
+#[derive(Debug)]
+pub enum DeadValuePool {
+    /// The paper's MQ pool, including its LRU and Ideal settings.
+    Mq(MqDeadValuePool),
+    /// The MQ pool under the self-sizing controller.
+    Adaptive(AdaptiveMqPool),
+    /// The LX-SSD prior-work baseline.
+    LxSsd(LxSsdPool),
+}
+
+/// Evaluates `$body` with `$pool` bound to whichever pool `$self` holds.
+macro_rules! each {
+    ($self:expr, $pool:ident => $body:expr) => {
+        match $self {
+            DeadValuePool::Mq($pool) => $body,
+            DeadValuePool::Adaptive($pool) => $body,
+            DeadValuePool::LxSsd($pool) => $body,
+        }
+    };
+}
+
+impl DeadValuePool {
+    /// The pool `system` runs with, or `None` for the systems that
+    /// recycle nothing (Baseline, Dedup). `mq` is the MQ policy for
+    /// the MQ-DVP and DVP+Dedup systems, which set its capacity.
+    pub fn for_system(system: SystemKind, mq: MqConfig) -> Option<Self> {
+        Some(match system {
+            SystemKind::Baseline | SystemKind::Dedup => return None,
+            SystemKind::MqDvp { entries } | SystemKind::DvpPlusDedup { entries } => {
+                Self::Mq(MqDeadValuePool::new(mq.with_capacity(entries)))
+            }
+            SystemKind::LruDvp { entries } => {
+                Self::Mq(MqDeadValuePool::new(MqConfig::lru(entries)))
+            }
+            SystemKind::Ideal => Self::Mq(MqDeadValuePool::new(MqConfig::ideal())),
+            SystemKind::LxSsd { entries } => Self::LxSsd(LxSsdPool::new(
+                LxSsdConfig::paper_default().with_capacity(entries),
+            )),
+            SystemKind::AdaptiveDvp {
+                min_entries,
+                max_entries,
+            } => Self::Adaptive(AdaptiveMqPool::new(AdaptiveConfig {
+                min_entries,
+                max_entries,
+                initial_entries: min_entries.midpoint(max_entries),
+                ..AdaptiveConfig::paper_default()
+            })),
+        })
+    }
+
     /// Looks up the hash of an incoming write. On a hit, removes and
     /// returns one garbage PPN holding that content (the FTL will
     /// revive it). Entries with multiple PPNs surrender one per call.
-    fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn>;
+    pub fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn> {
+        each!(self, pool => pool.take_match(fp, now))
+    }
 
     /// Offers a freshly dead page to the pool. `lpn` is the logical
-    /// page whose update killed it (used only by address-based
-    /// policies such as LX-SSD); `pop` is the value's popularity degree
-    /// from the mapping table.
-    fn insert_dead(
+    /// page whose update killed it (used only by LX-SSD, which tracks
+    /// address recency); `pop` is the value's popularity degree from
+    /// the mapping table.
+    pub fn insert_dead(
         &mut self,
         fp: Fingerprint,
         ppn: Ppn,
         lpn: Lpn,
         pop: PopularityDegree,
         now: WriteClock,
-    );
+    ) {
+        each!(self, pool => pool.insert_dead(fp, ppn, lpn, pop, now));
+    }
 
     /// Drops a PPN whose block GC erased. Idempotent; untracked PPNs
     /// are ignored.
-    fn remove_ppn(&mut self, ppn: Ppn);
+    pub fn remove_ppn(&mut self, ppn: Ppn) {
+        each!(self, pool => pool.remove_ppn(ppn));
+    }
 
     /// Popularity degree of a tracked garbage page, or `None` if the
     /// page is not in the pool. Queried by the popularity-aware GC
     /// victim selector (§IV-D).
-    fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree>;
+    pub fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
+        each!(self, pool => pool.garbage_weight(ppn))
+    }
 
     /// Notifies the pool of a host access (read or write) to a logical
-    /// page. Only address-recency policies (LX-SSD) react; the paper's
-    /// pool deliberately ignores reads (footnote 3).
-    fn note_lpn_access(&mut self, _lpn: Lpn, _now: WriteClock) {}
+    /// page. Only LX-SSD, which tracks address recency, reacts; the
+    /// paper's pool deliberately ignores reads (footnote 3).
+    pub fn note_lpn_access(&mut self, lpn: Lpn) {
+        if let DeadValuePool::LxSsd(pool) = self {
+            pool.note_lpn_access(lpn);
+        }
+    }
 
     /// Number of distinct hash entries currently buffered.
-    fn len(&self) -> usize;
+    pub fn len(&self) -> usize {
+        each!(self, pool => pool.len())
+    }
 
     /// Whether the pool is empty.
-    fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Number of garbage PPNs currently tracked (≥ [`len`](DeadValuePool::len)).
-    fn tracked_ppns(&self) -> usize;
-
-    /// Entry capacity, or `None` for unbounded pools.
-    fn capacity(&self) -> Option<usize>;
-
-    /// Shared statistics.
-    fn stats(&self) -> PoolStats;
-}
-
-/// The null pool used by the *Baseline* system: never matches, never
-/// stores.
-///
-/// # Examples
-///
-/// ```
-/// use zssd_core::{DeadValuePool, NoPool};
-/// use zssd_types::{Fingerprint, ValueId, WriteClock};
-///
-/// let mut pool = NoPool::new();
-/// let fp = Fingerprint::of_value(ValueId::new(1));
-/// assert_eq!(pool.take_match(fp, WriteClock::ZERO), None);
-/// assert_eq!(pool.capacity(), Some(0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NoPool {
-    stats: PoolStats,
-}
-
-impl NoPool {
-    /// Creates the null pool.
-    pub fn new() -> Self {
-        NoPool::default()
-    }
-}
-
-impl DeadValuePool for NoPool {
-    fn take_match(&mut self, _fp: Fingerprint, _now: WriteClock) -> Option<Ppn> {
-        self.stats.misses += 1;
-        None
+    pub fn tracked_ppns(&self) -> usize {
+        each!(self, pool => pool.tracked_ppns())
     }
 
-    fn insert_dead(
-        &mut self,
-        _fp: Fingerprint,
-        _ppn: Ppn,
-        _lpn: Lpn,
-        _pop: PopularityDegree,
-        _now: WriteClock,
-    ) {
+    /// Entry capacity, or `None` for the unbounded Ideal pool.
+    pub fn capacity(&self) -> Option<usize> {
+        each!(self, pool => pool.capacity())
     }
 
-    fn remove_ppn(&mut self, _ppn: Ppn) {}
-
-    fn garbage_weight(&self, _ppn: Ppn) -> Option<PopularityDegree> {
-        None
-    }
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn tracked_ppns(&self) -> usize {
-        0
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        Some(0)
-    }
-
-    fn stats(&self) -> PoolStats {
-        self.stats
+    /// Usage counters.
+    pub fn stats(&self) -> PoolStats {
+        each!(self, pool => pool.stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_types::ValueId;
 
     #[test]
-    fn no_pool_never_matches() {
-        let mut pool = NoPool::new();
-        let fp = Fingerprint::of_value(ValueId::new(1));
-        pool.insert_dead(
-            fp,
-            Ppn::new(1),
-            Lpn::new(1),
-            PopularityDegree::ZERO,
-            WriteClock::ZERO,
-        );
-        assert_eq!(pool.take_match(fp, WriteClock::ZERO), None);
-        assert!(pool.is_empty());
-        assert_eq!(pool.tracked_ppns(), 0);
-        assert_eq!(pool.stats().misses, 1);
-        assert_eq!(pool.garbage_weight(Ppn::new(1)), None);
+    fn exactly_the_recycling_systems_get_a_pool() {
+        let adaptive = SystemKind::AdaptiveDvp {
+            min_entries: 4,
+            max_entries: 16,
+        };
+        for (system, capacity) in [
+            (SystemKind::Baseline, None),
+            (SystemKind::MqDvp { entries: 8 }, Some(8)),
+            (SystemKind::LruDvp { entries: 8 }, Some(8)),
+            (SystemKind::Dedup, None),
+            (SystemKind::DvpPlusDedup { entries: 8 }, Some(8)),
+            (SystemKind::Ideal, None),
+            (SystemKind::LxSsd { entries: 8 }, Some(8)),
+            (adaptive, Some(10)),
+        ] {
+            let pool = DeadValuePool::for_system(system, MqConfig::default());
+            assert_eq!(pool.is_some(), system.uses_pool(), "{system}");
+            assert_eq!(pool.and_then(|pool| pool.capacity()), capacity, "{system}");
+        }
     }
 
     #[test]

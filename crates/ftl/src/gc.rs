@@ -58,7 +58,7 @@ pub(crate) fn select_victim(
     flash: &FlashArray,
     plane: u64,
     exclude: Option<BlockId>,
-    pool: &dyn DeadValuePool,
+    pool: Option<&DeadValuePool>,
     weight: f64,
 ) -> Option<BlockId> {
     let candidates = ranked(flash, plane, |block, info| {
@@ -78,7 +78,7 @@ pub(crate) fn select_victim(
         .map(|rank| {
             let popularity: u64 = geometry
                 .pages_of(rank.2)
-                .filter_map(|ppn| pool.garbage_weight(ppn))
+                .filter_map(|ppn| pool?.garbage_weight(ppn))
                 .map(|pop| u64::from(pop.get()))
                 .sum();
             (255.0 * f64::from(rank.0) - weight * popularity as f64, rank)
@@ -101,7 +101,7 @@ pub(crate) fn emergency_victim(flash: &FlashArray, plane: u64) -> Option<BlockId
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use zssd_core::{MqConfig, MqDeadValuePool, NoPool};
+    use zssd_core::{MqConfig, MqDeadValuePool};
     use zssd_flash::{FlashTiming, Geometry};
     use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, SimTime, ValueId, WriteClock};
 
@@ -145,7 +145,7 @@ mod tests {
     }
 
     /// A pool holding each of `pages` as garbage of popularity `pop`.
-    fn pool_with(pages: impl IntoIterator<Item = (u64, u8)>) -> MqDeadValuePool {
+    fn pool_with(pages: impl IntoIterator<Item = (u64, u8)>) -> DeadValuePool {
         let mut pool = MqDeadValuePool::new(MqConfig::ideal());
         for (ppn, pop) in pages {
             pool.insert_dead(
@@ -156,11 +156,11 @@ mod tests {
                 WriteClock::ZERO,
             );
         }
-        pool
+        DeadValuePool::Mq(pool)
     }
 
     fn greedy(flash: &FlashArray, exclude: Option<BlockId>) -> Option<BlockId> {
-        select_victim(flash, 0, exclude, &NoPool::new(), 0.0)
+        select_victim(flash, 0, exclude, None, 0.0)
     }
 
     #[test]
@@ -213,11 +213,11 @@ mod tests {
         // penalizes its popular garbage:
         // 255·3 − 2·765 = −765 < 255·2 − 0 = 510.
         assert_eq!(
-            select_victim(&flash, 0, None, &pool, 0.0),
+            select_victim(&flash, 0, None, Some(&pool), 0.0),
             Some(BlockId::new(0))
         );
         assert_eq!(
-            select_victim(&flash, 0, None, &pool, 2.0),
+            select_victim(&flash, 0, None, Some(&pool), 2.0),
             Some(BlockId::new(1))
         );
     }
@@ -228,7 +228,7 @@ mod tests {
         fill_block(&mut flash, 0, 3);
         fill_block(&mut flash, 1, 2);
         let popular = pool_with((0..3).map(|ppn| (ppn, 255)));
-        for pool in [&popular as &dyn DeadValuePool, &NoPool::new()] {
+        for pool in [Some(&popular), None] {
             assert_eq!(
                 select_victim(&flash, 0, None, pool, 0.0),
                 Some(BlockId::new(0))
@@ -247,9 +247,8 @@ mod tests {
         }
         assert_eq!(greedy(&flash, None), Some(BlockId::new(0)));
         assert_eq!(emergency_victim(&flash, 0), Some(BlockId::new(0)));
-        let cold = NoPool::new();
         assert_eq!(
-            select_victim(&flash, 0, None, &cold, 0.5),
+            select_victim(&flash, 0, None, None, 0.5),
             Some(BlockId::new(0))
         );
     }
@@ -262,9 +261,8 @@ mod tests {
         fill_block(&mut flash, 2, 1);
         assert_eq!(greedy(&flash, None), Some(BlockId::new(1)));
         assert_eq!(emergency_victim(&flash, 0), Some(BlockId::new(1)));
-        let cold = NoPool::new();
         assert_eq!(
-            select_victim(&flash, 0, None, &cold, 0.5),
+            select_victim(&flash, 0, None, None, 0.5),
             Some(BlockId::new(1))
         );
     }
@@ -283,7 +281,7 @@ mod tests {
         fill_block(&mut flash, 2, 2);
         let pool = pool_with([(4, 255)]);
         assert_eq!(
-            select_victim(&flash, 0, None, &pool, 1.0),
+            select_victim(&flash, 0, None, Some(&pool), 1.0),
             Some(BlockId::new(1))
         );
         // Blocks 0 and 1 both hold 3 invalid pages, one of them
@@ -295,7 +293,7 @@ mod tests {
         fill_block(&mut flash, 1, 3);
         let pool = pool_with([(0, 255), (4, 255)]);
         assert_eq!(
-            select_victim(&flash, 0, None, &pool, 1.0),
+            select_victim(&flash, 0, None, Some(&pool), 1.0),
             Some(BlockId::new(0))
         );
     }
@@ -307,7 +305,7 @@ mod tests {
     fn brute_force(
         flash: &FlashArray,
         exclude: Option<BlockId>,
-        pool: &dyn DeadValuePool,
+        pool: &DeadValuePool,
         weight: f64,
     ) -> Option<BlockId> {
         let mut all: Vec<(BlockId, BlockInfo)> = flash
@@ -383,7 +381,7 @@ mod tests {
             let exclude = Some(BlockId::new(exclude));
             for weight in [0.0, [0.5, 1.0, 2.0, 8.0, 1e-3][weight]] {
                 prop_assert_eq!(
-                    select_victim(&flash, 0, exclude, &pool, weight),
+                    select_victim(&flash, 0, exclude, Some(&pool), weight),
                     brute_force(&flash, exclude, &pool, weight),
                     "weight {}", weight
                 );

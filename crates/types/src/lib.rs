@@ -18,7 +18,9 @@
 //!   the paper adds to the mapping table (§IV-C),
 //! * [`FxHashMap`] / [`FxHashSet`] — hash containers using the fast,
 //!   deterministic Fx hasher for the simulator's hot lookup structures
-//!   (dead-value pools, dedup index, trace content map).
+//!   (dead-value pools, dedup index, trace content map),
+//! * [`Slab`] / [`ListHandle`] — intrusive LRU lists over a slab, shared
+//!   by the dead-value pools and the dedup index.
 //!
 //! # Examples
 //!
@@ -43,6 +45,7 @@ mod error;
 mod fingerprint;
 mod fx;
 mod ids;
+mod intrusive;
 mod popularity;
 mod time;
 
@@ -50,5 +53,6 @@ pub use error::{AddressError, ConfigError};
 pub use fingerprint::{Fingerprint, PageBuf, PAGE_SIZE_BYTES};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Lpn, Ppn, ValueId};
+pub use intrusive::{ListHandle, Slab, SlotId};
 pub use popularity::PopularityDegree;
 pub use time::{SimDuration, SimTime, WriteClock};

@@ -9,7 +9,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use zombie_ssd::core::{
-    DeadValuePool, LxSsdConfig, LxSsdPool, MqConfig, MqDeadValuePool, SystemKind,
+    AdaptiveConfig, AdaptiveMqPool, DeadValuePool, LxSsdConfig, LxSsdPool, MqConfig,
+    MqDeadValuePool, SystemKind,
 };
 use zombie_ssd::flash::FaultConfig;
 use zombie_ssd::ftl::{Ssd, SsdConfig};
@@ -49,7 +50,7 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
 /// handed out twice. After every op, the pool's PPN index must agree
 /// with the model: a pool tracks only pages the model holds, and an
 /// unbounded pool (which never evicts) tracks exactly those.
-fn check_pool_against_model<P: DeadValuePool>(mut pool: P, ops: Vec<PoolOp>) {
+fn check_pool_against_model(mut pool: DeadValuePool, ops: Vec<PoolOp>) {
     let mut clock = WriteClock::ZERO;
     let unbounded = pool.capacity().is_none();
     // Every ppn an op has named, so the index checks cover pages that
@@ -107,13 +108,16 @@ fn check_pool_against_model<P: DeadValuePool>(mut pool: P, ops: Vec<PoolOp>) {
                 }
             }
             PoolOp::Note(p) => {
-                pool.note_lpn_access(Lpn::new(u64::from(p)), now);
+                pool.note_lpn_access(Lpn::new(u64::from(p)));
             }
         }
         if let Some(cap) = pool.capacity() {
             assert!(pool.len() <= cap, "pool exceeded its capacity");
         }
-        assert!(pool.tracked_ppns() >= pool.len().min(1) * usize::from(pool.len() > 0));
+        assert!(
+            pool.tracked_ppns() >= pool.len(),
+            "every entry tracks a page"
+        );
         if unbounded {
             assert_eq!(pool.tracked_ppns(), owner.len(), "unbounded pool count");
         }
@@ -142,23 +146,37 @@ proptest! {
             capacity: 32,
             initial_hottest_interval: 8,
         });
-        check_pool_against_model(pool, ops);
+        check_pool_against_model(DeadValuePool::Mq(pool), ops);
     }
 
     #[test]
     fn lru_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
-        check_pool_against_model(MqDeadValuePool::new(MqConfig::lru(16)), ops);
+        check_pool_against_model(DeadValuePool::Mq(MqDeadValuePool::new(MqConfig::lru(16))), ops);
     }
 
     #[test]
     fn ideal_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
-        check_pool_against_model(MqDeadValuePool::new(MqConfig::ideal()), ops);
+        check_pool_against_model(DeadValuePool::Mq(MqDeadValuePool::new(MqConfig::ideal())), ops);
     }
 
     #[test]
     fn lxssd_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
         let pool = LxSsdPool::new(LxSsdConfig::default().with_capacity(16));
-        check_pool_against_model(pool, ops);
+        check_pool_against_model(DeadValuePool::LxSsd(pool), ops);
+    }
+
+    /// A 16-event epoch makes the controller resize the pool many times
+    /// in one case.
+    #[test]
+    fn adaptive_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
+        let pool = AdaptiveMqPool::new(AdaptiveConfig {
+            min_entries: 4,
+            max_entries: 64,
+            initial_entries: 16,
+            epoch: 16,
+            ..AdaptiveConfig::paper_default()
+        });
+        check_pool_against_model(DeadValuePool::Adaptive(pool), ops);
     }
 
     #[test]
