@@ -4,8 +4,8 @@
 //! Run with `cargo run -p zssd-bench --release --bin fig14_dedup_writes`.
 
 use zssd_bench::{
-    experiment_profiles, frac_pct, grid_for, maybe_write_csv, run_grid, scaled_entries, TextTable,
-    PAPER_POOL_ENTRIES,
+    experiment_profiles, frac_pct, grid_for, grid_metrics_json, maybe_write_csv,
+    maybe_write_metrics, run_grid, scaled_entries, TextTable, PAPER_POOL_ENTRIES,
 };
 use zssd_core::SystemKind;
 
@@ -21,7 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = TextTable::new(vec!["trace", "Dedup", "DVP", "DVP+Dedup"]);
     let mut sums = [0.0f64; 3];
     let profiles = experiment_profiles();
-    let all = run_grid(grid_for(&profiles, &systems))?;
+    let cells = grid_for(&profiles, &systems);
+    let all = run_grid(cells.clone())?;
+    maybe_write_metrics(
+        "fig14_dedup_writes",
+        "json",
+        &grid_metrics_json(&cells, &all),
+    );
     for (profile, reports) in profiles.iter().zip(all.chunks(systems.len())) {
         let base = reports[0].flash_programs as f64;
         let mut cells = vec![profile.name.clone()];
