@@ -1,9 +1,12 @@
-//! Synthetic trace generation throughput.
+//! Synthetic trace generation throughput, end to end and for the Zipf
+//! sampler alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
-use zssd_trace::{SyntheticTrace, WorkloadProfile};
+use zssd_trace::{SyntheticTrace, WorkloadProfile, ZipfSampler};
 
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_gen");
@@ -24,6 +27,27 @@ fn bench_generation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Draws from full-size address samplers. The `trace_gen` cases use
+/// mail at scale 0.02, whose 42 K-rank tables fit in cache; mail's
+/// full 2.1 M-rank tables do not, which is where the lookup cost shows.
+fn bench_zipf_sample(c: &mut Criterion) {
+    let mut group = c.benchmark_group("zipf_sample");
+    let mail = WorkloadProfile::mail();
+    for (role, alpha) in [("read", mail.read_alpha), ("write", mail.lpn_alpha)] {
+        let zipf = ZipfSampler::new(mail.lpn_space, alpha);
+        let name = format!("mail_{role}_{}ranks_alpha{alpha}_1k_draws", zipf.len());
+        group.bench_function(name, |b| {
+            let mut rng = SmallRng::seed_from_u64(1);
+            b.iter(|| {
+                (0..1000)
+                    .map(|_| zipf.sample(&mut rng))
+                    .fold(0, u64::wrapping_add)
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     // Keep `cargo bench --workspace` to a few minutes: fewer
@@ -32,6 +56,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_generation
+    targets = bench_generation, bench_zipf_sample
 }
 criterion_main!(benches);

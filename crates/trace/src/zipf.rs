@@ -103,8 +103,10 @@ impl ZipfSampler {
         let bucket = ((u * buckets as f64) as usize).min(buckets - 1);
         let lo = self.guide[bucket] as usize;
         let hi = self.guide[bucket + 1] as usize + 1;
-        // The bucket holds the answer unless rounding put `target`
-        // outside its edges; then search the whole array.
+        // The answer lies in `lo..hi` exactly when
+        // `cumulative[lo - 1] < target <= cumulative[hi - 1]`. That
+        // fails only if rounding put `target` outside the bucket's
+        // edges; then search the whole array.
         if (lo == 0 || self.cumulative[lo - 1] < target) && self.cumulative[hi - 1] >= target {
             (lo + self.cumulative[lo..hi].partition_point(|&c| c < target)) as u64
         } else {
