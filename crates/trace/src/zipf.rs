@@ -5,9 +5,9 @@
 //! Zipf distribution with exponent near 1 reproduces that shape; the
 //! sampler here precomputes the cumulative weights once and draws by
 //! guide-table lookup (Chen & Asau's indexed search): a table of `n`
-//! equal-probability buckets names the few ranks each draw can land
-//! on, so the binary search runs over that short range instead of the
-//! whole array. The rank is exactly the one a whole-array search
+//! equal-probability buckets names the contiguous ranks each draw can
+//! land on, so the binary search runs over that short range instead of
+//! the whole array. The rank is exactly the one a whole-array search
 //! returns, and a draw stays fast for the rank counts the generator
 //! uses (≤ a few million).
 
