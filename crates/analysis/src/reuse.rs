@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use zssd_core::MqDeadValuePool;
+use zssd_core::{MqConfig, MqDeadValuePool};
 use zssd_trace::TraceRecord;
 use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
@@ -198,12 +198,11 @@ impl PoolRunSummary {
 ///
 /// ```
 /// use zssd_analysis::PoolReuseSim;
-/// use zssd_core::{MqConfig, MqDeadValuePool};
+/// use zssd_core::MqConfig;
 /// use zssd_trace::{SyntheticTrace, WorkloadProfile};
 ///
 /// let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.01), 3);
-/// let lru = MqDeadValuePool::new(MqConfig::lru(500));
-/// let summary = PoolReuseSim::new(lru).run(trace.records());
+/// let summary = PoolReuseSim::new(MqConfig::lru(500)).run(trace.records());
 /// assert!(summary.hits > 0);
 /// assert!(summary.writes_remaining() < summary.writes);
 /// ```
@@ -213,9 +212,15 @@ pub struct PoolReuseSim {
 }
 
 impl PoolReuseSim {
-    /// Wraps a pool for trace replay.
-    pub fn new(pool: MqDeadValuePool) -> Self {
-        PoolReuseSim { pool }
+    /// Synthetic PPNs lie on no flash block, so the pool's per-block
+    /// popularity sums (read only by GC) get a nominal block size.
+    const PAGES_PER_BLOCK: u32 = 64;
+
+    /// A replay against an empty pool with policy `cfg`.
+    pub fn new(cfg: MqConfig) -> Self {
+        PoolReuseSim {
+            pool: MqDeadValuePool::new(cfg, Self::PAGES_PER_BLOCK),
+        }
     }
 
     /// Replays the write stream and returns the hit/miss summary.
@@ -289,19 +294,10 @@ impl PoolReuseSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_core::MqConfig;
     use zssd_trace::{SyntheticTrace, WorkloadProfile};
 
     fn w(seq: u64, lpn: u64, value: u64) -> TraceRecord {
         TraceRecord::write(seq, Lpn::new(lpn), ValueId::new(value))
-    }
-
-    fn lru(entries: usize) -> MqDeadValuePool {
-        MqDeadValuePool::new(MqConfig::lru(entries))
-    }
-
-    fn ideal() -> MqDeadValuePool {
-        MqDeadValuePool::new(MqConfig::ideal())
     }
 
     #[test]
@@ -342,7 +338,7 @@ mod tests {
     fn ideal_pool_matches_infinite_oracle() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.01), 2);
         let oracle = infinite_reuse(trace.records(), false);
-        let summary = PoolReuseSim::new(ideal()).run(trace.records());
+        let summary = PoolReuseSim::new(MqConfig::ideal()).run(trace.records());
         assert_eq!(summary.hits, oracle.reused);
         assert_eq!(summary.capacity_misses, 0);
     }
@@ -351,7 +347,7 @@ mod tests {
     fn bounded_lru_loses_to_infinite_and_gap_is_capacity_misses() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.02), 2);
         let oracle = infinite_reuse(trace.records(), false);
-        let summary = PoolReuseSim::new(lru(64)).run(trace.records());
+        let summary = PoolReuseSim::new(MqConfig::lru(64)).run(trace.records());
         assert!(summary.hits <= oracle.reused);
         assert_eq!(summary.hits + summary.capacity_misses, oracle.reused);
         assert!(summary.capacity_misses > 0, "tiny buffer must miss");
@@ -360,8 +356,8 @@ mod tests {
     #[test]
     fn larger_buffers_do_no_worse() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::web().scaled(0.02), 4);
-        let small = PoolReuseSim::new(lru(32)).run(trace.records());
-        let large = PoolReuseSim::new(lru(4096)).run(trace.records());
+        let small = PoolReuseSim::new(MqConfig::lru(32)).run(trace.records());
+        let large = PoolReuseSim::new(MqConfig::lru(4096)).run(trace.records());
         assert!(large.hits >= small.hits);
         assert!(large.writes_remaining() <= small.writes_remaining());
     }
@@ -370,11 +366,9 @@ mod tests {
     fn mq_beats_lru_at_equal_capacity_on_skewed_traces() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.03), 8);
         let entries = 256;
-        let lru = PoolReuseSim::new(lru(entries)).run(trace.records());
-        let mq = PoolReuseSim::new(MqDeadValuePool::new(
-            MqConfig::paper_default().with_capacity(entries),
-        ))
-        .run(trace.records());
+        let lru = PoolReuseSim::new(MqConfig::lru(entries)).run(trace.records());
+        let mq = PoolReuseSim::new(MqConfig::paper_default().with_capacity(entries))
+            .run(trace.records());
         assert!(
             mq.hits >= lru.hits,
             "MQ ({}) must not lose to LRU ({}) on a skewed trace",
@@ -386,7 +380,7 @@ mod tests {
     #[test]
     fn miss_breakdown_buckets_by_popularity() {
         let trace = SyntheticTrace::generate(&WorkloadProfile::mail().scaled(0.02), 2);
-        let summary = PoolReuseSim::new(lru(64)).run(trace.records());
+        let summary = PoolReuseSim::new(MqConfig::lru(64)).run(trace.records());
         let bins = summary.mean_misses_by_popularity();
         assert!(!bins.is_empty());
         let total_values: u64 = bins.iter().map(|&(_, _, v)| v).sum();
@@ -396,7 +390,7 @@ mod tests {
     #[test]
     fn empty_trace_summaries_are_zero() {
         assert_eq!(infinite_reuse(&[], true).reuse_fraction(), 0.0);
-        let summary = PoolReuseSim::new(ideal()).run(&[]);
+        let summary = PoolReuseSim::new(MqConfig::ideal()).run(&[]);
         assert_eq!(summary.writes, 0);
         assert_eq!(summary.writes_remaining(), 0);
     }

@@ -8,7 +8,7 @@ use zssd_core::{MqConfig, MqDeadValuePool};
 use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
 fn filled_pool(entries: usize) -> MqDeadValuePool {
-    let mut pool = MqDeadValuePool::new(MqConfig::paper_default().with_capacity(entries));
+    let mut pool = MqDeadValuePool::new(MqConfig::paper_default().with_capacity(entries), 64);
     for i in 0..entries as u64 {
         pool.insert_dead(
             Fingerprint::of_value(ValueId::new(i)),

@@ -5,8 +5,8 @@
 //! Run with `cargo run -p zssd-bench --release --bin ablation_gc`.
 
 use zssd_bench::{
-    config_for, experiment_profiles, pct, run_grid, scaled_entries, shared_traces, GridCell,
-    TextTable, PAPER_POOL_ENTRIES,
+    config_for, experiment_profiles, grid_metrics_json, maybe_write_metrics, pct, run_grid,
+    scaled_entries, shared_traces, GridCell, TextTable, PAPER_POOL_ENTRIES,
 };
 use zssd_core::SystemKind;
 
@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
         })
         .collect();
-    let reports = run_grid(cells)?;
+    let reports = run_grid(cells.clone())?;
+    maybe_write_metrics("ablation_gc", "json", &grid_metrics_json(&cells, &reports));
     for (profile, pair) in profiles.iter().zip(reports.chunks(2)) {
         let (greedy, aware) = (&pair[0], &pair[1]);
         table.row(vec![

@@ -7,7 +7,7 @@
 
 use zssd_analysis::{infinite_reuse, PoolReuseSim};
 use zssd_bench::{fiu_profiles, maybe_write_csv, scaled_entries, trace_for, TextTable};
-use zssd_core::{MqConfig, MqDeadValuePool};
+use zssd_core::MqConfig;
 
 fn main() {
     println!("Figure 5: writes remaining with an LRU dead-value buffer\n");
@@ -24,7 +24,7 @@ fn main() {
             let oracle = infinite_reuse(records, false);
             let mut cells = vec![label, oracle.writes.to_string()];
             for &size in &sizes {
-                let lru = MqDeadValuePool::new(MqConfig::lru(scaled_entries(size)));
+                let lru = MqConfig::lru(scaled_entries(size));
                 let summary = PoolReuseSim::new(lru).run(records);
                 cells.push(summary.writes_remaining().to_string());
             }

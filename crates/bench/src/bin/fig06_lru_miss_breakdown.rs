@@ -7,7 +7,7 @@
 
 use zssd_analysis::PoolReuseSim;
 use zssd_bench::{scale, scaled_entries, trace_for, TextTable};
-use zssd_core::{MqConfig, MqDeadValuePool};
+use zssd_core::MqConfig;
 use zssd_trace::WorkloadProfile;
 
 fn main() {
@@ -16,12 +16,9 @@ fn main() {
     let records = trace.through_day(1); // the paper's m2 prefix
     let entries = scaled_entries(100_000);
 
-    let lru = PoolReuseSim::new(MqDeadValuePool::new(MqConfig::lru(entries))).run(records);
+    let lru = PoolReuseSim::new(MqConfig::lru(entries)).run(records);
     // MQ at the same size, for contrast (the fix Fig 6 motivates).
-    let mq = PoolReuseSim::new(MqDeadValuePool::new(
-        MqConfig::paper_default().with_capacity(entries),
-    ))
-    .run(records);
+    let mq = PoolReuseSim::new(MqConfig::paper_default().with_capacity(entries)).run(records);
 
     println!("Figure 6: mean buffer misses per value by popularity band (m2, {entries} entries)\n");
     let mut table = TextTable::new(vec![

@@ -83,13 +83,16 @@ impl Default for AdaptiveConfig {
 /// ```
 /// use zssd_core::{AdaptiveConfig, AdaptiveMqPool, DeadValuePool};
 ///
-/// let pool = AdaptiveMqPool::new(AdaptiveConfig {
-///     min_entries: 100,
-///     max_entries: 1000,
-///     initial_entries: 200,
-///     epoch: 50,
-///     ..AdaptiveConfig::paper_default()
-/// });
+/// let pool = AdaptiveMqPool::new(
+///     AdaptiveConfig {
+///         min_entries: 100,
+///         max_entries: 1000,
+///         initial_entries: 200,
+///         epoch: 50,
+///         ..AdaptiveConfig::paper_default()
+///     },
+///     64,
+/// );
 /// assert_eq!(pool.current_capacity(), 200);
 /// assert_eq!(DeadValuePool::Adaptive(pool).capacity(), Some(200));
 /// ```
@@ -105,16 +108,19 @@ pub struct AdaptiveMqPool {
 }
 
 impl AdaptiveMqPool {
-    /// Creates the pool at its initial capacity.
+    /// Creates the pool at its initial capacity, for a device whose
+    /// flash blocks hold `pages_per_block` pages.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration bounds are inconsistent.
-    pub fn new(cfg: AdaptiveConfig) -> Self {
+    /// Panics if the configuration bounds are inconsistent or
+    /// `pages_per_block` is zero.
+    pub fn new(cfg: AdaptiveConfig, pages_per_block: u32) -> Self {
         let cfg = cfg.checked();
         AdaptiveMqPool {
             inner: MqDeadValuePool::new(
                 MqConfig::paper_default().with_capacity(cfg.initial_entries),
+                pages_per_block,
             ),
             events_in_epoch: 0,
             epoch_hits: 0,
@@ -194,6 +200,10 @@ impl AdaptiveMqPool {
         self.inner.garbage_weight(ppn)
     }
 
+    pub(crate) fn block_weight(&self, block: u64) -> u32 {
+        self.inner.block_weight(block)
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.inner.len()
     }
@@ -234,7 +244,7 @@ mod tests {
 
     #[test]
     fn grows_under_pressure_with_hits() {
-        let mut pool = AdaptiveMqPool::new(cfg());
+        let mut pool = AdaptiveMqPool::new(cfg(), 4);
         let mut clock = WriteClock::ZERO;
         // Four hot values that MQ retains (steady hits) plus a churn
         // stream of cold uniques (steady evictions): pressure + hits
@@ -284,10 +294,13 @@ mod tests {
 
     #[test]
     fn shrinks_when_hits_dry_up() {
-        let mut pool = AdaptiveMqPool::new(AdaptiveConfig {
-            initial_entries: 64,
-            ..cfg()
-        });
+        let mut pool = AdaptiveMqPool::new(
+            AdaptiveConfig {
+                initial_entries: 64,
+                ..cfg()
+            },
+            4,
+        );
         let mut clock = WriteClock::ZERO;
         // Unique values only: zero hits forever.
         for v in 0..500u64 {
@@ -300,7 +313,7 @@ mod tests {
 
     #[test]
     fn capacity_stays_within_bounds() {
-        let mut pool = AdaptiveMqPool::new(cfg());
+        let mut pool = AdaptiveMqPool::new(cfg(), 4);
         let mut clock = WriteClock::ZERO;
         for round in 0..200u64 {
             for v in 0..30u64 {
@@ -322,7 +335,7 @@ mod tests {
 
     #[test]
     fn delegates_pool_behaviour() {
-        let mut pool = AdaptiveMqPool::new(cfg());
+        let mut pool = AdaptiveMqPool::new(cfg(), 4);
         pool.insert_dead(
             fp(1),
             Ppn::new(1),
@@ -344,10 +357,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "min <= initial <= max")]
     fn bad_bounds_rejected() {
-        let _ = AdaptiveMqPool::new(AdaptiveConfig {
-            min_entries: 10,
-            initial_entries: 5,
-            ..cfg()
-        });
+        let _ = AdaptiveMqPool::new(
+            AdaptiveConfig {
+                min_entries: 10,
+                initial_entries: 5,
+                ..cfg()
+            },
+            4,
+        );
     }
 }

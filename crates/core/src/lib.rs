@@ -29,8 +29,9 @@
 //! The pools are pure data structures over
 //! [`WriteClock`](zssd_types::WriteClock) logical time; the FTL crate
 //! wires them into the write path, and the GC layer queries
-//! [`DeadValuePool::garbage_weight`] to keep popular zombies alive
-//! longer (§IV-D).
+//! [`DeadValuePool::block_weight`] — the popularity each flash block's
+//! tracked garbage holds, kept per block as the pool changes — to keep
+//! popular zombies alive longer (§IV-D).
 //!
 //! # Examples
 //!
@@ -38,7 +39,7 @@
 //! use zssd_core::{MqConfig, MqDeadValuePool};
 //! use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 //!
-//! let mut pool = MqDeadValuePool::new(MqConfig::default());
+//! let mut pool = MqDeadValuePool::new(MqConfig::default(), 64); // 64-page blocks
 //! let fp = Fingerprint::of_value(ValueId::new(7));
 //! let mut clock = WriteClock::ZERO;
 //!

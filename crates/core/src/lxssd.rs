@@ -74,7 +74,7 @@ struct Entry {
 /// use zssd_core::{DeadValuePool, LxSsdConfig, LxSsdPool};
 /// use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 ///
-/// let mut pool = DeadValuePool::LxSsd(LxSsdPool::new(LxSsdConfig::default().with_capacity(10)));
+/// let mut pool = DeadValuePool::LxSsd(LxSsdPool::new(LxSsdConfig::default().with_capacity(10), 64));
 /// let fp = Fingerprint::of_value(ValueId::new(1));
 /// pool.insert_dead(fp, Ppn::new(1), Lpn::new(7), PopularityDegree::ZERO, WriteClock::ZERO);
 /// // A *read* of LBA 7 refreshes the entry — the behaviour the paper
@@ -96,19 +96,20 @@ pub struct LxSsdPool {
 }
 
 impl LxSsdPool {
-    /// Creates an empty pool.
+    /// Creates an empty pool for a device whose flash blocks hold
+    /// `pages_per_block` pages.
     ///
     /// # Panics
     ///
-    /// Panics if the configured capacity is zero.
-    pub fn new(cfg: LxSsdConfig) -> Self {
+    /// Panics if the configured capacity or `pages_per_block` is zero.
+    pub fn new(cfg: LxSsdConfig, pages_per_block: u32) -> Self {
         assert!(cfg.capacity > 0, "LX-SSD pool capacity must be nonzero");
         LxSsdPool {
             cfg,
             slab: Slab::with_capacity(cfg.capacity.min(1 << 20)),
             lru: ListHandle::default(),
             by_fp: FxHashMap::default(),
-            by_ppn: PpnSlots::default(),
+            by_ppn: PpnSlots::new(pages_per_block),
             by_lpn: FxHashMap::default(),
             stats: PoolStats::default(),
         }
@@ -131,7 +132,7 @@ impl LxSsdPool {
                 self.by_fp.remove(&entry.fp);
             }
         }
-        self.by_ppn.remove(entry.ppn);
+        self.by_ppn.remove(entry.ppn, entry.pop);
         if let Some(ids) = self.by_lpn.get_mut(&entry.lpn) {
             ids.retain(|&e| e != id);
             if ids.is_empty() {
@@ -167,7 +168,7 @@ impl LxSsdPool {
         let id = self.slab.insert(Entry { fp, ppn, lpn, pop });
         self.lru.push_tail(&mut self.slab, id);
         self.by_fp.entry(fp).or_default().push(id);
-        self.by_ppn.insert(ppn, id);
+        self.by_ppn.insert(ppn, id, pop);
         self.by_lpn.entry(lpn).or_default().push(id);
         if self.slab.len() > self.cfg.capacity {
             self.evict_one();
@@ -186,6 +187,10 @@ impl LxSsdPool {
         self.by_ppn.get(ppn).map(|id| self.slab.get(id).pop)
     }
 
+    pub(crate) fn block_weight(&self, block: u64) -> u32 {
+        self.by_ppn.block_weight(block)
+    }
+
     /// Any host access — including reads — to an LBA with tracked
     /// garbage refreshes those entries' recency and bumps their
     /// (read+write) popularity. This is LX-SSD's behaviour, not the
@@ -194,8 +199,11 @@ impl LxSsdPool {
         let Some(ids) = self.by_lpn.get(&lpn) else {
             return;
         };
-        for id in ids.clone() {
-            self.slab.get_mut(id).pop.increment();
+        for &id in ids {
+            let entry = self.slab.get_mut(id);
+            let from = entry.pop;
+            entry.pop.increment();
+            self.by_ppn.reweigh(entry.ppn, from, entry.pop);
             self.lru.move_to_tail(&mut self.slab, id);
         }
     }
@@ -227,7 +235,7 @@ mod tests {
     }
 
     fn pool(capacity: usize) -> LxSsdPool {
-        LxSsdPool::new(LxSsdConfig::default().with_capacity(capacity))
+        LxSsdPool::new(LxSsdConfig::default().with_capacity(capacity), 4)
     }
 
     fn insert(pool: &mut LxSsdPool, v: u64, ppn: u64, lpn: u64, now: u64) {

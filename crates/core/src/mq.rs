@@ -99,7 +99,7 @@ struct Entry {
 /// use zssd_core::{MqConfig, MqDeadValuePool};
 /// use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 ///
-/// let mut pool = MqDeadValuePool::new(MqConfig::default().with_capacity(1000));
+/// let mut pool = MqDeadValuePool::new(MqConfig::default().with_capacity(1000), 64);
 /// let fp = Fingerprint::of_value(ValueId::new(1));
 /// pool.insert_dead(fp, Ppn::new(10), Lpn::new(0), PopularityDegree::new(5),
 ///                  WriteClock::from_count(1));
@@ -120,12 +120,14 @@ pub struct MqDeadValuePool {
 }
 
 impl MqDeadValuePool {
-    /// Creates an empty pool.
+    /// Creates an empty pool for a device whose flash blocks hold
+    /// `pages_per_block` pages (the unit of
+    /// [`block_weight`](MqDeadValuePool::block_weight)).
     ///
     /// # Panics
     ///
-    /// Panics if `num_queues` or `capacity` is zero.
-    pub fn new(cfg: MqConfig) -> Self {
+    /// Panics if `num_queues`, `capacity` or `pages_per_block` is zero.
+    pub fn new(cfg: MqConfig, pages_per_block: u32) -> Self {
         assert!(cfg.num_queues > 0, "MQ needs at least one queue");
         assert!(cfg.capacity > 0, "MQ capacity must be nonzero");
         MqDeadValuePool {
@@ -133,7 +135,7 @@ impl MqDeadValuePool {
             slab: Slab::with_capacity(cfg.capacity.min(1 << 20)),
             queues: vec![ListHandle::default(); cfg.num_queues],
             by_fp: FxHashMap::default(),
-            by_ppn: PpnSlots::default(),
+            by_ppn: PpnSlots::new(pages_per_block),
             hottest_pop: PopularityDegree::ZERO,
             hottest_interval: cfg.initial_hottest_interval,
             stats: PoolStats::default(),
@@ -240,10 +242,21 @@ impl MqDeadValuePool {
     /// Evicts the LRU head of the lowest non-empty queue.
     fn evict_one(&mut self) {
         if let Some(id) = self.queues.iter().find_map(ListHandle::head) {
-            for ppn in self.unlink_entry(id).ppns {
-                self.by_ppn.remove(ppn);
+            let entry = self.unlink_entry(id);
+            for ppn in entry.ppns {
+                self.by_ppn.remove(ppn, entry.pop);
             }
             self.stats.evictions += 1;
+        }
+    }
+
+    /// Moves every page entry `id` tracks from popularity degree `from`
+    /// to `to` in the per-block sums.
+    fn reweigh_entry(&mut self, id: SlotId, from: PopularityDegree, to: PopularityDegree) {
+        if from != to {
+            for &ppn in &self.slab.get(id).ppns {
+                self.by_ppn.reweigh(ppn, from, to);
+            }
         }
     }
 
@@ -275,13 +288,17 @@ impl MqDeadValuePool {
             return None;
         };
         self.observe_access(id, now);
-        let (ppn, emptied) = {
+        let (ppn, from, to, emptied) = {
             let entry = self.slab.get_mut(id);
+            let from = entry.pop;
             entry.pop.increment();
             let ppn = entry.ppns.pop().expect("entries always track >= 1 ppn");
-            (ppn, entry.ppns.is_empty())
+            (ppn, from, entry.pop, entry.ppns.is_empty())
         };
-        self.by_ppn.remove(ppn);
+        // The surrendered page leaves at the degree it was tracked
+        // with; the pages left behind rise with the entry.
+        self.by_ppn.remove(ppn, from);
+        self.reweigh_entry(id, from, to);
         if emptied {
             // §IV-C Writes: "If the dead-value pool entry containing
             // H(D) has only one PPN, this entry is removed since it
@@ -310,14 +327,13 @@ impl MqDeadValuePool {
         self.stats.insertions += 1;
         if let Some(&id) = self.by_fp.get(&fp) {
             self.observe_access(id, now);
-            {
-                let entry = self.slab.get_mut(id);
-                entry.ppns.push(ppn);
-                if pop > entry.pop {
-                    entry.pop = pop;
-                }
-            }
-            self.by_ppn.insert(ppn, id);
+            let from = self.slab.get(id).pop;
+            let to = from.max(pop);
+            self.reweigh_entry(id, from, to);
+            let entry = self.slab.get_mut(id);
+            entry.pop = to;
+            entry.ppns.push(ppn);
+            self.by_ppn.insert(ppn, id, to);
             self.refresh_and_promote(id, now);
         } else {
             let entry = Entry {
@@ -331,7 +347,7 @@ impl MqDeadValuePool {
             let id = self.slab.insert(entry);
             self.queues[0].push_tail(&mut self.slab, id);
             self.by_fp.insert(fp, id);
-            self.by_ppn.insert(ppn, id);
+            self.by_ppn.insert(ppn, id, pop);
             if self.slab.len() > self.cfg.capacity {
                 self.evict_one();
             }
@@ -341,9 +357,10 @@ impl MqDeadValuePool {
 
     /// Drops a page GC erased; untracked pages are ignored.
     pub fn remove_ppn(&mut self, ppn: Ppn) {
-        let Some(id) = self.by_ppn.remove(ppn) else {
+        let Some(id) = self.by_ppn.get(ppn) else {
             return;
         };
+        self.by_ppn.remove(ppn, self.slab.get(id).pop);
         self.stats.gc_removals += 1;
         let emptied = {
             let entry = self.slab.get_mut(id);
@@ -363,6 +380,12 @@ impl MqDeadValuePool {
     /// Popularity degree of a tracked garbage page, `None` if untracked.
     pub fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
         self.by_ppn.get(ppn).map(|id| self.slab.get(id).pop)
+    }
+
+    /// Sum of [`garbage_weight`](MqDeadValuePool::garbage_weight) over
+    /// the pages of flash block `block`, kept as the pool changes.
+    pub fn block_weight(&self, block: u64) -> u32 {
+        self.by_ppn.block_weight(block)
     }
 
     /// Number of entries.
@@ -401,7 +424,7 @@ mod tests {
     }
 
     fn pool(capacity: usize) -> MqDeadValuePool {
-        MqDeadValuePool::new(MqConfig::default().with_capacity(capacity))
+        MqDeadValuePool::new(MqConfig::default().with_capacity(capacity), 4)
     }
 
     fn insert(pool: &mut MqDeadValuePool, v: u64, ppn: u64, pop: u8, now: u64) {
@@ -421,7 +444,7 @@ mod tests {
             MqConfig::lru(16),
             MqConfig::ideal(),
         ] {
-            let mut p = MqDeadValuePool::new(cfg);
+            let mut p = MqDeadValuePool::new(cfg, 4);
             insert(&mut p, 1, 100, 0, 1);
             insert(&mut p, 1, 200, 0, 2);
             assert_eq!(p.len(), 1);
@@ -517,11 +540,14 @@ mod tests {
 
     #[test]
     fn expired_heads_demote_toward_q0() {
-        let mut p = MqDeadValuePool::new(MqConfig {
-            num_queues: 4,
-            capacity: 16,
-            initial_hottest_interval: 5,
-        });
+        let mut p = MqDeadValuePool::new(
+            MqConfig {
+                num_queues: 4,
+                capacity: 16,
+                initial_hottest_interval: 5,
+            },
+            4,
+        );
         // Promote value 1 to Q1.
         insert(&mut p, 1, 1, 2, 1);
         insert(&mut p, 1, 2, 2, 2);
@@ -538,11 +564,14 @@ mod tests {
         // Regression: `demote_expired` used `expire < now`, so an entry
         // whose lifetime elapsed exactly at `now` was never demoted.
         // §IV-C demotes once the expiration "has passed" — inclusive.
-        let mut p = MqDeadValuePool::new(MqConfig {
-            num_queues: 4,
-            capacity: 16,
-            initial_hottest_interval: 5,
-        });
+        let mut p = MqDeadValuePool::new(
+            MqConfig {
+                num_queues: 4,
+                capacity: 16,
+                initial_hottest_interval: 5,
+            },
+            4,
+        );
         // Promote value 1 to Q1 at now=2; expire = 2 + 5 = 7.
         insert(&mut p, 1, 1, 2, 1);
         insert(&mut p, 1, 2, 2, 2);
@@ -625,7 +654,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        let _ = MqDeadValuePool::new(MqConfig::default().with_capacity(0));
+        let _ = MqDeadValuePool::new(MqConfig::default().with_capacity(0), 4);
     }
 
     #[test]
@@ -658,7 +687,7 @@ mod tests {
 
     #[test]
     fn one_queue_evicts_least_recently_used() {
-        let mut p = MqDeadValuePool::new(MqConfig::lru(2));
+        let mut p = MqDeadValuePool::new(MqConfig::lru(2), 4);
         insert(&mut p, 1, 1, 0, 1);
         insert(&mut p, 2, 2, 0, 2);
         // Touch value 1 so value 2 becomes LRU.
@@ -675,7 +704,7 @@ mod tests {
         // The motivating flaw of the §III-A LRU strawman (Fig 6): a
         // popular value at the LRU head is evicted by a burst of cold
         // insertions, where the paper's eight queues keep it.
-        let mut lru = MqDeadValuePool::new(MqConfig::lru(3));
+        let mut lru = MqDeadValuePool::new(MqConfig::lru(3), 4);
         let mut mq = pool(3);
         for p in [&mut lru, &mut mq] {
             insert(p, 1, 1, 200, 1);
@@ -695,7 +724,7 @@ mod tests {
 
     #[test]
     fn unbounded_pool_never_evicts() {
-        let mut p = MqDeadValuePool::new(MqConfig::ideal());
+        let mut p = MqDeadValuePool::new(MqConfig::ideal(), 4);
         assert_eq!(p.capacity(), None, "unbounded");
         for v in 0..10_000u64 {
             insert(&mut p, v, v, 0, v + 1);

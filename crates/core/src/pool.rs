@@ -80,10 +80,10 @@ impl fmt::Display for PoolStats {
 /// ```
 /// use zssd_core::{DeadValuePool, MqConfig, SystemKind};
 ///
-/// let pool = DeadValuePool::for_system(SystemKind::LruDvp { entries: 64 }, MqConfig::default());
+/// let pool = DeadValuePool::for_system(SystemKind::LruDvp { entries: 64 }, MqConfig::default(), 64);
 /// assert_eq!(pool.map(|p| p.capacity()), Some(Some(64)));
 /// // Baseline and Dedup recycle nothing, so they get no pool at all.
-/// assert!(DeadValuePool::for_system(SystemKind::Baseline, MqConfig::default()).is_none());
+/// assert!(DeadValuePool::for_system(SystemKind::Baseline, MqConfig::default(), 64).is_none());
 /// ```
 #[derive(Debug)]
 pub enum DeadValuePool {
@@ -110,28 +110,35 @@ impl DeadValuePool {
     /// The pool `system` runs with, or `None` for the systems that
     /// recycle nothing (Baseline, Dedup). `mq` is the MQ policy for
     /// the MQ-DVP and DVP+Dedup systems, which set its capacity.
-    pub fn for_system(system: SystemKind, mq: MqConfig) -> Option<Self> {
+    /// `pages_per_block` is the device's block size, the unit of
+    /// [`block_weight`](DeadValuePool::block_weight).
+    pub fn for_system(system: SystemKind, mq: MqConfig, pages_per_block: u32) -> Option<Self> {
+        let ppb = pages_per_block;
         Some(match system {
             SystemKind::Baseline | SystemKind::Dedup => return None,
             SystemKind::MqDvp { entries } | SystemKind::DvpPlusDedup { entries } => {
-                Self::Mq(MqDeadValuePool::new(mq.with_capacity(entries)))
+                Self::Mq(MqDeadValuePool::new(mq.with_capacity(entries), ppb))
             }
             SystemKind::LruDvp { entries } => {
-                Self::Mq(MqDeadValuePool::new(MqConfig::lru(entries)))
+                Self::Mq(MqDeadValuePool::new(MqConfig::lru(entries), ppb))
             }
-            SystemKind::Ideal => Self::Mq(MqDeadValuePool::new(MqConfig::ideal())),
+            SystemKind::Ideal => Self::Mq(MqDeadValuePool::new(MqConfig::ideal(), ppb)),
             SystemKind::LxSsd { entries } => Self::LxSsd(LxSsdPool::new(
                 LxSsdConfig::paper_default().with_capacity(entries),
+                ppb,
             )),
             SystemKind::AdaptiveDvp {
                 min_entries,
                 max_entries,
-            } => Self::Adaptive(AdaptiveMqPool::new(AdaptiveConfig {
-                min_entries,
-                max_entries,
-                initial_entries: min_entries.midpoint(max_entries),
-                ..AdaptiveConfig::paper_default()
-            })),
+            } => Self::Adaptive(AdaptiveMqPool::new(
+                AdaptiveConfig {
+                    min_entries,
+                    max_entries,
+                    initial_entries: min_entries.midpoint(max_entries),
+                    ..AdaptiveConfig::paper_default()
+                },
+                ppb,
+            )),
         })
     }
 
@@ -164,10 +171,20 @@ impl DeadValuePool {
     }
 
     /// Popularity degree of a tracked garbage page, or `None` if the
-    /// page is not in the pool. Queried by the popularity-aware GC
-    /// victim selector (§IV-D).
+    /// page is not in the pool. The per-page reference that
+    /// [`block_weight`](DeadValuePool::block_weight) must sum to.
     pub fn garbage_weight(&self, ppn: Ppn) -> Option<PopularityDegree> {
         each!(self, pool => pool.garbage_weight(ppn))
+    }
+
+    /// The sum of [`garbage_weight`](DeadValuePool::garbage_weight)
+    /// over the pages of flash block `block` (PPNs `block·B ..
+    /// (block+1)·B` for the block size `B` the pool was built with):
+    /// the `Σpop` of the §IV-D victim metric. The pool keeps the sums
+    /// as pages enter, leave and change popularity, so this is one
+    /// array read.
+    pub fn block_weight(&self, block: u64) -> u32 {
+        each!(self, pool => pool.block_weight(block))
     }
 
     /// Notifies the pool of a host access (read or write) to a logical
@@ -225,7 +242,7 @@ mod tests {
             (SystemKind::LxSsd { entries: 8 }, Some(8)),
             (adaptive, Some(10)),
         ] {
-            let pool = DeadValuePool::for_system(system, MqConfig::default());
+            let pool = DeadValuePool::for_system(system, MqConfig::default(), 4);
             assert_eq!(pool.is_some(), system.uses_pool(), "{system}");
             assert_eq!(pool.and_then(|pool| pool.capacity()), capacity, "{system}");
         }

@@ -14,6 +14,13 @@
 //! score wins and equal scores fall back to the rank, so blocks full
 //! of *popular* garbage (likely to be revived soon) are erased later.
 //! Weight 0 is greedy.
+//!
+//! **The cost.** Σpop is not recomputed here: the pool keeps it per
+//! block ([`DeadValuePool::block_weight`]), updating a block's sum
+//! whenever one of its pages enters the pool, leaves it, or changes
+//! popularity. Scoring a candidate is one array read, so a selection
+//! is one O(blocks) pass over the plane's block counters, greedy or
+//! not.
 
 use std::cmp::Reverse;
 
@@ -24,12 +31,13 @@ use zssd_flash::{BlockId, BlockInfo, FlashArray};
 /// `(invalid pages, Reverse(erase count), block)`.
 type Rank = (u32, Reverse<u64>, BlockId);
 
-/// How many top-ranked candidates get the full per-page popularity
-/// scoring. A block outside this set has no more invalid pages than
-/// any block inside it, so its score (≤ 255·invalid) can only win when
-/// the popular-garbage penalty demotes all of them — rare enough that
-/// bounding the scan preserves the policy while keeping victim
-/// selection O(blocks + K·pages).
+/// How many top-ranked candidates get the popularity score. A block
+/// outside this set has no more invalid pages than any block inside
+/// it, so its score (≤ 255·invalid) can only win when the
+/// popular-garbage penalty demotes all of them — rare enough that
+/// bounding the set preserves the policy. The selector keeps the set
+/// in a fixed-size array during its one O(blocks) pass, and reads
+/// each member's Σpop from the pool's per-block sums.
 const SCORED_CANDIDATES: usize = 12;
 
 /// Ranks the blocks of `plane` that `admit` accepts.
@@ -67,21 +75,28 @@ pub(crate) fn select_victim(
     if weight == 0.0 {
         return candidates.max().map(|(_, _, block)| block);
     }
-    let mut top: Vec<Rank> = candidates.collect();
-    if top.len() > SCORED_CANDIDATES {
-        // Descending, so the first SCORED_CANDIDATES are the top ranks.
-        top.select_nth_unstable_by(SCORED_CANDIDATES - 1, |a, b| b.cmp(a));
-        top.truncate(SCORED_CANDIDATES);
+    // The SCORED_CANDIDATES greatest ranks, greatest first. Ranks are
+    // distinct (the block id breaks every tie), so a new rank goes
+    // before the first lesser one.
+    let mut top = [(0, Reverse(0), BlockId::new(0)); SCORED_CANDIDATES];
+    let mut len = 0;
+    for rank in candidates {
+        if len == SCORED_CANDIDATES && rank <= top[len - 1] {
+            continue;
+        }
+        let at = top[..len].partition_point(|&kept| kept > rank);
+        len = (len + 1).min(SCORED_CANDIDATES);
+        top.copy_within(at..len - 1, at + 1);
+        top[at] = rank;
     }
-    let geometry = flash.geometry();
-    top.into_iter()
-        .map(|rank| {
-            let popularity: u64 = geometry
-                .pages_of(rank.2)
-                .filter_map(|ppn| pool?.garbage_weight(ppn))
-                .map(|pop| u64::from(pop.get()))
-                .sum();
-            (255.0 * f64::from(rank.0) - weight * popularity as f64, rank)
+    top[..len]
+        .iter()
+        .map(|&rank| {
+            let popularity = pool.map_or(0, |pool| pool.block_weight(rank.2.index()));
+            (
+                255.0 * f64::from(rank.0) - weight * f64::from(popularity),
+                rank,
+            )
         })
         .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         .map(|(_, (_, _, block))| block)
@@ -146,7 +161,7 @@ mod tests {
 
     /// A pool holding each of `pages` as garbage of popularity `pop`.
     fn pool_with(pages: impl IntoIterator<Item = (u64, u8)>) -> DeadValuePool {
-        let mut pool = MqDeadValuePool::new(MqConfig::ideal());
+        let mut pool = MqDeadValuePool::new(MqConfig::ideal(), 4);
         for (ppn, pop) in pages {
             pool.insert_dead(
                 Fingerprint::of_value(ValueId::new(ppn)),

@@ -76,7 +76,8 @@ impl Ssd {
     /// [`SsdConfig::validate`]) or preconditioning runs out of space.
     pub fn new(config: SsdConfig) -> Result<Self, SsdError> {
         config.validate()?;
-        let pool = DeadValuePool::for_system(config.system, config.mq);
+        let pool =
+            DeadValuePool::for_system(config.system, config.mq, config.geometry.pages_per_block());
         let dedup = config
             .system
             .uses_dedup()
@@ -496,7 +497,9 @@ impl Ssd {
     ///    tracked, so a zombie on dead flash can never be revived.
     /// 4. **Block accounting** — each block's cached
     ///    valid/invalid/free/bad counters match a recount of its page
-    ///    states, and sum to the block size.
+    ///    states, and sum to the block size; the pool's per-block
+    ///    popularity sum (the GC victim score's `Σpop`) matches a
+    ///    recount of its pages' [`DeadValuePool::garbage_weight`].
     /// 5. **Dedup-index hygiene** — every fingerprint index entry
     ///    names a *valid* page whose record holds that fingerprint, so
     ///    a dedup hit always shares live, matching content.
@@ -571,6 +574,7 @@ impl Ssd {
         // 4. Block accounting: cached counters vs a recount.
         for (block, info) in self.flash.blocks() {
             let mut counts = [0u32; 4];
+            let mut popularity = 0u32;
             for ppn in geometry.pages_of(block) {
                 let state = self.flash.page_state(ppn).map_err(|e| e.to_string())?;
                 counts[match state {
@@ -579,6 +583,17 @@ impl Ssd {
                     PageState::Free => 2,
                     PageState::Bad => 3,
                 }] += 1;
+                if let Some(pop) = self.pool.as_ref().and_then(|pool| pool.garbage_weight(ppn)) {
+                    popularity += u32::from(pop.get());
+                }
+            }
+            if let Some(pool) = &self.pool {
+                let kept = pool.block_weight(block.index());
+                if kept != popularity {
+                    return Err(format!(
+                        "pool keeps popularity sum {kept} for {block}, recount {popularity}"
+                    ));
+                }
             }
             let cached = [
                 info.valid_pages,

@@ -3,7 +3,7 @@
 //! structures (zssd-core), and the full device (zssd-ftl).
 
 use zombie_ssd::analysis::{infinite_reuse, PoolReuseSim, ValueLifecycles};
-use zombie_ssd::core::{MqConfig, MqDeadValuePool, SystemKind};
+use zombie_ssd::core::{MqConfig, SystemKind};
 use zombie_ssd::ftl::{Ssd, SsdConfig};
 use zombie_ssd::trace::{parse_text, write_text, SyntheticTrace, TraceStats, WorkloadProfile};
 
@@ -30,8 +30,7 @@ fn ideal_pool_replay_matches_oracle_on_all_workloads() {
     for profile in WorkloadProfile::paper_set() {
         let trace = SyntheticTrace::generate(&profile.scaled(0.004), 5);
         let oracle = infinite_reuse(trace.records(), false);
-        let summary =
-            PoolReuseSim::new(MqDeadValuePool::new(MqConfig::ideal())).run(trace.records());
+        let summary = PoolReuseSim::new(MqConfig::ideal()).run(trace.records());
         assert_eq!(summary.hits, oracle.reused, "{}", profile.name);
         assert_eq!(summary.capacity_misses, 0, "{}", profile.name);
     }
@@ -43,18 +42,15 @@ fn bounded_pool_hits_plus_misses_equal_oracle() {
         let trace = SyntheticTrace::generate(&profile.scaled(0.01), 9);
         let oracle = infinite_reuse(trace.records(), false);
         for entries in [32usize, 256, 4096] {
-            let lru = PoolReuseSim::new(MqDeadValuePool::new(MqConfig::lru(entries)))
-                .run(trace.records());
+            let lru = PoolReuseSim::new(MqConfig::lru(entries)).run(trace.records());
             assert_eq!(
                 lru.hits + lru.capacity_misses,
                 oracle.reused,
                 "{} LRU-{entries}: every oracle hit is a hit or a capacity miss",
                 profile.name
             );
-            let mq = PoolReuseSim::new(MqDeadValuePool::new(
-                MqConfig::paper_default().with_capacity(entries),
-            ))
-            .run(trace.records());
+            let mq = PoolReuseSim::new(MqConfig::paper_default().with_capacity(entries))
+                .run(trace.records());
             assert_eq!(mq.hits + mq.capacity_misses, oracle.reused);
         }
     }
@@ -69,10 +65,8 @@ fn device_revivals_match_trace_replay_hits() {
     let profile = WorkloadProfile::mail().scaled(0.004);
     let trace = SyntheticTrace::generate(&profile, 7);
     let entries = 2048usize;
-    let replay = PoolReuseSim::new(MqDeadValuePool::new(
-        MqConfig::paper_default().with_capacity(entries),
-    ))
-    .run(trace.records());
+    let replay =
+        PoolReuseSim::new(MqConfig::paper_default().with_capacity(entries)).run(trace.records());
     let device = Ssd::new(
         SsdConfig::for_footprint(profile.lpn_space).with_system(SystemKind::MqDvp { entries }),
     )

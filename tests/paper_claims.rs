@@ -6,7 +6,7 @@
 use std::sync::OnceLock;
 
 use zombie_ssd::analysis::{infinite_reuse, PoolReuseSim, ValueLifecycles};
-use zombie_ssd::core::{MqConfig, MqDeadValuePool, SystemKind};
+use zombie_ssd::core::{MqConfig, SystemKind};
 use zombie_ssd::ftl::{Ssd, SsdConfig};
 use zombie_ssd::trace::{SyntheticTrace, WorkloadProfile};
 use zombie_ssd::types::{Lpn, SimTime, ValueId};
@@ -94,11 +94,8 @@ fn mq_ge_lru_le_infinite() {
     let t = trace(&profile, 4);
     let entries = 512;
     let oracle = infinite_reuse(t.records(), false);
-    let lru = PoolReuseSim::new(MqDeadValuePool::new(MqConfig::lru(entries))).run(t.records());
-    let mq = PoolReuseSim::new(MqDeadValuePool::new(
-        MqConfig::paper_default().with_capacity(entries),
-    ))
-    .run(t.records());
+    let lru = PoolReuseSim::new(MqConfig::lru(entries)).run(t.records());
+    let mq = PoolReuseSim::new(MqConfig::paper_default().with_capacity(entries)).run(t.records());
     assert!(mq.hits >= lru.hits, "MQ {} vs LRU {}", mq.hits, lru.hits);
     assert!(mq.hits <= oracle.reused);
 }

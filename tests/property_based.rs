@@ -21,6 +21,9 @@ use zombie_ssd::types::{
 };
 use zssd_bench::{run_grid_with_threads, GridCell};
 
+/// The block size the pool-model exercise's pools are built with.
+const PAGES_PER_BLOCK: u32 = 64;
+
 /// One step of the pool-model exercise.
 #[derive(Debug, Clone)]
 enum PoolOp {
@@ -141,27 +144,32 @@ proptest! {
 
     #[test]
     fn mq_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
-        let pool = MqDeadValuePool::new(MqConfig {
-            num_queues: 4,
-            capacity: 32,
-            initial_hottest_interval: 8,
-        });
+        let pool = MqDeadValuePool::new(
+            MqConfig {
+                num_queues: 4,
+                capacity: 32,
+                initial_hottest_interval: 8,
+            },
+            PAGES_PER_BLOCK,
+        );
         check_pool_against_model(DeadValuePool::Mq(pool), ops);
     }
 
     #[test]
     fn lru_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
-        check_pool_against_model(DeadValuePool::Mq(MqDeadValuePool::new(MqConfig::lru(16))), ops);
+        let pool = MqDeadValuePool::new(MqConfig::lru(16), PAGES_PER_BLOCK);
+        check_pool_against_model(DeadValuePool::Mq(pool), ops);
     }
 
     #[test]
     fn ideal_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
-        check_pool_against_model(DeadValuePool::Mq(MqDeadValuePool::new(MqConfig::ideal())), ops);
+        let pool = MqDeadValuePool::new(MqConfig::ideal(), PAGES_PER_BLOCK);
+        check_pool_against_model(DeadValuePool::Mq(pool), ops);
     }
 
     #[test]
     fn lxssd_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
-        let pool = LxSsdPool::new(LxSsdConfig::default().with_capacity(16));
+        let pool = LxSsdPool::new(LxSsdConfig::default().with_capacity(16), PAGES_PER_BLOCK);
         check_pool_against_model(DeadValuePool::LxSsd(pool), ops);
     }
 
@@ -169,13 +177,16 @@ proptest! {
     /// in one case.
     #[test]
     fn adaptive_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
-        let pool = AdaptiveMqPool::new(AdaptiveConfig {
-            min_entries: 4,
-            max_entries: 64,
-            initial_entries: 16,
-            epoch: 16,
-            ..AdaptiveConfig::paper_default()
-        });
+        let pool = AdaptiveMqPool::new(
+            AdaptiveConfig {
+                min_entries: 4,
+                max_entries: 64,
+                initial_entries: 16,
+                epoch: 16,
+                ..AdaptiveConfig::paper_default()
+            },
+            PAGES_PER_BLOCK,
+        );
         check_pool_against_model(DeadValuePool::Adaptive(pool), ops);
     }
 
@@ -183,7 +194,7 @@ proptest! {
     fn ideal_pool_never_misses_a_tracked_value(
         inserts in prop::collection::vec((any::<u8>(), any::<u16>()), 1..100)
     ) {
-        let mut pool = MqDeadValuePool::new(MqConfig::ideal());
+        let mut pool = MqDeadValuePool::new(MqConfig::ideal(), PAGES_PER_BLOCK);
         let mut seen = HashSet::new();
         let mut inserted_values = HashSet::new();
         let mut clock = WriteClock::ZERO;
