@@ -7,9 +7,19 @@ use zssd_bench::{
     config_for, grid_for, grid_metrics_json, run_grid_with_threads, trace_for, METRICS_WINDOW,
 };
 use zssd_core::SystemKind;
-use zssd_ftl::Ssd;
-use zssd_metrics::{events_to_csv, events_to_json, windows_from_json, windows_to_json, Json};
-use zssd_trace::WorkloadProfile;
+use zssd_flash::FaultConfig;
+use zssd_ftl::{Ssd, SsdConfig};
+use zssd_metrics::{
+    events_to_csv, events_to_json, windows_from_json, windows_to_json, Event, Json,
+};
+use zssd_trace::{SyntheticTrace, WorkloadProfile};
+
+/// FNV-1a over the bytes of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 fn tiny_profiles() -> Vec<WorkloadProfile> {
     vec![
@@ -96,5 +106,51 @@ fn event_stream_agrees_with_the_run_counters() {
     assert_eq!(
         report.to_json(METRICS_WINDOW).to_string(),
         again.to_json(METRICS_WINDOW).to_string()
+    );
+}
+
+#[test]
+fn fault_event_stream_is_pinned() {
+    // Built without `config_for`, so no `ZSSD_*` knob can change the run.
+    let profile = WorkloadProfile::web().scaled(0.02);
+    let trace = SyntheticTrace::generate(&profile, 42);
+    let faults = FaultConfig::from_spec("program=5e-3,erase=0.2,read=5e-3").expect("valid spec");
+    let config = SsdConfig::for_footprint(profile.lpn_space)
+        .with_system(SystemKind::MqDvp { entries: 4_000 })
+        .with_dedup_index_entries(4_000)
+        .with_faults(faults)
+        .with_event_tracing(true);
+    let report = Ssd::new(config)
+        .expect("drive")
+        .run_trace(trace.records())
+        .expect("run");
+    // Faults count by their fault kind, everything else by its tag.
+    let count = |key: &str| {
+        report
+            .events
+            .iter()
+            .filter(|e| match e.event {
+                Event::Fault { kind, .. } => kind.name() == key,
+                other => other.kind() == key,
+            })
+            .count() as u64
+    };
+    let counted = [
+        ("program", report.program_failures),
+        ("erase", report.erase_failures),
+        ("read_retry", report.read_retries),
+        ("retire", report.retired_blocks),
+        ("scrub", report.scrub_programs),
+    ];
+    for (key, counter) in counted {
+        assert!(counter > 0, "the fault rates exercise {key}");
+        assert_eq!(count(key), counter, "{key} events match the counter");
+    }
+    let csv = events_to_csv(&report.events);
+    let json = report.to_json(METRICS_WINDOW).to_string();
+    assert_eq!(
+        (report.events.len(), fnv1a(&csv), fnv1a(&json)),
+        (47_013, 0xbea5_471c_0a81_0de2, 0xf1cf_f039_1bd0_1751),
+        "event stream or metrics export changed"
     );
 }
