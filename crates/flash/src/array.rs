@@ -4,7 +4,7 @@
 use core::fmt;
 use std::error::Error;
 
-use zssd_metrics::{Counter, Event, FaultEvent};
+use zssd_metrics::Counter;
 use zssd_types::{AddressError, Ppn, SimTime};
 
 use crate::block::{Block, BlockInfo, PageState};
@@ -128,10 +128,6 @@ pub struct FlashStats {
     pub programs: Counter,
     /// Block erases executed.
     pub erases: Counter,
-    /// Pages invalidated (deaths).
-    pub invalidations: Counter,
-    /// Invalid pages flipped back to valid (rebirths via the DVP).
-    pub revivals: Counter,
     /// Injected program failures (the failed attempts are *not*
     /// counted in [`FlashStats::programs`]).
     pub program_failures: Counter,
@@ -184,13 +180,6 @@ pub struct FlashArray {
     controller_busy_until: SimTime,
     stats: FlashStats,
     fault: FaultPlan,
-    /// Event-trace buffer (DESIGN.md §13). The array cannot see the
-    /// FTL's unified [`zssd_metrics::EventLog`], so fault/retirement
-    /// events are buffered here and absorbed by the owner before each
-    /// of its own emissions, preserving causal order. Empty and
-    /// untouched unless tracing is enabled.
-    trace: bool,
-    events: Vec<(SimTime, Event)>,
 }
 
 impl FlashArray {
@@ -214,36 +203,6 @@ impl FlashArray {
             controller_busy_until: SimTime::ZERO,
             stats: FlashStats::default(),
             fault: FaultPlan::new(faults),
-            trace: false,
-            events: Vec::new(),
-        }
-    }
-
-    /// Enables or disables event tracing. Disabled by default; when
-    /// disabled, emission sites cost one branch and the buffer stays
-    /// empty.
-    pub fn set_event_tracing(&mut self, on: bool) {
-        self.trace = on;
-        if !on {
-            self.events.clear();
-        }
-    }
-
-    /// Whether event tracing is enabled.
-    pub fn event_tracing(&self) -> bool {
-        self.trace
-    }
-
-    /// Drains the buffered fault/retirement events in emission order.
-    /// The FTL absorbs these into its unified log before each of its
-    /// own emissions.
-    pub fn take_events(&mut self) -> Vec<(SimTime, Event)> {
-        std::mem::take(&mut self.events)
-    }
-
-    fn emit(&mut self, at: SimTime, event: Event) {
-        if self.trace {
-            self.events.push((at, event));
         }
     }
 
@@ -333,34 +292,18 @@ impl FlashArray {
         Ok(self.blocks[block.index() as usize].free_count())
     }
 
-    /// Reads a page, returning the completion time.
-    ///
-    /// The page must hold data (valid or invalid — GC and revival
-    /// verification may read garbage pages). An injected ECC error is
-    /// resolved internally by a retry (see
-    /// [`FlashArray::read_page_outcome`] to observe it).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is out of range, free, or bad.
-    pub fn read_page(&mut self, ppn: Ppn, at: SimTime) -> Result<SimTime, FlashOpError> {
-        self.read_page_outcome(ppn, at).map(|(done, _)| done)
-    }
-
     /// Reads a page, returning the completion time and whether an
-    /// uncorrectable-ECC event forced a retry. A retried read costs a
-    /// full second sense + transfer pass; the retry always succeeds
-    /// (the data survives — the FTL should still relocate it off the
-    /// suspect page).
+    /// uncorrectable-ECC event forced a retry.
+    ///
+    /// The page must hold data (valid or invalid — GC may read garbage
+    /// pages). A retried read costs a full second sense + transfer
+    /// pass; the retry always succeeds (the data survives — the FTL
+    /// should still relocate it off the suspect page).
     ///
     /// # Errors
     ///
     /// Returns an error if the page is out of range, free, or bad.
-    pub fn read_page_outcome(
-        &mut self,
-        ppn: Ppn,
-        at: SimTime,
-    ) -> Result<(SimTime, bool), FlashOpError> {
+    pub fn read_page(&mut self, ppn: Ppn, at: SimTime) -> Result<(SimTime, bool), FlashOpError> {
         let state = self.page_state(ppn)?;
         if state == PageState::Free || state == PageState::Bad {
             return Err(FlashOpError::State {
@@ -385,13 +328,6 @@ impl FlashArray {
             done = retry_xfer + self.timing.transfer;
             self.stats.reads.incr();
             self.stats.read_retries.incr();
-            self.emit(
-                done,
-                Event::Fault {
-                    kind: FaultEvent::ReadRetry,
-                    unit: ppn.index(),
-                },
-            );
         }
         self.chip_busy_until[chip] = done;
         self.channel_busy_until[channel] = done;
@@ -452,13 +388,6 @@ impl FlashArray {
         self.chip_busy_until[chip] = done;
         if failed {
             self.stats.program_failures.incr();
-            self.emit(
-                done,
-                Event::Fault {
-                    kind: FaultEvent::Program,
-                    unit: ppn.index(),
-                },
-            );
             return Err(FlashOpError::ProgramFailed { ppn });
         }
         self.stats.programs.incr();
@@ -505,7 +434,6 @@ impl FlashArray {
         block.pages[self.geometry.page_in_block(ppn) as usize] = PageState::Invalid;
         block.valid_count -= 1;
         block.invalid_count += 1;
-        self.stats.invalidations.incr();
         Ok(())
     }
 
@@ -529,7 +457,6 @@ impl FlashArray {
         block.pages[self.geometry.page_in_block(ppn) as usize] = PageState::Valid;
         block.invalid_count -= 1;
         block.valid_count += 1;
-        self.stats.revivals.incr();
         Ok(())
     }
 
@@ -598,13 +525,6 @@ impl FlashArray {
         self.stats.reads.incr();
         if failed {
             self.stats.program_failures.incr();
-            self.emit(
-                done,
-                Event::Fault {
-                    kind: FaultEvent::Program,
-                    unit: dest.index(),
-                },
-            );
             return Err(FlashOpError::ProgramFailed { ppn: dest });
         }
         self.stats.programs.incr();
@@ -637,13 +557,6 @@ impl FlashArray {
         self.chip_busy_until[chip] = done;
         if failed {
             self.stats.erase_failures.incr();
-            self.emit(
-                done,
-                Event::Fault {
-                    kind: FaultEvent::Erase,
-                    unit: block.index(),
-                },
-            );
             return Err(FlashOpError::EraseFailed { block });
         }
         self.blocks[block.index() as usize].erase();
@@ -673,16 +586,6 @@ impl FlashArray {
         }
         b.retire();
         self.stats.retired_blocks.incr();
-        // Retirement itself is pure bookkeeping; timestamp it with the
-        // owning chip's busy-until, which the failed erases just paid.
-        let at =
-            self.chip_busy_until[self.geometry.chip_of(self.geometry.first_ppn_of(block)) as usize];
-        self.emit(
-            at,
-            Event::Retire {
-                block: block.index(),
-            },
-        );
         Ok(())
     }
 
@@ -829,7 +732,7 @@ mod tests {
         let t = FlashTiming::paper_table1();
         let done = flash.program_page(ppn, SimTime::ZERO).expect("program");
         assert_eq!(done, SimTime::ZERO + t.transfer + t.program);
-        let read_done = flash.read_page(ppn, SimTime::ZERO).expect("read");
+        let (read_done, _) = flash.read_page(ppn, SimTime::ZERO).expect("read");
         // The read waits for the program to finish on the same chip.
         assert_eq!(read_done, done + t.read + t.transfer);
     }
@@ -886,7 +789,7 @@ mod tests {
         assert_eq!(flash.total_invalid_pages(), 1);
         flash.revive_page(ppn).expect("revive");
         assert_eq!(flash.page_state(ppn).expect("state"), PageState::Valid);
-        assert_eq!(flash.stats().revivals.get(), 1);
+        assert_eq!(flash.total_invalid_pages(), 0);
         assert_eq!(flash.total_valid_pages(), 1);
     }
 
@@ -958,15 +861,7 @@ mod tests {
             .erase_block(BlockId::new(0), SimTime::ZERO)
             .expect("ok");
         let s = flash.stats();
-        assert_eq!(
-            (
-                s.programs.get(),
-                s.reads.get(),
-                s.invalidations.get(),
-                s.erases.get()
-            ),
-            (1, 1, 1, 1)
-        );
+        assert_eq!((s.programs.get(), s.reads.get(), s.erases.get()), (1, 1, 1));
     }
 
     #[test]
@@ -1080,7 +975,7 @@ mod tests {
         let ppn = Ppn::new(0);
         flash.program_page(ppn, SimTime::ZERO).expect("program");
         // Read holds the channel until its transfer finishes.
-        let read_done = flash.read_page(ppn, SimTime::ZERO).expect("read");
+        let (read_done, _) = flash.read_page(ppn, SimTime::ZERO).expect("read");
         let done = flash
             .controller_complete(Some(ppn), SimTime::ZERO)
             .expect("complete");
@@ -1175,7 +1070,7 @@ mod tests {
         let t = FlashTiming::paper_table1();
         let done = flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
         let (read_done, retried) = flash
-            .read_page_outcome(Ppn::new(0), done)
+            .read_page(Ppn::new(0), done)
             .expect("read survives via retry");
         assert!(retried);
         assert_eq!(
@@ -1203,44 +1098,6 @@ mod tests {
             }
             assert_eq!(a.stats(), b.stats());
         }
-    }
-
-    #[test]
-    fn event_tracing_buffers_faults_and_retirements() {
-        let geom = Geometry::new(1, 1, 1, 1, 2, 4).expect("valid geometry");
-        let mut flash = FlashArray::with_faults(
-            geom,
-            FlashTiming::paper_table1(),
-            crate::FaultConfig::none().with_erase_fail(1.0),
-        );
-        // Disabled by default: nothing is buffered.
-        assert!(!flash.event_tracing());
-        let block = BlockId::new(0);
-        let _ = flash.erase_block(block, SimTime::ZERO);
-        assert!(flash.take_events().is_empty());
-
-        flash.set_event_tracing(true);
-        let err = flash.erase_block(block, SimTime::ZERO).unwrap_err();
-        assert!(matches!(err, FlashOpError::EraseFailed { .. }));
-        flash.retire_block(block).expect("retire");
-        let events = flash.take_events();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            events[0].1,
-            Event::Fault {
-                kind: FaultEvent::Erase,
-                unit: 0
-            }
-        ));
-        assert!(matches!(events[1].1, Event::Retire { block: 0 }));
-        // The retirement is stamped with the chip time the failed
-        // erases paid, and draining empties the buffer.
-        assert_eq!(events[1].0, flash.chip_free_at(Ppn::new(0)));
-        assert!(flash.take_events().is_empty());
-        // Turning tracing off clears any pending buffer.
-        let _ = flash.erase_block(block, SimTime::ZERO);
-        flash.set_event_tracing(false);
-        assert!(flash.take_events().is_empty());
     }
 
     #[test]

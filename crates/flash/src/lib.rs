@@ -18,10 +18,10 @@
 //! operation, which is how a dead-value-pool hit short-circuits a
 //! write.
 //!
-//! Observability: with [`FlashArray::set_event_tracing`] enabled, the
-//! array buffers typed fault and retirement events
-//! ([`zssd_metrics::Event`]) that the FTL absorbs into its unified,
-//! deterministic run log (DESIGN.md §13).
+//! Observability: the array keeps counters ([`FlashStats`]) but
+//! records no events. Every operation reports its fault in its result
+//! (an error or the read-retry flag), and the FTL turns those results
+//! into the run's event log (DESIGN.md §13).
 //!
 //! # Examples
 //!

@@ -3,7 +3,7 @@
 use zssd_core::{DeadValuePool, PoolStats};
 use zssd_dedup::DedupStore;
 use zssd_flash::{FlashArray, FlashOpError, PageState};
-use zssd_metrics::{Event, EventLog};
+use zssd_metrics::{Event, EventLog, FaultEvent, LatencySummary};
 use zssd_trace::{initial_value_of, IoOp, TraceRecord};
 use zssd_types::{Fingerprint, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 
@@ -59,10 +59,10 @@ pub struct Ssd {
     rmap: Rmap,
     clock: WriteClock,
     stats: SsdStats,
-    /// The unified run-wide event log (`None` unless the config asked
-    /// for tracing). The flash layer buffers its own events; they are
-    /// absorbed here — in causal program order — before each FTL-level
-    /// emission, so one log holds the whole drive's total order.
+    /// The run-wide event log (`None` unless the config asked for
+    /// tracing). The drive is its only writer: flash faults and block
+    /// retirements are emitted here from the results the flash array
+    /// returns, so one log holds the whole drive's total order.
     events: Option<EventLog>,
 }
 
@@ -87,10 +87,8 @@ impl Ssd {
         } else {
             0.0
         };
-        let mut flash = FlashArray::with_faults(config.geometry, config.timing, config.faults);
-        flash.set_event_tracing(config.trace_events);
         let mut ssd = Ssd {
-            flash,
+            flash: FlashArray::with_faults(config.geometry, config.timing, config.faults),
             mapping: MappingTable::new(config.logical_pages),
             allocator: Allocator::new(&config.geometry),
             gc_weight,
@@ -168,31 +166,54 @@ impl Ssd {
             dedup.reset_stats();
         }
         // The warm-up fill is not part of the measured run: drop any
-        // events it buffered and restart sequence numbering.
-        let _ = self.flash.take_events();
+        // events it recorded and restart sequence numbering.
         if let Some(log) = self.events.as_mut() {
             log.clear();
         }
         Ok(())
     }
 
-    /// Absorbs events buffered by the flash layer, then appends one
-    /// FTL-level event, keeping the unified log in causal program
-    /// order. A single branch when tracing is disabled.
+    /// Appends one event to the log. A single branch when tracing is
+    /// disabled.
     fn emit(&mut self, at: SimTime, event: Event) {
-        let Some(log) = self.events.as_mut() else {
-            return;
-        };
-        for (t, buffered) in self.flash.take_events() {
-            log.emit(t, buffered);
+        if let Some(log) = self.events.as_mut() {
+            log.emit(at, event);
         }
-        log.emit(at, event);
+    }
+
+    /// Records an injected program failure on `ppn` and returns when
+    /// the failed pulse finished, the earliest time a retry can start.
+    fn program_failed(&mut self, ppn: Ppn) -> SimTime {
+        let at = self.flash.chip_free_at(ppn);
+        self.emit(
+            at,
+            Event::Fault {
+                kind: FaultEvent::Program,
+                unit: ppn.index(),
+            },
+        );
+        at
+    }
+
+    /// Reads a page, recording the fault when an injected ECC error
+    /// forced a retry. Returns the completion time and whether the
+    /// read retried.
+    fn read_page(&mut self, ppn: Ppn, at: SimTime) -> Result<(SimTime, bool), SsdError> {
+        let (done, retried) = self.flash.read_page(ppn, at)?;
+        if retried {
+            self.emit(
+                done,
+                Event::Fault {
+                    kind: FaultEvent::ReadRetry,
+                    unit: ppn.index(),
+                },
+            );
+        }
+        Ok((done, retried))
     }
 
     /// The event trace recorded so far (empty unless the config enabled
-    /// [`SsdConfig::with_event_tracing`]). Events the flash layer has
-    /// buffered but the FTL has not yet absorbed are not visible here;
-    /// [`Ssd::into_report`] performs the final drain.
+    /// [`SsdConfig::with_event_tracing`]).
     pub fn events(&self) -> &[zssd_metrics::TracedEvent] {
         self.events.as_ref().map_or(&[], |log| log.events())
     }
@@ -310,7 +331,7 @@ impl Ssd {
         let value;
         match self.mapping.lookup(lpn)? {
             Some(ppn) => {
-                let (read_done, retried) = self.flash.read_page_outcome(ppn, arrival)?;
+                let (read_done, retried) = self.read_page(ppn, arrival)?;
                 done = read_done;
                 value = record(&mut self.rmap, ppn).value;
                 if retried {
@@ -328,8 +349,7 @@ impl Ssd {
             }
         }
         let latency = done.saturating_since(arrival);
-        self.stats.read_latency.record(latency);
-        self.stats.timeline.record(arrival, latency);
+        self.stats.timeline.record_read(arrival, latency);
         self.emit(done, Event::HostRead { lpn, latency });
         Ok((value, done))
     }
@@ -419,17 +439,10 @@ impl Ssd {
 
     /// Finalizes this drive into a [`RunReport`].
     ///
-    /// Consumes the drive so the latency and timeline sample vectors
-    /// move into the report instead of being cloned — at experiment
-    /// scale those hold millions of samples per run.
+    /// Consumes the drive so the timeline moves into the report instead
+    /// of being cloned — at experiment scale it holds millions of
+    /// samples per run.
     pub fn into_report(mut self) -> RunReport {
-        // Final drain: absorb any flash events emitted since the last
-        // FTL-level emission, then move the log into the report.
-        if let Some(log) = self.events.as_mut() {
-            for (t, buffered) in self.flash.take_events() {
-                log.emit(t, buffered);
-            }
-        }
         let events = self
             .events
             .take()
@@ -437,15 +450,8 @@ impl Ssd {
             .unwrap_or_default();
         let phases = std::mem::take(&mut self.stats.phases);
         let flash = self.flash.stats();
-        let mut write_latency = std::mem::take(&mut self.stats.write_latency);
-        let mut read_latency = std::mem::take(&mut self.stats.read_latency);
         let timeline = std::mem::take(&mut self.stats.timeline);
-        let write_summary = write_latency.summary();
-        let read_summary = read_latency.summary();
-        // The combined digest reuses the write recorder's storage.
-        let mut all = write_latency;
-        all.merge(&read_latency);
-        RunReport {
+        let mut report = RunReport {
             system: self.config.system,
             host_writes: self.stats.host_writes,
             host_reads: self.stats.host_reads,
@@ -468,12 +474,23 @@ impl Ssd {
             dedup: self.dedup.as_ref().map(|d| d.stats()),
             wear: self.flash.wear_summary(),
             timeline,
-            write_latency: write_summary,
-            read_latency: read_summary,
-            all_latency: all.summary(),
+            write_latency: LatencySummary::default(),
+            read_latency: LatencySummary::default(),
+            all_latency: LatencySummary::default(),
             phases,
             events,
-        }
+        };
+        // Digest the latencies once the drive's tables are freed, so
+        // the digests' scratch space does not raise the run's peak
+        // memory.
+        drop(self);
+        let digests = report.timeline.summaries();
+        (
+            report.write_latency,
+            report.read_latency,
+            report.all_latency,
+        ) = digests;
+        report
     }
 
     /// Checks the cross-structure consistency invariants that must
@@ -627,8 +644,7 @@ impl Ssd {
 
     fn record_write_latency(&mut self, lpn: Lpn, arrival: SimTime, done: SimTime) {
         let latency = done.saturating_since(arrival);
-        self.stats.write_latency.record(latency);
-        self.stats.timeline.record(arrival, latency);
+        self.stats.timeline.record_write(arrival, latency);
         self.emit(done, Event::HostWrite { lpn, latency });
     }
 
@@ -670,9 +686,7 @@ impl Ssd {
             let block = self.allocator.take_active(plane, &self.flash)?;
             match self.flash.program_next(block, t) {
                 Ok(ok) => return Ok(ok),
-                Err(FlashOpError::ProgramFailed { ppn }) => {
-                    t = self.flash.chip_free_at(ppn);
-                }
+                Err(FlashOpError::ProgramFailed { ppn }) => t = self.program_failed(ppn),
                 Err(e) => return Err(e.into()),
             }
         }
@@ -694,7 +708,10 @@ impl Ssd {
         };
         let (new_ppn, scrub_done) = match self.flash.copyback_page(ppn, dest_block, at) {
             Ok(ok) => ok,
-            Err(FlashOpError::ProgramFailed { .. }) => return Ok(()),
+            Err(FlashOpError::ProgramFailed { ppn: failed }) => {
+                self.program_failed(failed);
+                return Ok(());
+            }
             Err(e) => return Err(e.into()),
         };
         self.stats.scrub_programs += 1;
@@ -805,13 +822,13 @@ impl Ssd {
                     // the attempted destination page and the move
                     // retries on the next one.
                     let (new_ppn, done) = if emergency {
-                        t = self.flash.read_page(ppn, t)?;
+                        (t, _) = self.read_page(ppn, t)?;
                         loop {
                             let (_, dest_block) = self.allocator.take_active_any(&self.flash)?;
                             match self.flash.program_next(dest_block, t) {
                                 Ok(ok) => break ok,
                                 Err(FlashOpError::ProgramFailed { ppn: failed }) => {
-                                    t = self.flash.chip_free_at(failed);
+                                    t = self.program_failed(failed);
                                 }
                                 Err(e) => return Err(e.into()),
                             }
@@ -822,7 +839,7 @@ impl Ssd {
                             match self.flash.copyback_page(ppn, dest_block, t) {
                                 Ok(ok) => break ok,
                                 Err(FlashOpError::ProgramFailed { ppn: failed }) => {
-                                    t = self.flash.chip_free_at(failed);
+                                    t = self.program_failed(failed);
                                 }
                                 Err(e) => return Err(e.into()),
                             }
@@ -859,10 +876,11 @@ impl Ssd {
             Err(FlashOpError::EraseFailed { .. }) => {
                 // The failed pulse spent a full tBERS; retry once from
                 // when the chip frees.
-                let retry_at = self.flash.chip_free_at(geometry.first_ppn_of(victim));
+                let retry_at = self.erase_failed(victim);
                 match self.flash.erase_block(victim, retry_at) {
                     Ok(done) => done,
                     Err(FlashOpError::EraseFailed { .. }) => {
+                        self.erase_failed(victim);
                         let done = self.retire_victim(victim)?;
                         self.stats.phases.add("gc_erase", done.saturating_since(t));
                         return Ok(done);
@@ -884,6 +902,22 @@ impl Ssd {
         Ok(done)
     }
 
+    /// Records an injected erase failure on `block` and returns when the
+    /// failed pulse finished.
+    fn erase_failed(&mut self, block: zssd_flash::BlockId) -> SimTime {
+        let at = self
+            .flash
+            .chip_free_at(self.config.geometry.first_ppn_of(block));
+        self.emit(
+            at,
+            Event::Fault {
+                kind: FaultEvent::Erase,
+                unit: block.index(),
+            },
+        );
+        at
+    }
+
     /// Gives up on a block whose erase failed twice: purges every
     /// remaining pool and reverse-map entry into it (so a zombie on
     /// dead flash can never be revived) and retires it for good. The
@@ -900,7 +934,16 @@ impl Ssd {
         }
         self.flash.retire_block(victim)?;
         self.stats.gc_collections += 1;
-        Ok(self.flash.chip_free_at(geometry.first_ppn_of(victim)))
+        // Retirement itself is pure bookkeeping; it happens when the
+        // second failed erase pulse finishes.
+        let done = self.flash.chip_free_at(geometry.first_ppn_of(victim));
+        self.emit(
+            done,
+            Event::Retire {
+                block: victim.index(),
+            },
+        );
+        Ok(done)
     }
 }
 
@@ -1447,6 +1490,38 @@ mod tests {
         // Phase timers saw the same GC work the events did.
         assert_eq!(report.phases.get("gc_erase").count, report.erases);
         assert!(report.phases.get("gc_stall").total > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn every_program_failure_and_read_retry_is_traced() {
+        // Frequent read retries make scrubbing common enough that its
+        // best-effort copyback also fails now and then.
+        let config = SsdConfig::small_test()
+            .without_precondition()
+            .with_system(SystemKind::MqDvp { entries: 64 })
+            .with_faults(
+                zssd_flash::FaultConfig::none()
+                    .with_program_fail(0.05)
+                    .with_read_error(0.5)
+                    .with_seed(3),
+            )
+            .with_event_tracing(true);
+        let mut s = Ssd::new(config).expect("drive");
+        for i in 0..400u64 {
+            w(&mut s, i % 16, 1000 + i % 23);
+            s.read(Lpn::new(i % 16), SimTime::ZERO).expect("read");
+        }
+        let report = s.into_report();
+        let faults = |wanted: FaultEvent| {
+            report
+                .events
+                .iter()
+                .filter(|e| matches!(e.event, Event::Fault { kind, .. } if kind == wanted))
+                .count() as u64
+        };
+        assert!(report.scrub_programs > 0 && report.program_failures > 0);
+        assert_eq!(faults(FaultEvent::Program), report.program_failures);
+        assert_eq!(faults(FaultEvent::ReadRetry), report.read_retries);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use zssd_core::{PoolStats, SystemKind};
 use zssd_dedup::DedupStats;
 use zssd_flash::WearSummary;
 use zssd_metrics::{
-    events_to_json, windows_to_json, CounterRegistry, Json, LatencyRecorder, LatencySummary,
-    PhaseTimers, Timeline, TracedEvent,
+    events_to_json, windows_to_json, CounterRegistry, Json, LatencySummary, PhaseTimers, Timeline,
+    TracedEvent,
 };
 use zssd_types::SimDuration;
 
@@ -38,11 +38,9 @@ pub struct SsdStats {
     /// NAND programs issued to relocate data off a page that needed a
     /// read retry (background scrubbing, only under fault injection).
     pub scrub_programs: u64,
-    /// Write latencies.
-    pub write_latency: LatencyRecorder,
-    /// Read latencies.
-    pub read_latency: LatencyRecorder,
-    /// Per-request latency over simulated time (episode analysis).
+    /// Every request's arrival and latency: the run's one record of
+    /// latencies, behind both the episode analysis and the latency
+    /// digests of the report.
     pub timeline: Timeline,
     /// Simulated time spent per internal phase (GC relocation, erase,
     /// whole stall, scrubbing). Always accumulated — the additions are
@@ -303,9 +301,14 @@ mod tests {
     use zssd_types::SimTime;
 
     fn summary() -> LatencySummary {
-        let mut rec = LatencyRecorder::new();
-        rec.record(SimDuration::from_micros(10));
-        rec.summary()
+        let us = SimDuration::from_micros(10);
+        LatencySummary {
+            count: 1,
+            mean: us,
+            p50: us,
+            p99: us,
+            max: us,
+        }
     }
 
     fn report() -> RunReport {

@@ -49,10 +49,9 @@ impl Cdf {
     }
 
     /// The smallest sample value `v` with `fraction_le(v) ≥ q`; zero
-    /// when empty, matching
-    /// [`LatencyRecorder::percentile`](crate::LatencyRecorder::percentile)
-    /// so a zero-read or all-trim workload never crashes report
-    /// generation.
+    /// when empty, matching the all-zero
+    /// [`LatencySummary`](crate::LatencySummary) of no samples, so a
+    /// zero-read or all-trim workload never crashes report generation.
     ///
     /// # Panics
     ///
@@ -62,9 +61,7 @@ impl Cdf {
         if self.sorted.is_empty() {
             return 0;
         }
-        let n = self.sorted.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        self.sorted[rank - 1]
+        self.sorted[nearest_rank(q, self.sorted.len())]
     }
 
     /// Minimum sample, if any.
@@ -115,6 +112,12 @@ impl fmt::Display for Cdf {
     }
 }
 
+/// The 0-based position of the nearest-rank `q` quantile among `n > 0`
+/// sorted samples: the `⌈q·n⌉`-th smallest, at least the first.
+pub(crate) fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +161,7 @@ mod tests {
     fn quantile_of_empty_is_zero() {
         // Regression: used to panic, crashing report generation for
         // workloads with no samples (e.g. zero reads). The empty case
-        // now mirrors `LatencyRecorder::percentile`'s ZERO convention.
+        // now mirrors the all-zero digest of an empty `LatencySummary`.
         let cdf = Cdf::default();
         assert_eq!(cdf.quantile(0.0), 0);
         assert_eq!(cdf.quantile(0.5), 0);

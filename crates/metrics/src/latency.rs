@@ -1,141 +1,37 @@
-//! Exact latency statistics.
+//! Exact latency digests.
 
 use core::fmt;
 
 use zssd_types::SimDuration;
 
-/// Records every request latency and answers exact mean / percentile
-/// queries.
+use crate::cdf::nearest_rank;
+
+/// The headline statistics of a set of request latencies: count, mean,
+/// and the exact nearest-rank median, 99th percentile and maximum.
 ///
 /// The simulator runs bounded trace lengths (≤ a few million requests),
-/// so exact storage is cheap and avoids the bias of streaming sketches.
-/// Percentile queries sort lazily and cache the sorted order until the
-/// next insertion.
+/// so every latency is kept and the digest is exact rather than a
+/// streaming sketch's estimate. [`Timeline::summaries`] computes one
+/// per request kind.
+///
+/// [`Timeline::summaries`]: crate::Timeline::summaries
 ///
 /// # Examples
 ///
 /// ```
-/// use zssd_metrics::LatencyRecorder;
-/// use zssd_types::SimDuration;
+/// use zssd_metrics::Timeline;
+/// use zssd_types::{SimDuration, SimTime};
 ///
-/// let mut lat = LatencyRecorder::new();
+/// let mut tl = Timeline::new();
 /// for us in 1..=100u64 {
-///     lat.record(SimDuration::from_micros(us));
+///     tl.record_write(SimTime::ZERO, SimDuration::from_micros(us));
 /// }
-/// assert_eq!(lat.percentile(0.99).as_nanos(), 99_000);
-/// assert_eq!(lat.count(), 100);
+/// let (write, read, _) = tl.summaries();
+/// assert_eq!(write.p99.as_nanos(), 99_000);
+/// assert_eq!(write.count, 100);
+/// assert_eq!(read.count, 0);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples: Vec<u64>,
-    sum: u128,
-    max: u64,
-    sorted: bool,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        LatencyRecorder {
-            samples: Vec::new(),
-            sum: 0,
-            max: 0,
-            sorted: true,
-        }
-    }
-
-    /// Creates an empty recorder with room for `capacity` samples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        LatencyRecorder {
-            samples: Vec::with_capacity(capacity),
-            sum: 0,
-            max: 0,
-            sorted: true,
-        }
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: SimDuration) {
-        let ns = latency.as_nanos();
-        self.sum += u128::from(ns);
-        self.max = self.max.max(ns);
-        if let Some(&last) = self.samples.last() {
-            if ns < last {
-                self.sorted = false;
-            }
-        }
-        self.samples.push(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean latency; zero when empty.
-    pub fn mean(&self) -> SimDuration {
-        if self.samples.is_empty() {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos((self.sum / self.samples.len() as u128) as u64)
-    }
-
-    /// Exact percentile via the nearest-rank method; zero when empty.
-    ///
-    /// `q` is a fraction in `[0, 1]`, e.g. `0.99` for the tail latency
-    /// the paper reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not within `[0, 1]`.
-    pub fn percentile(&mut self, q: f64) -> SimDuration {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        if self.samples.is_empty() {
-            return SimDuration::ZERO;
-        }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let n = self.samples.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        SimDuration::from_nanos(self.samples[rank - 1])
-    }
-
-    /// Maximum recorded latency; zero when empty. O(1): the running
-    /// maximum is maintained at [`record`](Self::record) time rather
-    /// than rescanning the sample vector per query.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.max)
-    }
-
-    /// Snapshot of the headline statistics (count, mean, p50/p99/max).
-    pub fn summary(&mut self) -> LatencySummary {
-        LatencySummary {
-            count: self.count(),
-            mean: self.mean(),
-            p50: self.percentile(0.50),
-            p99: self.percentile(0.99),
-            max: self.max(),
-        }
-    }
-
-    /// Merges all samples of `other` into `self`.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-}
-
-/// A point-in-time digest of a [`LatencyRecorder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: u64,
@@ -147,6 +43,37 @@ pub struct LatencySummary {
     pub p99: SimDuration,
     /// Maximum.
     pub max: SimDuration,
+}
+
+impl LatencySummary {
+    /// Digests latencies given in nanoseconds; all zero when empty.
+    /// Percentiles are found by selection rather than a full sort, so
+    /// `samples` is left reordered.
+    pub(crate) fn of(samples: &mut [u64]) -> LatencySummary {
+        let n = samples.len();
+        if n == 0 {
+            return LatencySummary::default();
+        }
+        let sum: u128 = samples.iter().map(|&ns| u128::from(ns)).sum();
+        let p99_rank = nearest_rank(0.99, n);
+        let (below, &mut p99, above) = samples.select_nth_unstable(p99_rank);
+        let max = above.iter().copied().max().unwrap_or(p99);
+        // The median's rank never exceeds the 99th percentile's, so it
+        // lies among the samples already partitioned below it.
+        let p50_rank = nearest_rank(0.50, n);
+        let p50 = if p50_rank == p99_rank {
+            p99
+        } else {
+            *below.select_nth_unstable(p50_rank).1
+        };
+        LatencySummary {
+            count: n as u64,
+            mean: SimDuration::from_nanos((sum / n as u128) as u64),
+            p50: SimDuration::from_nanos(p50),
+            p99: SimDuration::from_nanos(p99),
+            max: SimDuration::from_nanos(max),
+        }
+    }
 }
 
 impl fmt::Display for LatencySummary {
@@ -162,98 +89,54 @@ impl fmt::Display for LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zssd_types::SimTime;
 
     fn us(v: u64) -> SimDuration {
         SimDuration::from_micros(v)
     }
 
     #[test]
-    fn empty_recorder_is_all_zero() {
-        let mut lat = LatencyRecorder::new();
-        assert!(lat.is_empty());
-        assert_eq!(lat.mean(), SimDuration::ZERO);
-        assert_eq!(lat.percentile(0.99), SimDuration::ZERO);
-        assert_eq!(lat.max(), SimDuration::ZERO);
+    fn empty_digest_is_all_zero() {
+        assert_eq!(LatencySummary::of(&mut []), LatencySummary::default());
     }
 
     #[test]
     fn mean_and_percentiles_exact() {
-        let mut lat = LatencyRecorder::with_capacity(4);
-        for v in [400, 100, 300, 200] {
-            lat.record(us(v));
-        }
-        assert_eq!(lat.mean(), us(250));
-        assert_eq!(lat.percentile(0.5), us(200));
-        assert_eq!(lat.percentile(1.0), us(400));
-        assert_eq!(lat.percentile(0.0), us(100));
-        assert_eq!(lat.max(), us(400));
+        let mut samples = [400_000, 100_000, 300_000, 200_000];
+        let summary = LatencySummary::of(&mut samples);
+        assert_eq!(summary.count, 4);
+        assert_eq!(summary.mean, us(250));
+        assert_eq!(summary.p50, us(200));
+        assert_eq!(summary.p99, us(400));
+        assert_eq!(summary.max, us(400));
     }
 
     #[test]
     fn p99_is_nearest_rank() {
-        let mut lat = LatencyRecorder::new();
-        for v in 1..=1000u64 {
-            lat.record(SimDuration::from_nanos(v));
-        }
-        assert_eq!(lat.percentile(0.99).as_nanos(), 990);
+        let mut samples: Vec<u64> = (1..=1000).rev().collect();
+        let summary = LatencySummary::of(&mut samples);
+        assert_eq!(summary.p99.as_nanos(), 990);
+        assert_eq!(summary.p50.as_nanos(), 500);
+        assert_eq!(summary.max.as_nanos(), 1000);
     }
 
     #[test]
     fn interleaved_record_and_query_stay_consistent() {
-        let mut lat = LatencyRecorder::new();
-        lat.record(us(10));
-        lat.record(us(5));
-        assert_eq!(lat.percentile(1.0), us(10));
-        lat.record(us(1));
-        assert_eq!(lat.percentile(0.0), us(1));
-        assert_eq!(lat.count(), 3);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        a.record(us(1));
-        let mut b = LatencyRecorder::new();
-        b.record(us(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), us(2));
-    }
-
-    #[test]
-    fn running_max_tracks_record_and_merge() {
-        // Regression for the O(n)-per-call rescan: `max()` must stay
-        // exact through out-of-order records and merges in both
-        // directions, since it only sees values at insertion time.
-        let mut a = LatencyRecorder::new();
-        for v in [7, 2, 9, 3] {
-            a.record(us(v));
-        }
-        assert_eq!(a.max(), us(9));
-        let mut b = LatencyRecorder::new();
-        b.record(us(4));
-        b.merge(&a);
-        assert_eq!(b.max(), us(9));
-        a.merge(&b);
-        assert_eq!(a.max(), us(9));
-        a.record(us(11));
-        assert_eq!(a.max(), us(11));
-        assert_eq!(a.summary().max, us(11));
+        // A digest leaves the timeline as recorded, so later requests
+        // and later digests see every sample.
+        let mut tl = crate::Timeline::new();
+        tl.record_write(SimTime::ZERO, us(10));
+        tl.record_read(SimTime::ZERO, us(5));
+        assert_eq!(tl.summaries().2.max, us(10));
+        tl.record_write(SimTime::ZERO, us(1));
+        let (write, _, all) = tl.summaries();
+        assert_eq!((write.count, write.p50), (2, us(1)));
+        assert_eq!((all.count, all.p50, all.max), (3, us(5), us(10)));
     }
 
     #[test]
     fn summary_display_mentions_all_fields() {
-        let mut lat = LatencyRecorder::new();
-        lat.record(us(2));
-        let text = lat.summary().to_string();
+        let text = LatencySummary::of(&mut [2_000]).to_string();
         assert!(text.contains("n=1") && text.contains("p99="));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn percentile_rejects_out_of_range() {
-        let mut lat = LatencyRecorder::new();
-        lat.record(us(1));
-        let _ = lat.percentile(1.5);
     }
 }

@@ -6,8 +6,9 @@
 //! characterization section. This crate provides those primitives:
 //!
 //! * [`Counter`] — a monotone event counter,
-//! * [`LatencyRecorder`] — exact mean/percentile statistics over
-//!   recorded request latencies,
+//! * [`Timeline`] — every request's arrival and latency, windowed
+//!   over simulated time and digested into exact mean/percentile
+//!   [`LatencySummary`] values,
 //! * [`Cdf`] — empirical cumulative distribution over integer samples
 //!   (Fig 2-style "fraction of values with ≤ k invalidations"),
 //! * [`ShareCurve`] — Lorenz-style "top x% of values account for y% of
@@ -28,15 +29,16 @@
 //! # Examples
 //!
 //! ```
-//! use zssd_metrics::LatencyRecorder;
-//! use zssd_types::SimDuration;
+//! use zssd_metrics::Timeline;
+//! use zssd_types::{SimDuration, SimTime};
 //!
-//! let mut lat = LatencyRecorder::new();
+//! let mut timeline = Timeline::new();
 //! for us in [100u64, 200, 300, 400] {
-//!     lat.record(SimDuration::from_micros(us));
+//!     timeline.record_write(SimTime::ZERO, SimDuration::from_micros(us));
 //! }
-//! assert_eq!(lat.mean().as_nanos(), 250_000);
-//! assert_eq!(lat.percentile(0.99).as_nanos(), 400_000);
+//! let (write, _, _) = timeline.summaries();
+//! assert_eq!(write.mean.as_nanos(), 250_000);
+//! assert_eq!(write.p99.as_nanos(), 400_000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +60,7 @@ pub use export::{
     events_to_csv, events_to_json, windows_from_json, windows_to_csv, windows_to_json, Json,
     JsonParseError,
 };
-pub use latency::{LatencyRecorder, LatencySummary};
+pub use latency::LatencySummary;
 pub use registry::{CounterRegistry, PhaseTimers, PhaseTotal};
 pub use share::{ShareCurve, SharePoint};
 pub use timeline::{Timeline, WindowStat};

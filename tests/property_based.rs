@@ -14,12 +14,31 @@ use zombie_ssd::core::{
 };
 use zombie_ssd::flash::FaultConfig;
 use zombie_ssd::ftl::{Ssd, SsdConfig};
-use zombie_ssd::metrics::{Cdf, LatencyRecorder, ShareCurve};
+use zombie_ssd::metrics::{Cdf, LatencySummary, ShareCurve, Timeline};
 use zombie_ssd::trace::{ArrivalProcess, SyntheticTrace, TraceRecord, WorkloadProfile};
 use zombie_ssd::types::{
     Fingerprint, Lpn, PopularityDegree, Ppn, SimDuration, SimTime, ValueId, WriteClock,
 };
 use zssd_bench::{run_grid_with_threads, GridCell};
+
+/// The latency digest of `ns` computed the plain way: sort everything,
+/// then index the nearest ranks. All zero when empty.
+fn sorted_digest(mut ns: Vec<u64>) -> LatencySummary {
+    ns.sort_unstable();
+    let n = ns.len();
+    if n == 0 {
+        return LatencySummary::default();
+    }
+    let rank = |q: f64| ns[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+    let sum: u128 = ns.iter().map(|&v| u128::from(v)).sum();
+    LatencySummary {
+        count: n as u64,
+        mean: SimDuration::from_nanos((sum / n as u128) as u64),
+        p50: SimDuration::from_nanos(rank(0.50)),
+        p99: SimDuration::from_nanos(rank(0.99)),
+        max: SimDuration::from_nanos(ns[n - 1]),
+    }
+}
 
 /// The block size the pool-model exercise's pools are built with.
 const PAGES_PER_BLOCK: u32 = 64;
@@ -252,16 +271,32 @@ proptest! {
     }
 
     #[test]
-    fn latency_percentiles_are_ordered(samples in prop::collection::vec(0u64..10_000_000, 1..300)) {
-        let mut rec = LatencyRecorder::new();
-        for &s in &samples {
-            rec.record(SimDuration::from_nanos(s));
+    fn latency_percentiles_are_ordered(
+        samples in prop::collection::vec((0u64..10_000_000, any::<bool>()), 1..300),
+    ) {
+        let mut timeline = Timeline::new();
+        for &(ns, is_read) in &samples {
+            let at = SimTime::from_nanos(ns / 7);
+            if is_read {
+                timeline.record_read(at, SimDuration::from_nanos(ns));
+            } else {
+                timeline.record_write(at, SimDuration::from_nanos(ns));
+            }
         }
-        let summary = rec.summary();
-        prop_assert!(summary.p50 <= summary.p99);
-        prop_assert!(summary.p99 <= summary.max);
-        prop_assert!(summary.mean <= summary.max);
-        prop_assert_eq!(summary.count, samples.len() as u64);
+        let side = |read: bool| samples.iter().filter(|s| s.1 == read).map(|s| s.0).collect();
+        let (write, read, all) = timeline.summaries();
+        let expected = [
+            (write, side(false)),
+            (read, side(true)),
+            (all, samples.iter().map(|s| s.0).collect()),
+        ];
+        for (summary, ns) in expected {
+            prop_assert_eq!(summary, sorted_digest(ns));
+            prop_assert!(summary.p50 <= summary.p99);
+            prop_assert!(summary.p99 <= summary.max);
+            prop_assert!(summary.mean <= summary.max);
+        }
+        prop_assert_eq!(all.count, samples.len() as u64);
     }
 
     #[test]
