@@ -171,11 +171,6 @@ impl ValueLifecycles {
         self.total_writes
     }
 
-    /// Total deaths across all values.
-    pub fn total_deaths(&self) -> u64 {
-        self.values.values().map(|s| s.deaths).sum()
-    }
-
     /// Total rebirths across all values. Equals the reusable-write
     /// count of [`infinite_reuse`](crate::infinite_reuse) by
     /// construction (a rebirth is a write arriving while a dead copy

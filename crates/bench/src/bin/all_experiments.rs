@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use zssd_bench::{
     experiment_profiles, grid_for, grid_threads, pct, run_grid, run_grid_with_threads,
-    scaled_entries, TextTable, PAPER_POOL_ENTRIES,
+    scaled_entries, vs_baseline_table, PAPER_POOL_ENTRIES,
 };
 use zssd_core::SystemKind;
 use zssd_ftl::RunReport;
@@ -95,7 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run_grid(cells)?
     };
 
-    let mut all: Vec<(String, &[RunReport])> = Vec::new();
     for (profile, reports) in profiles.iter().zip(reports.chunks(systems.len())) {
         eprintln!("[{}]", profile.name);
         for r in reports {
@@ -107,89 +106,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 r.mean_latency()
             );
         }
-        all.push((profile.name.clone(), reports));
     }
 
-    // Write reduction (Fig 9 / 14 style) -----------------------------
-    let mut writes = TextTable::new(vec![
-        "trace",
-        "DVP",
-        "LRU-DVP",
-        "Ideal",
-        "LX-SSD",
-        "Dedup",
-        "DVP+Dedup",
-    ]);
-    let mut erase = TextTable::new(vec![
-        "trace",
-        "DVP",
-        "LRU-DVP",
-        "Ideal",
-        "LX-SSD",
-        "Dedup",
-        "DVP+Dedup",
-    ]);
-    let mut mean_lat = TextTable::new(vec![
-        "trace",
-        "DVP",
-        "LRU-DVP",
-        "Ideal",
-        "LX-SSD",
-        "Dedup",
-        "DVP+Dedup",
-    ]);
-    let mut tail_lat = TextTable::new(vec![
-        "trace",
-        "DVP",
-        "LRU-DVP",
-        "Ideal",
-        "LX-SSD",
-        "Dedup",
-        "DVP+Dedup",
-    ]);
-    let mut sums = [[0.0f64; 6]; 4];
-    for (name, reports) in &all {
-        let base = &reports[0];
-        let mut wr = vec![name.clone()];
-        let mut er = vec![name.clone()];
-        let mut ml = vec![name.clone()];
-        let mut tl = vec![name.clone()];
-        for (i, r) in reports[1..].iter().enumerate() {
-            let w = reduction_pct(base.flash_programs as f64, r.flash_programs as f64);
-            let e = reduction_pct(base.erases as f64, r.erases as f64);
-            let m = reduction_pct(
-                base.mean_latency().as_nanos() as f64,
-                r.mean_latency().as_nanos() as f64,
-            );
-            let t = reduction_pct(
-                base.tail_latency().as_nanos() as f64,
-                r.tail_latency().as_nanos() as f64,
-            );
-            sums[0][i] += w;
-            sums[1][i] += e;
-            sums[2][i] += m;
-            sums[3][i] += t;
-            wr.push(pct(w));
-            er.push(pct(e));
-            ml.push(pct(m));
-            tl.push(pct(t));
-        }
-        writes.row(wr);
-        erase.row(er);
-        mean_lat.row(ml);
-        tail_lat.row(tl);
-    }
-    let n = all.len() as f64;
-    for (table, sums) in [
-        (&mut writes, &sums[0]),
-        (&mut erase, &sums[1]),
-        (&mut mean_lat, &sums[2]),
-        (&mut tail_lat, &sums[3]),
-    ] {
-        let mut row = vec!["MEAN".to_owned()];
-        row.extend(sums.iter().map(|&s| pct(s / n)));
-        table.row(row);
-    }
+    let table = |metric: fn(&RunReport) -> u64| {
+        vs_baseline_table(
+            vec![
+                "trace",
+                "DVP",
+                "LRU-DVP",
+                "Ideal",
+                "LX-SSD",
+                "Dedup",
+                "DVP+Dedup",
+            ],
+            &profiles,
+            &reports,
+            |base, r| reduction_pct(metric(base) as f64, metric(r) as f64),
+            pct,
+        )
+    };
+    let writes = table(|r| r.flash_programs);
+    let erase = table(|r| r.erases);
+    let mean_lat = table(|r| r.mean_latency().as_nanos());
+    let tail_lat = table(|r| r.tail_latency().as_nanos());
 
     println!("\n== % write (NAND program) reduction vs Baseline  [Figs 9, 14]\n{writes}");
     println!("\n== % erase reduction vs Baseline  [Fig 10]\n{erase}");

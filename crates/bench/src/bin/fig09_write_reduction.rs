@@ -9,7 +9,8 @@
 //! through the parallel grid executor (`ZSSD_THREADS` to pin).
 
 use zssd_bench::{
-    experiment_profiles, grid_for, maybe_write_csv, pct, run_grid, scaled_entries, TextTable,
+    experiment_profiles, grid_for, maybe_write_csv, pct, run_grid, scaled_entries,
+    vs_baseline_table,
 };
 use zssd_core::SystemKind;
 use zssd_metrics::reduction_pct;
@@ -29,29 +30,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         SystemKind::Ideal,
     ];
-    let mut table = TextTable::new(vec!["trace", "DVP-100K", "DVP-200K", "DVP-300K", "Ideal"]);
-    let mut means = [0.0f64; 4];
     let profiles = experiment_profiles();
     let reports = run_grid(grid_for(&profiles, &systems))?;
-    for (profile, reports) in profiles.iter().zip(reports.chunks(systems.len())) {
-        let baseline = &reports[0];
-        let mut cells = vec![profile.name.clone()];
-        for (i, report) in reports[1..].iter().enumerate() {
-            let red = reduction_pct(baseline.flash_programs as f64, report.flash_programs as f64);
-            means[i] += red;
-            cells.push(pct(red));
-        }
-        table.row(cells);
-        eprintln!("  [{}] done", profile.name);
-    }
-    let n = profiles.len() as f64;
-    table.row(vec![
-        "MEAN".into(),
-        pct(means[0] / n),
-        pct(means[1] / n),
-        pct(means[2] / n),
-        pct(means[3] / n),
-    ]);
+    let table = vs_baseline_table(
+        vec!["trace", "DVP-100K", "DVP-200K", "DVP-300K", "Ideal"],
+        &profiles,
+        &reports,
+        |base, r| reduction_pct(base.flash_programs as f64, r.flash_programs as f64),
+        pct,
+    );
     maybe_write_csv("fig09_write_reduction", &table);
     println!("{table}");
     println!("paper: mean 29% at 200K entries, up to 70% (mail); gains saturate beyond 200K");

@@ -5,7 +5,7 @@
 
 use zssd_bench::{
     experiment_profiles, grid_for, grid_metrics_json, maybe_write_csv, maybe_write_metrics, pct,
-    run_grid, scaled_entries, TextTable, PAPER_POOL_ENTRIES,
+    run_grid, scaled_entries, vs_baseline_table, PAPER_POOL_ENTRIES,
 };
 use zssd_core::SystemKind;
 use zssd_metrics::reduction_pct;
@@ -19,27 +19,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         SystemKind::Ideal,
     ];
-    let mut table = TextTable::new(vec!["trace", "DVP-200K", "Ideal"]);
-    let mut mean = [0.0f64; 2];
     let profiles = experiment_profiles();
     let cells = grid_for(&profiles, &systems);
-    let all = run_grid(cells.clone())?;
+    let reports = run_grid(cells.clone())?;
     maybe_write_metrics(
         "fig10_erase_reduction",
         "json",
-        &grid_metrics_json(&cells, &all),
+        &grid_metrics_json(&cells, &reports),
     );
-    for (profile, reports) in profiles.iter().zip(all.chunks(systems.len())) {
-        let base = reports[0].erases as f64;
-        let dvp = reduction_pct(base, reports[1].erases as f64);
-        let ideal = reduction_pct(base, reports[2].erases as f64);
-        mean[0] += dvp;
-        mean[1] += ideal;
-        table.row(vec![profile.name.clone(), pct(dvp), pct(ideal)]);
-        eprintln!("  [{}] done", profile.name);
-    }
-    let n = profiles.len() as f64;
-    table.row(vec!["MEAN".into(), pct(mean[0] / n), pct(mean[1] / n)]);
+    let table = vs_baseline_table(
+        vec!["trace", "DVP-200K", "Ideal"],
+        &profiles,
+        &reports,
+        |base, r| reduction_pct(base.erases as f64, r.erases as f64),
+        pct,
+    );
     maybe_write_csv("fig10_erase_reduction", &table);
     println!("{table}");
     println!("paper: mean 35.5% erase reduction, up to 59.2% (mail); trend follows Fig 9");

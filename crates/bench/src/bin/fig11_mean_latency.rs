@@ -6,7 +6,7 @@
 
 use zssd_bench::{
     arrival_spec, experiment_profiles, grid_for, maybe_write_csv, pct, run_grid, scaled_entries,
-    TextTable, PAPER_POOL_ENTRIES,
+    vs_baseline_table, PAPER_POOL_ENTRIES,
 };
 use zssd_core::SystemKind;
 use zssd_metrics::reduction_pct;
@@ -23,21 +23,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SystemKind::MqDvp { entries },
         SystemKind::LxSsd { entries },
     ];
-    let mut table = TextTable::new(vec!["trace", "DVP", "LX-SSD"]);
-    let mut mean = [0.0f64; 2];
     let profiles = experiment_profiles();
-    let all = run_grid(grid_for(&profiles, &systems))?;
-    for (profile, reports) in profiles.iter().zip(all.chunks(systems.len())) {
-        let base = reports[0].mean_latency().as_nanos() as f64;
-        let dvp = reduction_pct(base, reports[1].mean_latency().as_nanos() as f64);
-        let lx = reduction_pct(base, reports[2].mean_latency().as_nanos() as f64);
-        mean[0] += dvp;
-        mean[1] += lx;
-        table.row(vec![profile.name.clone(), pct(dvp), pct(lx)]);
-        eprintln!("  [{}] done", profile.name);
-    }
-    let n = profiles.len() as f64;
-    table.row(vec!["MEAN".into(), pct(mean[0] / n), pct(mean[1] / n)]);
+    let reports = run_grid(grid_for(&profiles, &systems))?;
+    let table = vs_baseline_table(
+        vec!["trace", "DVP", "LX-SSD"],
+        &profiles,
+        &reports,
+        |base, r| {
+            reduction_pct(
+                base.mean_latency().as_nanos() as f64,
+                r.mean_latency().as_nanos() as f64,
+            )
+        },
+        pct,
+    );
     maybe_write_csv("fig11_mean_latency", &table);
     println!("{table}");
     println!("paper: DVP improves mean latency 4.8%-52% (mean 24.5%) and beats LX-SSD");

@@ -5,7 +5,7 @@
 
 use zssd_bench::{
     experiment_profiles, frac_pct, grid_for, grid_metrics_json, maybe_write_csv,
-    maybe_write_metrics, run_grid, scaled_entries, TextTable, PAPER_POOL_ENTRIES,
+    maybe_write_metrics, run_grid, scaled_entries, vs_baseline_table, PAPER_POOL_ENTRIES,
 };
 use zssd_core::SystemKind;
 
@@ -18,34 +18,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SystemKind::MqDvp { entries },
         SystemKind::DvpPlusDedup { entries },
     ];
-    let mut table = TextTable::new(vec!["trace", "Dedup", "DVP", "DVP+Dedup"]);
-    let mut sums = [0.0f64; 3];
     let profiles = experiment_profiles();
     let cells = grid_for(&profiles, &systems);
-    let all = run_grid(cells.clone())?;
+    let reports = run_grid(cells.clone())?;
     maybe_write_metrics(
         "fig14_dedup_writes",
         "json",
-        &grid_metrics_json(&cells, &all),
+        &grid_metrics_json(&cells, &reports),
     );
-    for (profile, reports) in profiles.iter().zip(all.chunks(systems.len())) {
-        let base = reports[0].flash_programs as f64;
-        let mut cells = vec![profile.name.clone()];
-        for (i, report) in reports[1..].iter().enumerate() {
-            let normalized = report.flash_programs as f64 / base;
-            sums[i] += normalized;
-            cells.push(frac_pct(normalized));
-        }
-        table.row(cells);
-        eprintln!("  [{}] done", profile.name);
-    }
-    let n = profiles.len() as f64;
-    table.row(vec![
-        "MEAN".into(),
-        frac_pct(sums[0] / n),
-        frac_pct(sums[1] / n),
-        frac_pct(sums[2] / n),
-    ]);
+    let table = vs_baseline_table(
+        vec!["trace", "Dedup", "DVP", "DVP+Dedup"],
+        &profiles,
+        &reports,
+        |base, r| r.flash_programs as f64 / base.flash_programs as f64,
+        frac_pct,
+    );
     maybe_write_csv("fig14_dedup_writes", &table);
     println!("{table}");
     println!("paper: dedup alone removes ~40.5% of writes; adding the DVP removes");

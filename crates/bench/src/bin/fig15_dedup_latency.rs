@@ -4,8 +4,8 @@
 //! Run with `cargo run -p zssd-bench --release --bin fig15_dedup_latency`.
 
 use zssd_bench::{
-    experiment_profiles, grid_for, maybe_write_csv, pct, run_grid, scaled_entries, TextTable,
-    PAPER_POOL_ENTRIES,
+    experiment_profiles, grid_for, maybe_write_csv, pct, run_grid, scaled_entries,
+    vs_baseline_table, PAPER_POOL_ENTRIES,
 };
 use zssd_core::SystemKind;
 use zssd_metrics::reduction_pct;
@@ -19,28 +19,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SystemKind::Dedup,
         SystemKind::DvpPlusDedup { entries },
     ];
-    let mut table = TextTable::new(vec!["trace", "DVP", "Dedup", "DVP+Dedup"]);
-    let mut sums = [0.0f64; 3];
     let profiles = experiment_profiles();
-    let all = run_grid(grid_for(&profiles, &systems))?;
-    for (profile, reports) in profiles.iter().zip(all.chunks(systems.len())) {
-        let base = reports[0].mean_latency().as_nanos() as f64;
-        let mut cells = vec![profile.name.clone()];
-        for (i, report) in reports[1..].iter().enumerate() {
-            let improvement = reduction_pct(base, report.mean_latency().as_nanos() as f64);
-            sums[i] += improvement;
-            cells.push(pct(improvement));
-        }
-        table.row(cells);
-        eprintln!("  [{}] done", profile.name);
-    }
-    let n = profiles.len() as f64;
-    table.row(vec![
-        "MEAN".into(),
-        pct(sums[0] / n),
-        pct(sums[1] / n),
-        pct(sums[2] / n),
-    ]);
+    let reports = run_grid(grid_for(&profiles, &systems))?;
+    let table = vs_baseline_table(
+        vec!["trace", "DVP", "Dedup", "DVP+Dedup"],
+        &profiles,
+        &reports,
+        |base, r| {
+            reduction_pct(
+                base.mean_latency().as_nanos() as f64,
+                r.mean_latency().as_nanos() as f64,
+            )
+        },
+        pct,
+    );
     maybe_write_csv("fig15_dedup_latency", &table);
     println!("{table}");
     println!("paper: dedup improves latency by up to 58.5%; stacking the DVP adds");

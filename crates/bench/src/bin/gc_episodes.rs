@@ -7,32 +7,28 @@
 //! Run with `cargo run -p zssd-bench --release --bin gc_episodes`.
 
 use zssd_bench::{
-    config_for, frac_pct, maybe_write_metrics, scale, scaled_entries, trace_for, TextTable,
+    frac_pct, grid_for, maybe_write_metrics, run_grid, scale, scaled_entries, TextTable,
     METRICS_WINDOW, PAPER_POOL_ENTRIES,
 };
 use zssd_core::SystemKind;
-use zssd_ftl::Ssd;
 use zssd_metrics::{windows_to_csv, windows_to_json};
 use zssd_trace::WorkloadProfile;
 use zssd_types::SimDuration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = WorkloadProfile::mail().scaled(scale());
-    let trace = trace_for(&profile);
     let window = METRICS_WINDOW;
     let threshold = SimDuration::from_millis(4); // ~ one erase stall
 
-    let baseline =
-        Ssd::new(config_for(&profile, SystemKind::Baseline))?.run_trace(trace.records())?;
-    eprintln!("  [baseline] done");
-    let dvp = Ssd::new(config_for(
-        &profile,
+    let systems = [
+        SystemKind::Baseline,
         SystemKind::MqDvp {
             entries: scaled_entries(PAPER_POOL_ENTRIES),
         },
-    ))?
-    .run_trace(trace.records())?;
-    eprintln!("  [dvp] done");
+    ];
+    let [baseline, dvp]: [_; 2] = run_grid(grid_for(&[profile], &systems))?
+        .try_into()
+        .expect("one report per system");
 
     println!("GC latency episodes (mail): windows of {window}, episode = max > {threshold}\n");
     let base_windows = baseline.timeline.windows(window);

@@ -5,6 +5,13 @@
 //! share: the experiment workload set, full-system runners, and plain
 //! text-table rendering.
 //!
+//! The paper reports its evaluation figures as changes against
+//! Baseline, and every such table — Figs 9, 10, 11, 14, 15 and the four
+//! tables of `all_experiments` — is built by [`vs_baseline_table`]
+//! from a metric of (Baseline report, report). Fig 12 builds its own
+//! rows: five of its seven columns are absolute latencies and ratios
+//! with no meaningful mean.
+//!
 //! Scale: experiments default to the paper-sized traces (150 K
 //! requests/day × 3 days per workload). Set `ZSSD_SCALE` (e.g. `0.1`)
 //! to shrink every trace and footprint proportionally for quick runs,
@@ -156,11 +163,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Convenience: formats and appends a row of displayable cells.
-    pub fn row_display<D: Display>(&mut self, cells: Vec<D>) {
-        self.row(cells.into_iter().map(|c| c.to_string()).collect());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -234,19 +236,24 @@ impl TextTable {
     }
 }
 
+/// Writes `contents` as `file` into the directory named by the
+/// environment variable `var`, if set. Silent no-op otherwise; I/O
+/// errors are reported to stderr but never fail an experiment.
+fn write_to_env_dir(var: &str, file: &str, contents: &str) {
+    let Ok(dir) = std::env::var(var) else {
+        return;
+    };
+    let path = std::path::Path::new(&dir).join(file);
+    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, contents)) {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    }
+}
+
 /// Writes a table as `<name>.csv` into the directory named by the
 /// `ZSSD_CSV` environment variable, if set. Silent no-op otherwise;
 /// I/O errors are reported to stderr but never fail an experiment.
 pub fn maybe_write_csv(name: &str, table: &TextTable) {
-    let Ok(dir) = std::env::var("ZSSD_CSV") else {
-        return;
-    };
-    let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, table.to_csv()))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    write_to_env_dir("ZSSD_CSV", &format!("{name}.csv"), &table.to_csv());
 }
 
 /// Serializes a whole experiment grid as one deterministic JSON
@@ -290,13 +297,52 @@ pub fn grid_metrics_json(cells: &[GridCell], reports: &[RunReport]) -> String {
 /// [`maybe_write_csv`]. Silent no-op otherwise; I/O errors are
 /// reported to stderr but never fail an experiment.
 pub fn maybe_write_metrics(name: &str, ext: &str, contents: &str) {
-    let Ok(dir) = std::env::var("ZSSD_METRICS") else {
-        return;
-    };
-    let path = std::path::Path::new(&dir).join(format!("{name}.{ext}"));
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, contents)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
+    write_to_env_dir("ZSSD_METRICS", &format!("{name}.{ext}"), contents);
+}
+
+/// Builds the table every vs-Baseline figure prints: one row per
+/// workload, one column per non-Baseline system, and a final `MEAN`
+/// row holding each column's mean across the workloads.
+///
+/// `reports` is the row-major output of a [`grid_for`] grid over
+/// `profiles` whose first system is Baseline, so each row of reports
+/// is `headers.len()` wide: the Baseline report stands in the row-label
+/// column. Each cell is `format(metric(baseline, report))`, where
+/// `baseline` is the Baseline report of the cell's own row.
+///
+/// # Panics
+///
+/// Panics if `reports` does not hold `headers.len()` reports for each
+/// profile.
+pub fn vs_baseline_table(
+    headers: Vec<&str>,
+    profiles: &[WorkloadProfile],
+    reports: &[RunReport],
+    metric: impl Fn(&RunReport, &RunReport) -> f64,
+    format: impl Fn(f64) -> String,
+) -> TextTable {
+    let width = headers.len();
+    assert_eq!(
+        reports.len(),
+        profiles.len() * width,
+        "each workload needs one report per header column"
+    );
+    let mut table = TextTable::new(headers);
+    let mut sums = vec![0.0f64; width - 1];
+    for (profile, row) in profiles.iter().zip(reports.chunks(width)) {
+        let mut cells = vec![profile.name.clone()];
+        for (sum, report) in sums.iter_mut().zip(&row[1..]) {
+            let value = metric(&row[0], report);
+            *sum += value;
+            cells.push(format(value));
+        }
+        table.row(cells);
     }
+    let n = profiles.len() as f64;
+    let mut mean = vec!["MEAN".to_owned()];
+    mean.extend(sums.iter().map(|&sum| format(sum / n)));
+    table.row(mean);
+    table
 }
 
 /// Formats a percentage with one decimal.
@@ -317,7 +363,7 @@ mod tests {
     fn table_renders_aligned() {
         let mut t = TextTable::new(vec!["a", "quantity"]);
         t.row(vec!["x".into(), "1".into()]);
-        t.row_display(vec![12, 345]);
+        t.row(vec!["12".into(), "345".into()]);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -343,6 +389,67 @@ mod tests {
         assert_eq!(lines[0], "name,note");
         assert_eq!(lines[1], "\"a,b\",\"say \"\"hi\"\"\"");
         assert_eq!(lines[2], "plain,ok");
+    }
+
+    /// Two workloads' rows of three reports (Baseline first), each an
+    /// empty Baseline run with the given NAND program counts.
+    fn two_rows(programs: [[u64; 3]; 2]) -> (Vec<WorkloadProfile>, Vec<RunReport>) {
+        let profiles: Vec<WorkloadProfile> = WorkloadProfile::paper_set()
+            .into_iter()
+            .take(2)
+            .map(|p| p.scaled(0.002))
+            .collect();
+        let empty = zssd_ftl::Ssd::new(config_for(&profiles[0], SystemKind::Baseline))
+            .and_then(|ssd| ssd.run_trace(&[]))
+            .expect("empty run");
+        let reports = programs
+            .iter()
+            .flatten()
+            .map(|&flash_programs| RunReport {
+                flash_programs,
+                ..empty.clone()
+            })
+            .collect();
+        (profiles, reports)
+    }
+
+    fn program_ratio(baseline: &RunReport, report: &RunReport) -> f64 {
+        report.flash_programs as f64 / baseline.flash_programs as f64
+    }
+
+    #[test]
+    fn vs_baseline_rows_use_their_own_baseline() {
+        let (profiles, reports) = two_rows([[100, 50, 25], [10, 5, 20]]);
+        let t = vs_baseline_table(
+            vec!["trace", "a", "b"],
+            &profiles,
+            &reports,
+            program_ratio,
+            |x| x.to_string(),
+        );
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.rows[0], ["web", "0.5", "0.25"]);
+        assert_eq!(t.rows[1], ["home", "0.5", "2"]);
+    }
+
+    #[test]
+    fn vs_baseline_mean_row_averages_each_column() {
+        let (profiles, reports) = two_rows([[100, 50, 25], [10, 5, 20]]);
+        let t = vs_baseline_table(
+            vec!["trace", "a", "b"],
+            &profiles,
+            &reports,
+            program_ratio,
+            |x| x.to_string(),
+        );
+        assert_eq!(t.rows[2], ["MEAN", "0.5", "1.125"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one report per header column")]
+    fn vs_baseline_rejects_headers_narrower_than_a_row() {
+        let (profiles, reports) = two_rows([[100, 50, 25], [10, 5, 20]]);
+        let _ = vs_baseline_table(vec!["trace", "a"], &profiles, &reports, program_ratio, pct);
     }
 
     #[test]

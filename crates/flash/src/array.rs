@@ -206,11 +206,6 @@ impl FlashArray {
         }
     }
 
-    /// The fault configuration this array injects from.
-    pub fn fault_config(&self) -> &FaultConfig {
-        self.fault.config()
-    }
-
     /// The array's geometry.
     pub fn geometry(&self) -> &Geometry {
         &self.geometry
@@ -661,11 +656,6 @@ impl FlashArray {
     /// Total bad (program-failed or retired) pages across the device.
     pub fn total_bad_pages(&self) -> u64 {
         self.blocks.iter().map(|b| u64::from(b.bad_count)).sum()
-    }
-
-    /// Total free (programmable) pages across the device.
-    pub fn total_free_pages(&self) -> u64 {
-        self.blocks.iter().map(|b| u64::from(b.free_count())).sum()
     }
 
     /// Wear summary across all blocks (min/max/mean erase counts) —

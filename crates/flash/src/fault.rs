@@ -46,6 +46,8 @@
 
 use core::fmt;
 
+use zssd_types::splitmix64;
+
 /// Which NAND operation a fault decision applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -295,11 +297,6 @@ impl FaultPlan {
         FaultPlan { config, ops: 0 }
     }
 
-    /// The configuration this plan decides from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// Decides whether the next operation of `kind` on `target` (a
     /// page or block index) fails, given the wear of the block it
     /// touches. Each call consumes one slot of the decision stream.
@@ -320,16 +317,10 @@ impl FaultPlan {
         if p <= 0.0 {
             return false;
         }
-        unit_interval(mix(self.config.seed ^ mix(kind.salt() ^ target) ^ mix(op))) < p
+        unit_interval(splitmix64(
+            self.config.seed ^ splitmix64(kind.salt() ^ target) ^ splitmix64(op),
+        )) < p
     }
-}
-
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Maps a hash to a uniform float in `[0, 1)` from its top 53 bits.

@@ -298,7 +298,6 @@ impl fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_types::SimTime;
 
     fn summary() -> LatencySummary {
         let us = SimDuration::from_micros(10);
@@ -353,7 +352,6 @@ mod tests {
         assert_eq!(r.program_fraction(), 0.8);
         assert_eq!(r.mean_latency(), SimDuration::from_micros(10));
         assert_eq!(r.tail_latency(), SimDuration::from_micros(10));
-        let _ = SimTime::ZERO; // silence unused import lint paths
     }
 
     #[test]

@@ -65,13 +65,6 @@ impl CounterRegistry {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&name, &value)| (name, value))
     }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &CounterRegistry) {
-        for (name, value) in other.iter() {
-            self.add(name, value);
-        }
-    }
 }
 
 /// Accumulated simulated time and invocation count of one phase.
@@ -141,15 +134,6 @@ impl PhaseTimers {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, PhaseTotal)> + '_ {
         self.phases.iter().map(|(&name, &total)| (name, total))
     }
-
-    /// Accumulates every phase of `other` into `self`.
-    pub fn merge(&mut self, other: &PhaseTimers) {
-        for (name, total) in other.iter() {
-            let entry = self.phases.entry(name).or_default();
-            entry.total += total.total;
-            entry.count += total.count;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +141,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_orders_and_merges() {
+    fn registry_orders_and_accumulates() {
         let mut a = CounterRegistry::new();
         a.add("zeta", 1);
         a.add("alpha", 2);
-        let mut b = CounterRegistry::new();
-        b.add("alpha", 3);
-        b.incr("mid");
-        a.merge(&b);
+        a.add("alpha", 3);
+        a.incr("mid");
         let entries: Vec<(&str, u64)> = a.iter().collect();
         assert_eq!(entries, vec![("alpha", 5), ("mid", 1), ("zeta", 1)]);
         assert_eq!(a.len(), 3);
@@ -185,14 +167,10 @@ mod tests {
         assert_eq!(timers.get("nothing"), PhaseTotal::default());
         assert_eq!(PhaseTotal::default().mean(), SimDuration::ZERO);
 
-        let mut merged = PhaseTimers::new();
-        merged.add("erase", SimDuration::from_micros(5));
-        merged.merge(&timers);
-        assert_eq!(merged.get("erase").count, 2);
-        assert_eq!(merged.get("relocate").total, SimDuration::from_micros(40));
-        let names: Vec<&str> = merged.iter().map(|(n, _)| n).collect();
+        let names: Vec<&str> = timers.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["erase", "relocate"], "deterministic order");
-        assert_eq!(merged.len(), 2);
-        assert!(!merged.is_empty());
+        assert_eq!(timers.len(), 2);
+        assert!(!timers.is_empty());
+        assert!(PhaseTimers::new().is_empty());
     }
 }

@@ -50,9 +50,14 @@ impl ShareCurve {
     /// order as another curve's descending-weight order. Used when
     /// Fig 3(b)/(c) plot invalidations/rebirths but keep the x-axis
     /// sorted by write count: pass `(write_count, event_count)` pairs.
+    ///
+    /// Items are ordered by write count descending; items with equal
+    /// write counts are ordered by event count descending. The order
+    /// is a function of the pairs alone, so the curve does not depend
+    /// on the order they arrive in (e.g. a hash map's).
     pub fn from_keyed_weights<I: IntoIterator<Item = (u64, u64)>>(pairs: I) -> Self {
         let mut keyed: Vec<(u64, u64)> = pairs.into_iter().collect();
-        keyed.sort_unstable_by_key(|&(writes, _)| std::cmp::Reverse(writes));
+        keyed.sort_unstable_by(|a, b| b.cmp(a));
         let sorted_desc: Vec<u64> = keyed.into_iter().map(|(_, e)| e).collect();
         let total = sorted_desc.iter().map(|&w| u128::from(w)).sum();
         ShareCurve { sorted_desc, total }
@@ -159,6 +164,18 @@ mod tests {
         // Sorted by writes, the top-50% item contributes 1 of 10 rebirths.
         let curve = ShareCurve::from_keyed_weights([(10u64, 1u64), (1, 9)]);
         assert_eq!(curve.share_of_top(0.5), 0.1);
+    }
+
+    #[test]
+    fn keyed_weights_ignore_input_order() {
+        // Four items tie at 5 writes; the top third must not depend on
+        // which of them arrives first.
+        let pairs = [(5u64, 1u64), (5, 7), (9, 0), (5, 3), (1, 4), (5, 0)];
+        let forward = ShareCurve::from_keyed_weights(pairs);
+        let backward = ShareCurve::from_keyed_weights(pairs.iter().rev().copied());
+        assert_eq!(forward, backward);
+        // Top 2 of 6: the 9-write item, then the tied item with most events.
+        assert_eq!(forward.share_of_top(1.0 / 3.0), 7.0 / 15.0);
     }
 
     #[test]

@@ -29,9 +29,9 @@ use zssd_core::SystemKind;
 use zssd_flash::FaultConfig;
 use zssd_ftl::{RunReport, Ssd, SsdConfig, SsdError};
 use zssd_trace::{ArrivalProcess, IoOp, TraceRecord};
-use zssd_types::{SimDuration, ValueId};
+use zssd_types::{splitmix64, SimDuration, ValueId};
 
-use crate::gen::{generate, mix, GenConfig};
+use crate::gen::{generate, GenConfig};
 use crate::shrink::shrink;
 use crate::spec::{OracleDrive, OracleStats};
 
@@ -76,7 +76,7 @@ pub fn moderate_faults(seed: u64) -> FaultConfig {
     } else {
         env
     };
-    base.with_seed(mix(seed ^ 0xFA01))
+    base.with_seed(splitmix64(seed ^ 0xFA01))
 }
 
 /// One cell of the differential grid.
@@ -110,10 +110,13 @@ pub fn standard_grid(seed: u64) -> Vec<DiffCell> {
     let gap = SimDuration::from_micros(50);
     let arrivals = [
         ("constant", ArrivalProcess::constant(gap)),
-        ("poisson", ArrivalProcess::poisson(gap, mix(seed ^ 0xA201))),
+        (
+            "poisson",
+            ArrivalProcess::poisson(gap, splitmix64(seed ^ 0xA201)),
+        ),
         (
             "bursty",
-            ArrivalProcess::bursty(gap, 8.0, mix(seed ^ 0xA202)),
+            ArrivalProcess::bursty(gap, 8.0, splitmix64(seed ^ 0xA202)),
         ),
     ];
     let mut cells = Vec::with_capacity(systems.len() * faults.len() * arrivals.len());

@@ -1,7 +1,7 @@
 //! Seeded adversarial command-sequence generator.
 //!
-//! Traces come out of a [`FuzzRng`] built on the same splitmix64
-//! finalizer as `zssd_flash::fault` — pure functions of the seed, no
+//! Traces come out of a [`FuzzRng`] built on the workspace's one
+//! splitmix64 finalizer ([`zssd_types::splitmix64`]) — pure functions of the seed, no
 //! global state, so a seed printed by a failing CI run reproduces the
 //! exact trace on any machine (DESIGN.md §12).
 //!
@@ -26,16 +26,7 @@
 //! self-checking through `RunReport::read_mismatches` too.
 
 use zssd_trace::{initial_value_of, TraceRecord};
-use zssd_types::{Lpn, ValueId};
-
-/// The splitmix64 finalizer — the same mixing discipline as
-/// `zssd_flash::fault`, kept private there and small enough to restate.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use zssd_types::{splitmix64, Lpn, ValueId};
 
 /// A tiny deterministic generator: a splitmix64 counter stream. Not a
 /// statistical-quality PRNG — a reproducibility contract. The same
@@ -48,13 +39,15 @@ pub struct FuzzRng {
 impl FuzzRng {
     /// A generator seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        FuzzRng { state: mix(seed) }
+        FuzzRng {
+            state: splitmix64(seed),
+        }
     }
 
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix(self.state)
+        splitmix64(self.state)
     }
 
     /// A uniform draw in `0..n` (`n > 0`; the modulo bias is harmless
