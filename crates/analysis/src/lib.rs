@@ -3,7 +3,13 @@
 //! "Note that the studies throughout this section are done by
 //! analyzing the traces and keeping track of accesses and updates
 //! which result in creation of garbage pages, and reusing them." —
-//! this crate is that machinery:
+//! this crate is that machinery. One private content replay steps the
+//! trace: a write finds a dead copy, a live copy or nothing of its
+//! value, and an overwrite or a trim kills a copy. It counts by one of
+//! two rules: under *every kill* each kill leaves a dead copy and a
+//! write looks for one first; under *last reference* a copy dies only
+//! with its value's last live reference and a write looks for a live
+//! copy first (deduplication's order). Three views read it:
 //!
 //! * [`ValueLifecycles`] — per-value creation / death / rebirth
 //!   accounting with interval statistics (Figs 2, 3, 4),
@@ -11,8 +17,8 @@
 //!   *unlimited* dead-value buffer would short-circuit, with and
 //!   without deduplication,
 //! * [`PoolReuseSim`] — replay a trace against an MQ pool in any
-//!   setting (Fig 5's LRU sweep, Fig 6's per-popularity miss
-//!   breakdown, and MQ-vs-LRU ablations).
+//!   setting beside an every-kill replay (Fig 5's LRU sweep, Fig 6's
+//!   per-popularity miss breakdown, and MQ-vs-LRU ablations).
 //!
 //! # Examples
 //!
@@ -32,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod content;
 mod lifecycle;
 mod reuse;
 

@@ -5,11 +5,13 @@
 //! value gets invalidated, and (iii) rebirth, when a value is
 //! rewritten after its death."
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use zssd_metrics::{Cdf, ShareCurve};
 use zssd_trace::TraceRecord;
-use zssd_types::{Lpn, ValueId};
+use zssd_types::{FxHashMap, ValueId};
+
+use crate::content::{Found, Replay, Rule};
 
 /// Life-cycle counters of one value. Time is the paper's logical
 /// write clock (number of writes issued).
@@ -17,13 +19,12 @@ use zssd_types::{Lpn, ValueId};
 pub struct ValueStats {
     /// Host writes carrying this value.
     pub writes: u64,
-    /// Copies of this value invalidated by overwrites (deaths).
+    /// Copies of this value invalidated by overwrites or trims
+    /// (deaths).
     pub deaths: u64,
     /// Writes of this value that arrived while a dead copy existed
     /// (rebirths — reusable with an infinite buffer).
     pub rebirths: u64,
-    /// Write-clock timestamp of the creation.
-    pub created_at: u64,
     /// Σ (death clock − creation-or-rebirth clock of that copy),
     /// for Fig 4(a).
     pub lifetime_sum: u64,
@@ -55,7 +56,7 @@ impl ValueStats {
     }
 }
 
-/// One popularity band of Fig 4: values bucketed by
+/// One popularity band of Figs 4 and 6: values bucketed by
 /// `floor(log2(writes))`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopularityBin {
@@ -67,6 +68,30 @@ pub struct PopularityBin {
     pub values: u64,
     /// Band average of the plotted quantity.
     pub mean: f64,
+}
+
+/// Bands values by `floor(log2(writes))` and averages a quantity per
+/// band. `values` yields each value's write count (at least 1), its
+/// part of the quantity's sum and its number of samples.
+pub(crate) fn popularity_bins(values: impl Iterator<Item = (u64, f64, u64)>) -> Vec<PopularityBin> {
+    let mut bands: BTreeMap<u32, (f64, u64, u64)> = BTreeMap::new();
+    for (writes, q, samples) in values {
+        let band = bands.entry(writes.ilog2()).or_default();
+        *band = (band.0 + q, band.1 + samples, band.2 + 1);
+    }
+    bands
+        .into_iter()
+        .map(|(degree, (sum, samples, values))| PopularityBin {
+            degree,
+            write_range: (1 << degree, (1u64 << (degree + 1)) - 1),
+            values,
+            mean: if samples == 0 {
+                0.0
+            } else {
+                sum / samples as f64
+            },
+        })
+        .collect()
 }
 
 /// The §II analysis over one trace (or trace prefix).
@@ -90,70 +115,38 @@ pub struct PopularityBin {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ValueLifecycles {
-    values: HashMap<ValueId, ValueStats>,
-    /// Dead-copy pool per value (conceptual, unlimited): death clocks.
-    total_writes: u64,
-}
-
-/// Internal per-value dynamic state during the scan.
-#[derive(Debug, Default)]
-struct Scan {
-    /// Birth clock of each live copy, keyed by address.
-    live_copy_birth: HashMap<Lpn, u64>,
-    /// Death clocks of currently dead copies (LIFO reuse).
-    dead_copies: Vec<u64>,
+    values: FxHashMap<ValueId, ValueStats>,
 }
 
 impl ValueLifecycles {
     /// Scans a trace and accumulates per-value life-cycle statistics.
     ///
-    /// Only writes matter (the paper tracks value popularity in writes
-    /// only, footnote 3); reads are ignored.
+    /// Writes create and revive values; an overwrite or a trim kills
+    /// a copy. Reads change nothing (the paper tracks value popularity
+    /// in writes only, footnote 3).
     pub fn analyze(records: &[TraceRecord]) -> Self {
-        let mut values: HashMap<ValueId, ValueStats> = HashMap::new();
-        let mut scans: HashMap<ValueId, Scan> = HashMap::new();
-        let mut content: HashMap<Lpn, ValueId> = HashMap::new();
-        let mut clock = 0u64;
-        for record in records.iter().filter(|r| r.is_write()) {
-            clock += 1;
-
-            // 1. Resolve the rebirth against the pool state *before*
-            //    this write's own death is processed (the §IV-C order:
-            //    the dead-value lookup happens first, then the update
-            //    invalidates the old page). Matters only when a value
-            //    overwrites itself.
-            let reborn_from = scans.entry(record.value).or_default().dead_copies.pop();
-
-            // 2. The overwritten copy (if any) dies.
-            if let Some(old) = content.insert(record.lpn, record.value) {
-                let scan = scans.entry(old).or_default();
+        let mut values: FxHashMap<ValueId, ValueStats> = FxHashMap::default();
+        let mut replay = Replay::new(Rule::EveryKill);
+        for record in records {
+            let (found, kill) = replay.step(record);
+            let clock = replay.clock();
+            if let Some((old, born)) = kill {
                 let stats = values.entry(old).or_default();
                 stats.deaths += 1;
-                if let Some(birth) = scan.live_copy_birth.remove(&record.lpn) {
-                    stats.lifetime_sum += clock - birth;
-                    stats.lifetime_samples += 1;
+                stats.lifetime_sum += clock - born;
+                stats.lifetime_samples += 1;
+            }
+            if record.is_write() {
+                let stats = values.entry(record.value).or_default();
+                stats.writes += 1;
+                if let Found::Dead(died) = found {
+                    stats.rebirths += 1;
+                    stats.dead_time_sum += clock - died;
+                    stats.dead_time_samples += 1;
                 }
-                scan.dead_copies.push(clock);
             }
-
-            // 3. The write itself: creation or rebirth bookkeeping.
-            let scan = scans.entry(record.value).or_default();
-            let stats = values.entry(record.value).or_default();
-            if stats.writes == 0 {
-                stats.created_at = clock;
-            }
-            stats.writes += 1;
-            if let Some(death_clock) = reborn_from {
-                stats.rebirths += 1;
-                stats.dead_time_sum += clock - death_clock;
-                stats.dead_time_samples += 1;
-            }
-            scan.live_copy_birth.insert(record.lpn, clock);
         }
-        ValueLifecycles {
-            values,
-            total_writes: clock,
-        }
+        ValueLifecycles { values }
     }
 
     /// Statistics of one value, if it was ever written.
@@ -168,13 +161,12 @@ impl ValueLifecycles {
 
     /// Total writes scanned.
     pub fn total_writes(&self) -> u64 {
-        self.total_writes
+        self.values.values().map(|s| s.writes).sum()
     }
 
-    /// Total rebirths across all values. Equals the reusable-write
-    /// count of [`infinite_reuse`](crate::infinite_reuse) by
-    /// construction (a rebirth is a write arriving while a dead copy
-    /// exists).
+    /// Total rebirths across all values: the reusable-write count of
+    /// [`infinite_reuse`](crate::infinite_reuse) without dedup, since
+    /// both count the writes that find a dead copy.
     pub fn total_rebirths(&self) -> u64 {
         self.values.values().map(|s| s.rebirths).sum()
     }
@@ -214,31 +206,10 @@ impl ValueLifecycles {
     }
 
     fn bins<F: Fn(&ValueStats) -> (f64, u64)>(&self, quantity: F) -> Vec<PopularityBin> {
-        // Band values by floor(log2(writes)); writes >= 1 always.
-        let mut sums: HashMap<u32, (f64, u64, u64)> = HashMap::new();
-        for stats in self.values.values() {
-            let degree = stats.writes.max(1).ilog2();
+        popularity_bins(self.values.values().map(|stats| {
             let (q, samples) = quantity(stats);
-            let entry = sums.entry(degree).or_default();
-            entry.0 += q;
-            entry.1 += samples;
-            entry.2 += 1;
-        }
-        let mut bins: Vec<PopularityBin> = sums
-            .into_iter()
-            .map(|(degree, (sum, samples, values))| PopularityBin {
-                degree,
-                write_range: (1 << degree, (1u64 << (degree + 1)) - 1),
-                values,
-                mean: if samples == 0 {
-                    0.0
-                } else {
-                    sum / samples as f64
-                },
-            })
-            .collect();
-        bins.sort_by_key(|b| b.degree);
-        bins
+            (stats.writes, q, samples)
+        }))
     }
 
     /// Fig 4(a): mean writes from a copy's creation to its death, per
@@ -262,6 +233,7 @@ impl ValueLifecycles {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zssd_types::Lpn;
 
     fn w(seq: u64, lpn: u64, value: u64) -> TraceRecord {
         TraceRecord::write(seq, Lpn::new(lpn), ValueId::new(value))

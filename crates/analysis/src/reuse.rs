@@ -5,7 +5,10 @@ use std::collections::HashMap;
 
 use zssd_core::{MqConfig, MqDeadValuePool};
 use zssd_trace::TraceRecord;
-use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
+use zssd_types::{Fingerprint, FxHashMap, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
+
+use crate::content::{Found, Replay, Rule};
+use crate::lifecycle::{popularity_bins, PopularityBin};
 
 /// Result of the infinite-buffer study (Fig 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,14 +44,16 @@ impl InfiniteReuse {
     }
 }
 
-/// The Fig 1 study: replay a trace's writes with an **unlimited**
-/// dead-value buffer and count how many could be short-circuited.
+/// The Fig 1 study: replay a trace with an **unlimited** dead-value
+/// buffer and count how many writes could be short-circuited. An
+/// overwrite or a trim kills a copy; reads change nothing.
 ///
 /// With `dedup` enabled, live-copy hits are removed first (they are
-/// deduplication's wins, not the pool's), so the returned
-/// `reuse_fraction` is the *additional* opportunity on garbage pages —
-/// the paper's point that "this opportunity still exists (although it
-/// decreases), even after deduplication".
+/// deduplication's wins, not the pool's) and a copy dies only with its
+/// value's last live reference, so the returned `reuse_fraction` is the
+/// *additional* opportunity on garbage pages — the paper's point that
+/// "this opportunity still exists (although it decreases), even after
+/// deduplication".
 ///
 /// # Examples
 ///
@@ -67,77 +72,20 @@ impl InfiniteReuse {
 /// assert_eq!(reuse.writes, 3);
 /// ```
 pub fn infinite_reuse(records: &[TraceRecord], dedup: bool) -> InfiniteReuse {
+    let mut replay = Replay::new(if dedup {
+        Rule::LastReference
+    } else {
+        Rule::EveryKill
+    });
     let mut result = InfiniteReuse::default();
-    // Current content of each address.
-    let mut content: HashMap<Lpn, ValueId> = HashMap::new();
-    // Dead copies per value (count of garbage pages holding it).
-    let mut dead: HashMap<ValueId, u64> = HashMap::new();
-    // Live reference counts per value (dedup mode only).
-    let mut live_refs: HashMap<ValueId, u64> = HashMap::new();
-
-    for record in records.iter().filter(|r| r.is_write()) {
-        result.writes += 1;
-        let value = record.value;
-
-        // Death of the overwritten copy happens conceptually after the
-        // lookup (§IV-C order), so resolve the lookup against the
-        // current pool state first.
-        enum Outcome {
-            Dedup,
-            Reuse,
-            Program,
-        }
-        let outcome = if dedup {
-            if live_refs.get(&value).copied().unwrap_or(0) > 0 {
-                Outcome::Dedup
-            } else if dead.get(&value).copied().unwrap_or(0) > 0 {
-                Outcome::Reuse
-            } else {
-                Outcome::Program
-            }
-        } else if dead.get(&value).copied().unwrap_or(0) > 0 {
-            Outcome::Reuse
-        } else {
-            Outcome::Program
-        };
-
-        // Now the overwritten copy dies.
-        if let Some(old) = content.insert(record.lpn, value) {
-            if dedup {
-                let refs = live_refs.get_mut(&old).expect("live value has refs");
-                *refs -= 1;
-                if *refs == 0 {
-                    live_refs.remove(&old);
-                    *dead.entry(old).or_insert(0) += 1;
-                }
-            } else {
-                *dead.entry(old).or_insert(0) += 1;
-            }
-        }
-
-        match outcome {
-            Outcome::Dedup => {
-                result.dedup_eliminated += 1;
-                *live_refs.entry(value).or_insert(0) += 1;
-            }
-            Outcome::Reuse => {
-                result.reused += 1;
-                let copies = dead.get_mut(&value).expect("dead copy exists");
-                *copies -= 1;
-                if *copies == 0 {
-                    dead.remove(&value);
-                }
-                if dedup {
-                    *live_refs.entry(value).or_insert(0) += 1;
-                }
-            }
-            Outcome::Program => {
-                if dedup {
-                    *live_refs.entry(value).or_insert(0) += 1;
-                }
-            }
+    for record in records {
+        match replay.step(record).0 {
+            Found::Dead(_) => result.reused += 1,
+            Found::Live => result.dedup_eliminated += 1,
+            Found::Nothing => {}
         }
     }
+    result.writes = replay.clock();
     result
 }
 
@@ -164,35 +112,23 @@ impl PoolRunSummary {
         self.writes - self.hits
     }
 
-    /// Mean capacity misses per value, bucketed by
-    /// `floor(log2(write count))` popularity bands; returns
-    /// `(degree, mean misses, values in band)` sorted by degree —
-    /// Fig 6's series.
-    pub fn mean_misses_by_popularity(&self) -> Vec<(u32, f64, u64)> {
-        let mut sums: HashMap<u32, (u64, u64)> = HashMap::new();
-        for (value, &writes) in &self.writes_by_value {
-            let degree = writes.max(1).ilog2();
+    /// Mean capacity misses per value, per `floor(log2(write count))`
+    /// popularity band — Fig 6's series.
+    pub fn mean_misses_by_popularity(&self) -> Vec<PopularityBin> {
+        popularity_bins(self.writes_by_value.iter().map(|(value, &writes)| {
             let misses = self.misses_by_value.get(value).copied().unwrap_or(0);
-            let entry = sums.entry(degree).or_default();
-            entry.0 += misses;
-            entry.1 += 1;
-        }
-        let mut out: Vec<(u32, f64, u64)> = sums
-            .into_iter()
-            .map(|(d, (misses, values))| (d, misses as f64 / values as f64, values))
-            .collect();
-        out.sort_by_key(|&(d, _, _)| d);
-        out
+            (writes, misses as f64, 1)
+        }))
     }
 }
 
-/// Replays a trace's write stream against a real MQ dead-value pool
-/// (in any setting: MQ, LRU, Ideal), tracking an infinite-buffer oracle alongside so
-/// capacity misses can be attributed (Fig 6).
+/// Replays a trace against a real MQ dead-value pool (in any setting:
+/// MQ, LRU, Ideal), beside the infinite-buffer replay of
+/// [`infinite_reuse`], so capacity misses can be attributed (Fig 6).
 ///
-/// Dead pages are identified by synthetic PPNs (the death ordinal);
-/// no flash model is involved — this is the paper's §II/§III "analyze
-/// the traces" methodology.
+/// Dead pages are identified by synthetic PPNs (the write clock that
+/// placed each copy); no flash model is involved — this is the paper's
+/// §II/§III "analyze the traces" methodology.
 ///
 /// # Examples
 ///
@@ -223,70 +159,39 @@ impl PoolReuseSim {
         }
     }
 
-    /// Replays the write stream and returns the hit/miss summary.
+    /// Replays the trace and returns the hit/miss summary. An
+    /// overwrite or a trim offers the killed copy to the pool.
     pub fn run(mut self, records: &[TraceRecord]) -> PoolRunSummary {
         let mut summary = PoolRunSummary::default();
-        let mut clock = WriteClock::ZERO;
-        // Address -> (value, synthetic ppn of the live copy).
-        let mut content: HashMap<Lpn, (ValueId, Ppn)> = HashMap::new();
-        // Oracle: dead copies per value under an infinite buffer.
-        let mut oracle_dead: HashMap<ValueId, u64> = HashMap::new();
+        let mut oracle = Replay::new(Rule::EveryKill);
         // Popularity proxy: per-address write counters, as in the
         // paper's 1-byte mapping-table field.
-        let mut popularity: HashMap<Lpn, PopularityDegree> = HashMap::new();
-        let mut next_ppn = 0u64;
-
-        for record in records.iter().filter(|r| r.is_write()) {
-            summary.writes += 1;
-            let now = clock.tick();
-            let value = record.value;
-            *summary.writes_by_value.entry(value).or_insert(0) += 1;
-            let pop = popularity
-                .entry(record.lpn)
-                .or_insert(PopularityDegree::ZERO);
-            pop.increment();
-            let pop = *pop;
-
-            // Pool lookup first (§IV-C order), oracle alongside.
-            let fp = record.fingerprint();
-            let pool_hit = self.pool.take_match(fp, now);
-            let oracle_hit = oracle_dead.get(&value).copied().unwrap_or(0) > 0;
-
-            // The overwritten copy dies.
-            if let Some((old_value, old_ppn)) = content.get(&record.lpn).copied() {
-                self.pool.insert_dead(
-                    zssd_types::Fingerprint::of_value(old_value),
-                    old_ppn,
-                    record.lpn,
-                    pop,
-                    now,
-                );
-                *oracle_dead.entry(old_value).or_insert(0) += 1;
-            }
-
-            let live_ppn = match pool_hit {
-                Some(revived) => {
+        let mut popularity: FxHashMap<Lpn, PopularityDegree> = FxHashMap::default();
+        for record in records {
+            let (found, kill) = oracle.step(record);
+            let now = WriteClock::from_count(oracle.clock());
+            if record.is_write() {
+                *summary.writes_by_value.entry(record.value).or_insert(0) += 1;
+                popularity.entry(record.lpn).or_default().increment();
+                // The pool is looked up before the killed copy enters
+                // it (§IV-C order).
+                if self.pool.take_match(record.fingerprint(), now).is_some() {
                     summary.hits += 1;
-                    revived
-                }
-                None => {
-                    if oracle_hit {
-                        summary.capacity_misses += 1;
-                        *summary.misses_by_value.entry(value).or_insert(0) += 1;
-                    }
-                    next_ppn += 1;
-                    Ppn::new(next_ppn)
-                }
-            };
-            if oracle_hit {
-                let copies = oracle_dead.get_mut(&value).expect("oracle copy");
-                *copies -= 1;
-                if *copies == 0 {
-                    oracle_dead.remove(&value);
+                } else if let Found::Dead(_) = found {
+                    summary.capacity_misses += 1;
+                    *summary.misses_by_value.entry(record.value).or_insert(0) += 1;
                 }
             }
-            content.insert(record.lpn, (value, live_ppn));
+            // A copy's synthetic PPN is the write clock that placed it,
+            // which no other copy shares.
+            if let Some((old, born)) = kill {
+                let fp = Fingerprint::of_value(old);
+                let pop = popularity[&record.lpn];
+                self.pool
+                    .insert_dead(fp, Ppn::new(born), record.lpn, pop, now);
+            }
         }
+        summary.writes = oracle.clock();
         summary
     }
 }
@@ -383,7 +288,7 @@ mod tests {
         let summary = PoolReuseSim::new(MqConfig::lru(64)).run(trace.records());
         let bins = summary.mean_misses_by_popularity();
         assert!(!bins.is_empty());
-        let total_values: u64 = bins.iter().map(|&(_, _, v)| v).sum();
+        let total_values: u64 = bins.iter().map(|b| b.values).sum();
         assert_eq!(total_values, summary.writes_by_value.len() as u64);
     }
 

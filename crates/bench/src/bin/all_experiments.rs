@@ -58,11 +58,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let timing = std::env::args().any(|a| a == "--timing");
     let profiles = experiment_profiles();
     println!(
-        "Full evaluation matrix ({} systems x {} workloads, {} threads)\n",
+        "Full evaluation matrix ({} systems x {} workloads)\n",
         systems.len(),
         profiles.len(),
-        grid_threads(),
     );
+    eprintln!("[grid] {} threads", grid_threads());
 
     let cells = grid_for(&profiles, &systems);
     let reports = if timing {

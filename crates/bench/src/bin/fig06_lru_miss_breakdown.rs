@@ -27,17 +27,15 @@ fn main() {
         "LRU mean misses",
         "MQ mean misses",
     ]);
+    // Both replays saw the same writes, so their bands line up.
     let mq_bins = mq.mean_misses_by_popularity();
-    for (degree, lru_mean, values) in lru.mean_misses_by_popularity() {
-        let mq_mean = mq_bins
-            .iter()
-            .find(|&&(d, _, _)| d == degree)
-            .map_or(0.0, |&(_, m, _)| m);
+    for (bin, mq_bin) in lru.mean_misses_by_popularity().iter().zip(&mq_bins) {
+        let (low, high) = bin.write_range;
         table.row(vec![
-            format!("{}-{}", 1u64 << degree, (1u64 << (degree + 1)) - 1),
-            values.to_string(),
-            format!("{lru_mean:.3}"),
-            format!("{mq_mean:.3}"),
+            format!("{low}-{high}"),
+            bin.values.to_string(),
+            format!("{:.3}", bin.mean),
+            format!("{:.3}", mq_bin.mean),
         ]);
     }
     println!("{table}");

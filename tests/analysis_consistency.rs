@@ -5,23 +5,41 @@
 use zombie_ssd::analysis::{infinite_reuse, PoolReuseSim, ValueLifecycles};
 use zombie_ssd::core::{MqConfig, SystemKind};
 use zombie_ssd::ftl::{Ssd, SsdConfig};
+use zombie_ssd::oracle::OracleDrive;
 use zombie_ssd::trace::{parse_text, write_text, SyntheticTrace, TraceStats, WorkloadProfile};
 
 #[test]
-fn rebirth_count_equals_infinite_buffer_reuse() {
-    // Two independent scans define the same quantity: a rebirth
-    // (lifecycle view) is exactly a write reusable from garbage with
-    // an unlimited buffer (reuse view).
+fn analysis_counts_match_the_oracle_on_trimmed_traces() {
+    // The oracle drive is an independent model of the same content:
+    // a trim kills a copy there as an overwrite does, so every
+    // trace-side count must equal its bound on traces with trims.
     for profile in WorkloadProfile::paper_set() {
-        let trace = SyntheticTrace::generate(&profile.scaled(0.005), 3);
+        let profile = profile.scaled(0.005).with_trim_ratio(0.1);
+        let trace = SyntheticTrace::generate(&profile, 42);
+        let mut oracle = OracleDrive::new(profile.lpn_space, false);
+        for record in trace.records() {
+            oracle.step(record).expect("in range");
+        }
+        let bounds = oracle.stats();
+        let plain = infinite_reuse(trace.records(), false);
         let lc = ValueLifecycles::analyze(trace.records());
-        let reuse = infinite_reuse(trace.records(), false);
+        let ideal = PoolReuseSim::new(MqConfig::ideal()).run(trace.records());
+        let name = &profile.name;
+        assert!(bounds.trims > 0, "{name}: the trace trims");
+        assert_eq!(plain.reused, bounds.revival_bound, "{name}: infinite reuse");
         assert_eq!(
             lc.total_rebirths(),
-            reuse.reused,
-            "{}: lifecycle rebirths == infinite-buffer reuse",
-            profile.name
+            bounds.revival_bound,
+            "{name}: rebirths"
         );
+        assert_eq!(ideal.hits, bounds.revival_bound, "{name}: ideal pool hits");
+
+        // Every write of a value already seen finds a live or a dead
+        // copy, whichever rule counts it.
+        let dedup = infinite_reuse(trace.records(), true);
+        let repeats = plain.writes - lc.unique_values();
+        assert_eq!(bounds.revival_bound + bounds.dedup_bound, repeats, "{name}");
+        assert_eq!(dedup.reused + dedup.dedup_eliminated, repeats, "{name}");
     }
 }
 
