@@ -1,13 +1,15 @@
 //! Per-write simulator cost on the full FTL stack: how much host-side
 //! work a write costs under each system (pure simulator throughput,
-//! not simulated latency).
+//! not simulated latency), and the cost of a write stream dominated by
+//! garbage collection.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use zssd_core::SystemKind;
+use zssd_flash::FaultConfig;
 use zssd_ftl::{Ssd, SsdConfig};
-use zssd_types::{Lpn, SimTime, ValueId};
+use zssd_types::{splitmix64, Lpn, SimTime, ValueId};
 
 fn drive(system: SystemKind) -> Ssd {
     Ssd::new(
@@ -45,6 +47,38 @@ fn bench_write_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// Logical pages of the GC case's drive.
+const GC_FOOTPRINT: u64 = 20_000;
+
+/// Uniform overwrites of a preconditioned Baseline drive, three times
+/// its logical capacity: greedy GC relocates about six valid pages per
+/// host write (6 781 collections, 375 K moves for 60 K programs), so
+/// relocation and erases dominate the host time.
+fn bench_gc(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ftl_write_path");
+    group.sample_size(10);
+    group.bench_function("gc/60k_uniform_overwrites/Baseline", |b| {
+        b.iter_batched_ref(
+            || {
+                let config = SsdConfig::for_footprint(GC_FOOTPRINT)
+                    .with_system(SystemKind::Baseline)
+                    .with_faults(FaultConfig::none());
+                Ssd::new(config).expect("valid drive")
+            },
+            |ssd| {
+                for i in 0..3 * GC_FOOTPRINT {
+                    let lpn = Lpn::new(splitmix64(i) % GC_FOOTPRINT);
+                    ssd.write(lpn, ValueId::new(i), SimTime::ZERO)
+                        .expect("write");
+                }
+                black_box(ssd.stats().gc_collections)
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     // Keep `cargo bench --workspace` to a few minutes: fewer
@@ -53,6 +87,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_write_path
+    targets = bench_write_path, bench_gc
 }
 criterion_main!(benches);

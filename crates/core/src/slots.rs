@@ -18,9 +18,10 @@ use zssd_types::{PopularityDegree, Ppn, SlotId};
 pub(crate) struct PpnSlots {
     slots: Vec<SlotId>,
     len: usize,
-    pages_per_block: u64,
-    /// Σpop per block, indexed by `ppn / pages_per_block`; grows on
-    /// demand like `slots`.
+    /// `log2(pages_per_block)`.
+    page_shift: u32,
+    /// Σpop per block, indexed by `ppn >> page_shift`; grows on demand
+    /// like `slots`.
     block_weights: Vec<u32>,
 }
 
@@ -32,10 +33,15 @@ impl PpnSlots {
     ///
     /// # Panics
     ///
-    /// Panics if `pages_per_block` is zero, or so large that a block of
-    /// maximally popular pages would overflow its `u32` sum.
+    /// Panics if `pages_per_block` is zero, not a power of two (as the
+    /// flash geometry requires of every device), or so large that a
+    /// block of maximally popular pages would overflow its `u32` sum.
     pub(crate) fn new(pages_per_block: u32) -> Self {
         assert!(pages_per_block > 0, "pages_per_block must be nonzero");
+        assert!(
+            pages_per_block.is_power_of_two(),
+            "pages_per_block must be a power of two"
+        );
         assert!(
             pages_per_block <= u32::MAX / u32::from(PopularityDegree::MAX.get()),
             "pages_per_block too large for a u32 popularity sum"
@@ -43,7 +49,7 @@ impl PpnSlots {
         PpnSlots {
             slots: Vec::new(),
             len: 0,
-            pages_per_block: u64::from(pages_per_block),
+            page_shift: pages_per_block.trailing_zeros(),
             block_weights: Vec::new(),
         }
     }
@@ -107,7 +113,7 @@ impl PpnSlots {
 
     #[inline]
     fn block_of(&self, ppn: Ppn) -> usize {
-        (ppn.index() / self.pages_per_block) as usize
+        (ppn.index() >> self.page_shift) as usize
     }
 }
 
@@ -170,5 +176,11 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_pages_per_block_rejected() {
         let _ = PpnSlots::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_pages_per_block_rejected() {
+        let _ = PpnSlots::new(96);
     }
 }

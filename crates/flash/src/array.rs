@@ -2,12 +2,13 @@
 //! model.
 
 use core::fmt;
+use core::ops::Range;
 use std::error::Error;
 
 use zssd_metrics::Counter;
 use zssd_types::{AddressError, Ppn, SimTime};
 
-use crate::block::{Block, BlockInfo, PageState};
+use crate::block::{Block, BlockInfo, PageState, Placement};
 use crate::fault::{FaultConfig, FaultKind, FaultPlan};
 use crate::geometry::{BlockId, Geometry};
 use crate::timing::FlashTiming;
@@ -145,6 +146,12 @@ pub struct FlashStats {
 /// busy-until timing model that converts operations into completion
 /// times.
 ///
+/// Page states live in one flat table indexed by PPN; each block's
+/// record holds its counters, its write cursor and its placement
+/// (plane, chip, channel), resolved once at construction from
+/// [`Geometry::decode`]. No operation divides a PPN: the block of a
+/// page is a shift, its offset a mask (see [`Geometry`]).
+///
 /// Timing model (per operation, all on the simulated wall clock):
 ///
 /// * **read** — the owning chip senses for `tR` as soon as it is free,
@@ -175,6 +182,8 @@ pub struct FlashArray {
     geometry: Geometry,
     timing: FlashTiming,
     blocks: Vec<Block>,
+    /// Every page's state, indexed by PPN.
+    pages: Vec<PageState>,
     chip_busy_until: Vec<SimTime>,
     channel_busy_until: Vec<SimTime>,
     controller_busy_until: SimTime,
@@ -196,8 +205,14 @@ impl FlashArray {
             geometry,
             timing,
             blocks: (0..geometry.total_blocks())
-                .map(|_| Block::new(geometry.pages_per_block()))
+                .map(|b| {
+                    Block::new(
+                        geometry.pages_per_block(),
+                        placement(&geometry, BlockId::new(b)),
+                    )
+                })
                 .collect(),
+            pages: vec![PageState::Free; geometry.total_pages() as usize],
             chip_busy_until: vec![SimTime::ZERO; geometry.total_chips() as usize],
             channel_busy_until: vec![SimTime::ZERO; geometry.channels() as usize],
             controller_busy_until: SimTime::ZERO,
@@ -222,27 +237,42 @@ impl FlashArray {
     }
 
     fn check_ppn(&self, ppn: Ppn) -> Result<(), AddressError> {
-        if ppn.index() >= self.geometry.total_pages() {
-            Err(AddressError::out_of_range(
-                "ppn",
-                ppn.index(),
-                self.geometry.total_pages(),
-            ))
+        let total = self.pages.len() as u64;
+        if ppn.index() >= total {
+            Err(AddressError::out_of_range("ppn", ppn.index(), total))
         } else {
             Ok(())
         }
     }
 
     fn check_block(&self, block: BlockId) -> Result<(), AddressError> {
-        if block.index() >= self.geometry.total_blocks() {
-            Err(AddressError::out_of_range(
-                "block",
-                block.index(),
-                self.geometry.total_blocks(),
-            ))
+        let total = self.blocks.len() as u64;
+        if block.index() >= total {
+            Err(AddressError::out_of_range("block", block.index(), total))
         } else {
             Ok(())
         }
+    }
+
+    /// The record of the (validated) block owning `ppn`.
+    fn record_of(&self, ppn: Ppn) -> &Block {
+        &self.blocks[self.geometry.block_of(ppn).index() as usize]
+    }
+
+    /// The PPN range of a (validated) block in the page table.
+    fn page_range(&self, block: BlockId) -> Range<usize> {
+        let first = self.geometry.first_ppn_of(block).index() as usize;
+        first..first + self.geometry.pages_per_block() as usize
+    }
+
+    /// A (validated) block's record and its page states, borrowed
+    /// together for the [`Block`] methods that change pages.
+    fn block_mut(&mut self, block: BlockId) -> (&mut Block, &mut [PageState]) {
+        let range = self.page_range(block);
+        (
+            &mut self.blocks[block.index() as usize],
+            &mut self.pages[range],
+        )
     }
 
     /// Current state of a page.
@@ -250,11 +280,20 @@ impl FlashArray {
     /// # Errors
     ///
     /// Returns an error if the page is outside the device.
+    #[inline]
     pub fn page_state(&self, ppn: Ppn) -> Result<PageState, AddressError> {
         self.check_ppn(ppn)?;
-        let block = self.geometry.block_of(ppn);
-        let offset = self.geometry.page_in_block(ppn) as usize;
-        Ok(self.blocks[block.index() as usize].pages[offset])
+        Ok(self.pages[ppn.index() as usize])
+    }
+
+    /// The states of a block's pages, in program order.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the block is outside the device.
+    pub fn page_states(&self, block: BlockId) -> Result<&[PageState], AddressError> {
+        self.check_block(block)?;
+        Ok(&self.pages[self.page_range(block)])
     }
 
     /// Occupancy snapshot of a block.
@@ -307,16 +346,18 @@ impl FlashArray {
                 actual: state,
             });
         }
-        let chip = self.geometry.chip_of(ppn) as usize;
-        let channel = self.geometry.channel_of(ppn) as usize;
+        let block = self.record_of(ppn);
+        let (chip, channel) = (
+            block.placement.chip as usize,
+            block.placement.channel as usize,
+        );
+        let wear = block.erase_count;
         let sense_start = at.max(self.chip_busy_until[chip]);
         let sense_done = sense_start + self.timing.read;
         let xfer_start = sense_done.max(self.channel_busy_until[channel]);
         let mut done = xfer_start + self.timing.transfer;
         self.stats.reads.incr();
-        let retried = self
-            .fault
-            .decide(FaultKind::Read, ppn.index(), self.wear_of(ppn));
+        let retried = self.fault.decide(FaultKind::Read, ppn.index(), wear);
         if retried {
             // ECC failed on the first sense: sense and transfer again.
             let retry_xfer = (done + self.timing.read).max(self.channel_busy_until[channel]);
@@ -327,12 +368,6 @@ impl FlashArray {
         self.chip_busy_until[chip] = done;
         self.channel_busy_until[channel] = done;
         Ok((done, retried))
-    }
-
-    /// Wear (erase count) of the block owning `ppn`; the address has
-    /// already been validated by the caller.
-    fn wear_of(&self, ppn: Ppn) -> u64 {
-        self.blocks[self.geometry.block_of(ppn).index() as usize].erase_count
     }
 
     /// Programs a page, returning the completion time. The page becomes
@@ -356,24 +391,27 @@ impl FlashArray {
             });
         }
         let block_id = self.geometry.block_of(ppn);
-        let offset = self.geometry.page_in_block(ppn);
-        let wear = self.blocks[block_id.index() as usize].erase_count;
-        if offset != self.blocks[block_id.index() as usize].write_cursor {
+        let block = &self.blocks[block_id.index() as usize];
+        if self.geometry.page_in_block(ppn) != block.write_cursor {
             return Err(FlashOpError::OutOfOrderProgram {
                 ppn,
-                expected_offset: self.blocks[block_id.index() as usize].write_cursor,
+                expected_offset: block.write_cursor,
             });
         }
-        let failed = self.fault.decide(FaultKind::Program, ppn.index(), wear);
-        let block = &mut self.blocks[block_id.index() as usize];
+        let (chip, channel) = (
+            block.placement.chip as usize,
+            block.placement.channel as usize,
+        );
+        let failed = self
+            .fault
+            .decide(FaultKind::Program, ppn.index(), block.erase_count);
+        let (block, pages) = self.block_mut(block_id);
         if failed {
-            block.fail_at_cursor();
+            block.fail_at_cursor(pages);
         } else {
-            block.program_at_cursor();
+            block.program_at_cursor(pages);
         }
 
-        let chip = self.geometry.chip_of(ppn) as usize;
-        let channel = self.geometry.channel_of(ppn) as usize;
         let xfer_start = at
             .max(self.chip_busy_until[chip])
             .max(self.channel_busy_until[channel]);
@@ -425,8 +463,8 @@ impl FlashArray {
                 actual: state,
             });
         }
+        self.pages[ppn.index() as usize] = PageState::Invalid;
         let block = &mut self.blocks[self.geometry.block_of(ppn).index() as usize];
-        block.pages[self.geometry.page_in_block(ppn) as usize] = PageState::Invalid;
         block.valid_count -= 1;
         block.invalid_count += 1;
         Ok(())
@@ -448,8 +486,8 @@ impl FlashArray {
                 actual: state,
             });
         }
+        self.pages[ppn.index() as usize] = PageState::Valid;
         let block = &mut self.blocks[self.geometry.block_of(ppn).index() as usize];
-        block.pages[self.geometry.page_in_block(ppn) as usize] = PageState::Valid;
         block.invalid_count -= 1;
         block.valid_count += 1;
         Ok(())
@@ -487,33 +525,32 @@ impl FlashArray {
             });
         }
         self.check_block(dest_block)?;
-        let src_plane = self.geometry.plane_of_block(self.geometry.block_of(src));
-        if self.geometry.plane_of_block(dest_block) != src_plane {
+        let source = self.record_of(src);
+        let target = &self.blocks[dest_block.index() as usize];
+        if target.placement.plane != source.placement.plane {
             return Err(FlashOpError::CrossPlaneCopyback { src, dest_block });
         }
-        let cursor = self.blocks[dest_block.index() as usize].write_cursor;
-        if cursor >= self.geometry.pages_per_block()
-            || self.blocks[dest_block.index() as usize].free_count() == 0
-        {
+        let cursor = target.write_cursor;
+        if cursor >= self.geometry.pages_per_block() || target.free_count() == 0 {
             return Err(FlashOpError::BlockFull { block: dest_block });
         }
         let dest = Ppn::new(self.geometry.first_ppn_of(dest_block).index() + u64::from(cursor));
+        // One plane lives on one chip.
+        let chip = source.placement.chip as usize;
 
         // The program half of the move is subject to the same injected
         // failures as a host program.
-        let wear = self.blocks[dest_block.index() as usize].erase_count;
-        let failed = self.fault.decide(FaultKind::Program, dest.index(), wear);
+        let failed = self
+            .fault
+            .decide(FaultKind::Program, dest.index(), target.erase_count);
         // State transition of the destination page, mirroring
         // program_page but without touching the channel.
-        {
-            let block = &mut self.blocks[dest_block.index() as usize];
-            if failed {
-                block.fail_at_cursor();
-            } else {
-                block.program_at_cursor();
-            }
+        let (block, pages) = self.block_mut(dest_block);
+        if failed {
+            block.fail_at_cursor(pages);
+        } else {
+            block.program_at_cursor(pages);
         }
-        let chip = self.geometry.chip_of(src) as usize;
         let start = at.max(self.chip_busy_until[chip]);
         let done = start + self.timing.read + self.timing.program;
         self.chip_busy_until[chip] = done;
@@ -538,15 +575,17 @@ impl FlashArray {
     /// the block if failures repeat.
     pub fn erase_block(&mut self, block: BlockId, at: SimTime) -> Result<SimTime, FlashOpError> {
         self.check_block(block)?;
-        let wear = self.blocks[block.index() as usize].erase_count;
-        if self.blocks[block.index() as usize].valid_count > 0 {
+        let b = &self.blocks[block.index() as usize];
+        if b.valid_count > 0 {
             return Err(FlashOpError::BlockHasValidPages {
                 block,
-                valid_pages: self.blocks[block.index() as usize].valid_count,
+                valid_pages: b.valid_count,
             });
         }
-        let failed = self.fault.decide(FaultKind::Erase, block.index(), wear);
-        let chip = self.geometry.chip_of(self.geometry.first_ppn_of(block)) as usize;
+        let chip = b.placement.chip as usize;
+        let failed = self
+            .fault
+            .decide(FaultKind::Erase, block.index(), b.erase_count);
         let start = at.max(self.chip_busy_until[chip]);
         let done = start + self.timing.erase;
         self.chip_busy_until[chip] = done;
@@ -554,7 +593,8 @@ impl FlashArray {
             self.stats.erase_failures.incr();
             return Err(FlashOpError::EraseFailed { block });
         }
-        self.blocks[block.index() as usize].erase();
+        let (b, pages) = self.block_mut(block);
+        b.erase(pages);
         self.stats.erases.incr();
         Ok(done)
     }
@@ -572,14 +612,14 @@ impl FlashArray {
     /// valid pages (relocate them first).
     pub fn retire_block(&mut self, block: BlockId) -> Result<(), FlashOpError> {
         self.check_block(block)?;
-        let b = &mut self.blocks[block.index() as usize];
+        let (b, pages) = self.block_mut(block);
         if b.valid_count > 0 {
             return Err(FlashOpError::BlockHasValidPages {
                 block,
                 valid_pages: b.valid_count,
             });
         }
-        b.retire();
+        b.retire(pages);
         self.stats.retired_blocks.incr();
         Ok(())
     }
@@ -587,7 +627,7 @@ impl FlashArray {
     /// Earliest time the chip owning `ppn` is free — lets the FTL
     /// estimate queueing before issuing.
     pub fn chip_free_at(&self, ppn: Ppn) -> SimTime {
-        self.chip_busy_until[self.geometry.chip_of(ppn) as usize]
+        self.chip_busy_until[self.record_of(ppn).placement.chip as usize]
     }
 
     /// Completes a request on the *controller's* fast path — a revival,
@@ -613,7 +653,7 @@ impl FlashArray {
         let mut start = at.max(self.controller_busy_until);
         if let Some(ppn) = ppn {
             self.check_ppn(ppn)?;
-            let channel = self.geometry.channel_of(ppn) as usize;
+            let channel = self.record_of(ppn).placement.channel as usize;
             start = start.max(self.channel_busy_until[channel]);
         }
         let done = start + self.timing.transfer;
@@ -679,6 +719,22 @@ impl FlashArray {
                 sum as f64 / self.blocks.len() as f64
             },
         }
+    }
+}
+
+/// Where `block` sits, from [`Geometry::decode`] of its first page —
+/// the one definition of the layout — flattened channel-major.
+fn placement(geometry: &Geometry, block: BlockId) -> Placement {
+    let addr = geometry.decode(geometry.first_ppn_of(block));
+    let chip =
+        u64::from(addr.channel) * u64::from(geometry.chips_per_channel()) + u64::from(addr.chip);
+    let plane = (chip * u64::from(geometry.dies_per_chip()) + u64::from(addr.die))
+        * u64::from(geometry.planes_per_die())
+        + u64::from(addr.plane);
+    Placement {
+        plane: u32::try_from(plane).expect("plane count fits in u32"),
+        chip: u32::try_from(chip).expect("chip count fits in u32"),
+        channel: addr.channel,
     }
 }
 
@@ -1088,6 +1144,72 @@ mod tests {
             }
             assert_eq!(a.stats(), b.stats());
         }
+    }
+
+    /// Every block's stored placement equals `decode` of its first page.
+    fn assert_placement_matches_decode(geom: Geometry) {
+        let flash = FlashArray::new(geom, FlashTiming::paper_table1());
+        for (b, block) in flash.blocks.iter().enumerate() {
+            let id = BlockId::new(b as u64);
+            let addr = geom.decode(geom.first_ppn_of(id));
+            let chip = addr.channel * geom.chips_per_channel() + addr.chip;
+            let plane =
+                (chip * geom.dies_per_chip() + addr.die) * geom.planes_per_die() + addr.plane;
+            assert_eq!(block.placement.channel, addr.channel, "{geom:?} {id}");
+            assert_eq!(block.placement.chip, chip, "{geom:?} {id}");
+            assert_eq!(block.placement.plane, plane, "{geom:?} {id}");
+            assert_eq!(u64::from(plane), geom.plane_of_block(id), "{geom:?} {id}");
+        }
+    }
+
+    #[test]
+    fn stored_placement_matches_decode() {
+        // `SsdConfig::small_test`'s geometry.
+        assert_placement_matches_decode(Geometry::new(1, 1, 1, 2, 8, 16).expect("valid"));
+        // `SsdConfig::for_footprint(60_000)` (hadoop): 69 blocks per plane.
+        assert_placement_matches_decode(Geometry::new(4, 2, 1, 2, 69, 64).expect("valid"));
+        // Several dies and chips, five blocks per plane.
+        assert_placement_matches_decode(Geometry::new(2, 2, 2, 2, 5, 8).expect("valid"));
+    }
+
+    #[test]
+    fn erase_and_retire_leave_neighbouring_blocks_untouched() {
+        let geom = Geometry::new(1, 1, 1, 1, 3, 4).expect("valid geometry");
+        let mut flash = FlashArray::new(geom, FlashTiming::paper_table1());
+        // Fill all three blocks, then kill every page of the middle one.
+        for b in 0..3 {
+            for _ in 0..4 {
+                flash
+                    .program_next(BlockId::new(b), SimTime::ZERO)
+                    .expect("program");
+            }
+        }
+        for ppn in geom.pages_of(BlockId::new(1)) {
+            flash.invalidate_page(ppn).expect("invalidate");
+        }
+        let middle = BlockId::new(1);
+        let neighbours = |flash: &FlashArray| {
+            [BlockId::new(0), BlockId::new(2)]
+                .map(|b| flash.page_states(b).expect("in range").to_vec())
+        };
+        let before = neighbours(&flash);
+        assert!(before.iter().flatten().all(|&p| p == PageState::Valid));
+        flash.erase_block(middle, SimTime::ZERO).expect("erase");
+        assert!(flash
+            .page_states(middle)
+            .expect("in range")
+            .iter()
+            .all(|&p| p == PageState::Free));
+        assert_eq!(neighbours(&flash), before, "erase touched a neighbour");
+        flash.retire_block(middle).expect("retire");
+        assert!(flash
+            .page_states(middle)
+            .expect("in range")
+            .iter()
+            .all(|&p| p == PageState::Bad));
+        assert_eq!(neighbours(&flash), before, "retire touched a neighbour");
+        assert_eq!(flash.total_valid_pages(), 8);
+        assert!(flash.page_states(BlockId::new(3)).is_err());
     }
 
     #[test]

@@ -63,7 +63,16 @@ impl fmt::Display for PageAddress {
 /// The flat [`Ppn`] layout is page-major within a block, block-major
 /// within a plane, and so on up to channels, so consecutive PPNs within
 /// a block are consecutive pages — matching NAND's sequential-program
-/// constraint.
+/// constraint:
+///
+/// ```text
+/// ppn = ((((channel·chips + chip)·dies + die)·planes + plane)·blocks + block)·pages + page
+/// ```
+///
+/// `pages_per_block` must be a power of two, so the block of a PPN and
+/// its offset within the block are a shift and a mask; the other
+/// dimensions are free-form, and [`Geometry::decode`] is the one
+/// definition of the rest of the layout.
 ///
 /// # Examples
 ///
@@ -84,15 +93,19 @@ pub struct Geometry {
     planes_per_die: u32,
     blocks_per_plane: u32,
     pages_per_block: u32,
+    /// `log2(pages_per_block)`.
+    page_shift: u32,
 }
 
 impl Geometry {
-    /// Creates a geometry, validating that every dimension is nonzero.
+    /// Creates a geometry, validating that every dimension is nonzero
+    /// and that blocks hold a power-of-two number of pages.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any dimension is zero or the total
-    /// page count overflows `u64`.
+    /// Returns [`ConfigError`] if any dimension is zero,
+    /// `pages_per_block` is not a power of two, or the total page count
+    /// overflows `u64`.
     pub fn new(
         channels: u32,
         chips_per_channel: u32,
@@ -114,6 +127,11 @@ impl Geometry {
                 return Err(ConfigError::new(format!("{name} must be nonzero")));
             }
         }
+        if !pages_per_block.is_power_of_two() {
+            return Err(ConfigError::new(format!(
+                "pages_per_block must be a power of two, got {pages_per_block}"
+            )));
+        }
         let geom = Geometry {
             channels,
             chips_per_channel,
@@ -121,6 +139,7 @@ impl Geometry {
             planes_per_die,
             blocks_per_plane,
             pages_per_block,
+            page_shift: pages_per_block.trailing_zeros(),
         };
         let blocks = u64::from(channels)
             .checked_mul(u64::from(chips_per_channel))
@@ -260,30 +279,21 @@ impl Geometry {
     }
 
     /// The block that contains `ppn`.
+    #[inline]
     pub fn block_of(&self, ppn: Ppn) -> BlockId {
-        BlockId::new(ppn.index() / u64::from(self.pages_per_block))
+        BlockId::new(ppn.index() >> self.page_shift)
     }
 
     /// The first PPN of `block`.
+    #[inline]
     pub fn first_ppn_of(&self, block: BlockId) -> Ppn {
-        Ppn::new(block.index() * u64::from(self.pages_per_block))
+        Ppn::new(block.index() << self.page_shift)
     }
 
     /// The page offset of `ppn` within its block.
+    #[inline]
     pub fn page_in_block(&self, ppn: Ppn) -> u32 {
-        (ppn.index() % u64::from(self.pages_per_block)) as u32
-    }
-
-    /// Flat chip index (channel-major) that owns `ppn` — the unit of
-    /// busy-time serialization for program/erase.
-    pub fn chip_of(&self, ppn: Ppn) -> u64 {
-        let addr = self.decode(ppn);
-        u64::from(addr.channel) * u64::from(self.chips_per_channel) + u64::from(addr.chip)
-    }
-
-    /// Channel index that owns `ppn`.
-    pub fn channel_of(&self, ppn: Ppn) -> u32 {
-        self.decode(ppn).channel
+        (ppn.index() & u64::from(self.pages_per_block - 1)) as u32
     }
 
     /// Flat plane index that owns `block` — the unit of block
@@ -353,11 +363,21 @@ mod tests {
     }
 
     #[test]
-    fn chip_and_channel_of_agree_with_decode() {
-        let g = small();
-        let ppn = g.ppn_at(1, 0, 1, 1, 0, 0);
-        assert_eq!(g.channel_of(ppn), 1);
-        assert_eq!(g.chip_of(ppn), 2); // channel 1 * 2 chips + chip 0
+    fn shift_and_mask_agree_with_decode() {
+        // Five blocks per plane: the block index is not a power of two
+        // even though the page offset is.
+        let g = Geometry::new(2, 2, 2, 2, 5, 8).expect("valid geometry");
+        for idx in 0..g.total_pages() {
+            let ppn = Ppn::new(idx);
+            let addr = g.decode(ppn);
+            assert_eq!(g.page_in_block(ppn), addr.page);
+            let block = g.block_of(ppn);
+            assert_eq!(block.index(), idx / 8);
+            assert_eq!(g.first_ppn_of(block).index(), idx - u64::from(addr.page));
+            let chip = u64::from(addr.channel * 2 + addr.chip);
+            let plane = (chip * 2 + u64::from(addr.die)) * 2 + u64::from(addr.plane);
+            assert_eq!(g.plane_of_block(block), plane);
+        }
     }
 
     #[test]
@@ -374,6 +394,19 @@ mod tests {
     fn zero_dimension_rejected() {
         assert!(Geometry::new(0, 1, 1, 1, 1, 1).is_err());
         assert!(Geometry::new(1, 1, 1, 1, 1, 0).is_err());
+    }
+
+    #[test]
+    fn non_power_of_two_block_size_rejected() {
+        for pages in [3, 96, 384] {
+            let err = Geometry::new(1, 1, 1, 1, 4, pages).unwrap_err();
+            assert!(err.to_string().contains("power of two"), "{err}");
+        }
+        for pages in [1, 2, 64, 256] {
+            assert!(Geometry::new(1, 1, 1, 1, 4, pages).is_ok());
+        }
+        // Blocks per plane stay free-form.
+        assert!(Geometry::new(4, 2, 1, 2, 69, 64).is_ok());
     }
 
     #[test]

@@ -75,7 +75,10 @@ impl Allocator {
     /// consecutive writes exploit channel/chip parallelism).
     pub fn next_plane(&mut self) -> u64 {
         let plane = self.cursor;
-        self.cursor = (self.cursor + 1) % self.plane_count();
+        self.cursor += 1;
+        if self.cursor == self.plane_count() {
+            self.cursor = 0;
+        }
         plane
     }
 

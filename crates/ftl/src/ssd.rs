@@ -64,6 +64,9 @@ pub struct Ssd {
     /// retirements are emitted here from the results the flash array
     /// returns, so one log holds the whole drive's total order.
     events: Option<EventLog>,
+    /// Scratch copy of a GC victim's page states, reused across
+    /// collections.
+    victim_states: Vec<PageState>,
 }
 
 impl Ssd {
@@ -98,6 +101,7 @@ impl Ssd {
             clock: WriteClock::ZERO,
             stats: SsdStats::new(),
             events: config.trace_events.then(EventLog::new),
+            victim_states: Vec::with_capacity(config.geometry.pages_per_block() as usize),
             config,
         };
         if ssd.config.precondition {
@@ -152,7 +156,7 @@ impl Ssd {
         for index in 0..self.config.logical_pages {
             let lpn = Lpn::new(index);
             let value = initial_value_of(lpn);
-            let (ppn, _) = self.program_host_page(SimTime::ZERO)?;
+            let (ppn, _, _) = self.program_host_page(SimTime::ZERO)?;
             self.rmap.insert(ppn, value, lpn);
             self.mapping.update(lpn, ppn)?;
             if let Some(dedup) = self.dedup.as_mut().filter(|_| index >= first_indexed) {
@@ -293,17 +297,13 @@ impl Ssd {
 
         // 3. Normal out-of-place program.
         self.kill_current(lpn, now)?;
-        let (ppn, done) = self.program_host_page(t)?;
+        let (ppn, done, plane) = self.program_host_page(t)?;
         self.stats.host_programs += 1;
         self.rmap.insert(ppn, value, lpn);
         self.mapping.update(lpn, ppn)?;
         if let Some(dedup) = self.dedup.as_mut() {
             dedup.register(fp, ppn);
         }
-        let plane = self
-            .config
-            .geometry
-            .plane_of_block(self.config.geometry.block_of(ppn));
         // GC triggered by this write stalls it: the erase pipeline the
         // write set off must drain before the host sees completion, so
         // the reclamation time is charged to the triggering request
@@ -592,8 +592,8 @@ impl Ssd {
         for (block, info) in self.flash.blocks() {
             let mut counts = [0u32; 4];
             let mut popularity = 0u32;
-            for ppn in geometry.pages_of(block) {
-                let state = self.flash.page_state(ppn).map_err(|e| e.to_string())?;
+            let states = self.flash.page_states(block).map_err(|e| e.to_string())?;
+            for (ppn, state) in geometry.pages_of(block).zip(states) {
                 counts[match state {
                     PageState::Valid => 0,
                     PageState::Invalid => 1,
@@ -673,19 +673,20 @@ impl Ssd {
         Ok(())
     }
 
-    /// Programs the next page of the striped host stream at time `t`.
+    /// Programs the next page of the striped host stream at time `t`,
+    /// returning the page, its completion time and its plane.
     ///
     /// An injected program failure marks the attempted page bad and
     /// retries on the next page (possibly of a fresh block) once the
     /// failed pulse finishes — the failure is only visible in the
     /// status poll, so the retry cannot start earlier. Runs out of
     /// space rather than loops if the whole device fails.
-    fn program_host_page(&mut self, mut t: SimTime) -> Result<(Ppn, SimTime), SsdError> {
+    fn program_host_page(&mut self, mut t: SimTime) -> Result<(Ppn, SimTime, u64), SsdError> {
         let plane = self.allocator.next_plane();
         loop {
             let block = self.allocator.take_active(plane, &self.flash)?;
             match self.flash.program_next(block, t) {
-                Ok(ok) => return Ok(ok),
+                Ok((ppn, done)) => return Ok((ppn, done, plane)),
                 Err(FlashOpError::ProgramFailed { ppn }) => t = self.program_failed(ppn),
                 Err(e) => return Err(e.into()),
             }
@@ -812,8 +813,13 @@ impl Ssd {
             );
         }
         let mut t = now;
-        for ppn in geometry.pages_of(victim) {
-            match self.flash.page_state(ppn)? {
+        // Only the page being moved changes state during the walk, so
+        // a copy of the victim's states taken up front stays accurate.
+        let mut states = std::mem::take(&mut self.victim_states);
+        states.clear();
+        states.extend_from_slice(self.flash.page_states(victim)?);
+        for (ppn, &state) in geometry.pages_of(victim).zip(&states) {
+            match state {
                 PageState::Valid => {
                     // In-plane relocation uses the copyback advanced
                     // command (tR + tPROG, no channel); the emergency
@@ -868,6 +874,7 @@ impl Ssd {
                 PageState::Free | PageState::Bad => {}
             }
         }
+        self.victim_states = states;
         self.stats
             .phases
             .add("gc_relocate", t.saturating_since(now));
