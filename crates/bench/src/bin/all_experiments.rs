@@ -7,9 +7,11 @@
 //! grid executor; `ZSSD_THREADS` pins the worker count.
 //!
 //! Run with `cargo run -p zssd-bench --release --bin all_experiments`
-//! (`ZSSD_SCALE=0.1` for a quick pass). Pass `--timing` to also run
-//! the matrix serially, verify the parallel run produced identical
-//! reports, and write the wall-clock comparison to `BENCH_grid.json`.
+//! (`ZSSD_SCALE=0.1` for a quick pass). Pass `--timing` to run the
+//! matrix [`TIMING_RUNS`] times serially and as often in parallel,
+//! alternating, verify every run produced identical reports, and write
+//! the median, fastest and slowest wall-clock times of each side to
+//! `BENCH_grid.json`.
 
 use std::time::Instant;
 
@@ -21,25 +23,45 @@ use zssd_core::SystemKind;
 use zssd_ftl::RunReport;
 use zssd_metrics::reduction_pct;
 
+/// How many serial and how many parallel runs `--timing` makes. The
+/// two sides alternate, so slow spells of a shared host land on both.
+const TIMING_RUNS: usize = 5;
+
+/// Median, fastest and slowest of a set of wall-clock times.
+fn spread(secs: &mut [f64]) -> [f64; 3] {
+    secs.sort_by(f64::total_cmp);
+    [secs[secs.len() / 2], secs[0], secs[secs.len() - 1]]
+}
+
 /// Writes the serial-vs-parallel timing comparison as a small JSON
 /// report (hand-rolled: the workspace carries no serde).
 fn write_timing_json(
     path: &str,
     cells: usize,
     threads: usize,
-    serial_secs: f64,
-    parallel_secs: f64,
+    serial_secs: &mut [f64],
+    parallel_secs: &mut [f64],
     identical: bool,
 ) -> std::io::Result<()> {
-    let speedup = if parallel_secs > 0.0 {
-        serial_secs / parallel_secs
+    let runs = serial_secs.len();
+    let [serial, parallel] = [serial_secs, parallel_secs].map(|secs| {
+        let [median, min, max] = spread(secs);
+        (
+            median,
+            format!("{{\"median\": {median:.3}, \"min\": {min:.3}, \"max\": {max:.3}}}"),
+        )
+    });
+    let speedup = if parallel.0 > 0.0 {
+        serial.0 / parallel.0
     } else {
         0.0
     };
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"benchmark\": \"grid_runner\",\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"available_cpus\": {cpus},\n  \"scale\": {scale},\n  \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {parallel_secs:.3},\n  \"speedup\": {speedup:.2},\n  \"reports_identical\": {identical}\n}}\n",
+        "{{\n  \"benchmark\": \"grid_runner\",\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"available_cpus\": {cpus},\n  \"scale\": {scale},\n  \"runs\": {runs},\n  \"serial_secs\": {serial},\n  \"parallel_secs\": {parallel},\n  \"speedup\": {speedup:.2},\n  \"reports_identical\": {identical}\n}}\n",
         scale = zssd_bench::scale(),
+        serial = serial.1,
+        parallel = parallel.1,
     );
     std::fs::write(path, json)
 }
@@ -66,31 +88,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let cells = grid_for(&profiles, &systems);
     let reports = if timing {
-        let start = Instant::now();
-        let serial = run_grid_with_threads(cells.clone(), 1)?;
-        let serial_secs = start.elapsed().as_secs_f64();
-        eprintln!("[timing] serial: {serial_secs:.2}s");
-
-        let start = Instant::now();
-        let parallel = run_grid(cells)?;
-        let parallel_secs = start.elapsed().as_secs_f64();
-        let identical = serial == parallel;
-        eprintln!(
-            "[timing] parallel ({} threads): {parallel_secs:.2}s  speedup {:.2}x  identical: {identical}",
-            grid_threads(),
-            serial_secs / parallel_secs.max(1e-9),
-        );
+        // The first run's reports are kept; every later run is compared
+        // with them and dropped, so at most two runs' reports are alive
+        // at once.
+        let mut first: Option<Vec<RunReport>> = None;
+        let mut identical = true;
+        let mut keep_or_compare = |reports: Vec<RunReport>| match &first {
+            Some(reference) => identical &= reports == *reference,
+            None => first = Some(reports),
+        };
+        let (mut serial_secs, mut parallel_secs) = (Vec::new(), Vec::new());
+        for run in 1..=TIMING_RUNS {
+            let start = Instant::now();
+            let serial = run_grid_with_threads(cells.clone(), 1)?;
+            serial_secs.push(start.elapsed().as_secs_f64());
+            keep_or_compare(serial);
+            let start = Instant::now();
+            let parallel = run_grid(cells.clone())?;
+            parallel_secs.push(start.elapsed().as_secs_f64());
+            keep_or_compare(parallel);
+            eprintln!(
+                "[timing] run {run}/{TIMING_RUNS}: serial {:.2}s, parallel ({} threads) {:.2}s",
+                serial_secs[run - 1],
+                grid_threads(),
+                parallel_secs[run - 1],
+            );
+        }
+        let first = first.expect("at least one timing run");
         write_timing_json(
             "BENCH_grid.json",
-            serial.len(),
+            first.len(),
             grid_threads(),
-            serial_secs,
-            parallel_secs,
+            &mut serial_secs,
+            &mut parallel_secs,
             identical,
         )?;
-        eprintln!("[timing] wrote BENCH_grid.json");
-        assert!(identical, "parallel grid must reproduce the serial reports");
-        parallel
+        eprintln!("[timing] wrote BENCH_grid.json (identical: {identical})");
+        assert!(
+            identical,
+            "every grid run must reproduce the first serial reports"
+        );
+        first
     } else {
         run_grid(cells)?
     };

@@ -54,7 +54,7 @@ ARRIVALS (for --arrival; --interval-us sets the mean gap):
 
 FAULTS (for --fault-rate; same syntax as the ZSSD_FAULTS env knob):
     a bare probability (applied to program, erase, and read alike), or
-    program=P,erase=P,read=P,wear=A,seed=N with any subset of keys;
+    program=P,erase=P,read=P,seed=N with any subset of keys;
     --fault-seed overrides the plan seed
 
 METRICS (DESIGN.md §13):

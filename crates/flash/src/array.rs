@@ -13,13 +13,14 @@ use crate::fault::{FaultConfig, FaultKind, FaultPlan};
 use crate::geometry::{BlockId, Geometry};
 use crate::timing::FlashTiming;
 
-/// An illegal flash operation.
+/// An illegal flash command. Injected NAND faults are not errors: a
+/// command they hit still ran, and reports them in its [`Completion`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlashOpError {
     /// The page or block does not exist.
     Address(AddressError),
     /// The page was not in the state the operation requires (e.g.
-    /// programming a non-free page, reviving a valid page).
+    /// reading a free page, reviving a valid page).
     State {
         /// The page operated on.
         ppn: Ppn,
@@ -27,14 +28,6 @@ pub enum FlashOpError {
         expected: PageState,
         /// The state the page was actually in.
         actual: PageState,
-    },
-    /// A program targeted a page other than the block's write cursor
-    /// (NAND programs pages of a block strictly in order).
-    OutOfOrderProgram {
-        /// The page targeted.
-        ppn: Ppn,
-        /// The in-block offset that must be programmed next.
-        expected_offset: u32,
     },
     /// An erase targeted a block that still holds valid pages; GC must
     /// relocate them first.
@@ -57,21 +50,6 @@ pub enum FlashOpError {
         /// The destination block (in another plane).
         dest_block: BlockId,
     },
-    /// An injected program failure: the NAND reported a program-status
-    /// error. The target page is now [`PageState::Bad`] and the
-    /// block's cursor has moved past it — the caller retries on the
-    /// next page.
-    ProgramFailed {
-        /// The page that went bad.
-        ppn: Ppn,
-    },
-    /// An injected erase failure: the block did not erase. Its page
-    /// states are unchanged; the caller retries, and retires the block
-    /// if failures repeat.
-    EraseFailed {
-        /// The block that failed to erase.
-        block: BlockId,
-    },
 }
 
 impl fmt::Display for FlashOpError {
@@ -83,13 +61,6 @@ impl fmt::Display for FlashOpError {
                 expected,
                 actual,
             } => write!(f, "page {ppn} is {actual}, operation requires {expected}"),
-            FlashOpError::OutOfOrderProgram {
-                ppn,
-                expected_offset,
-            } => write!(
-                f,
-                "out-of-order program of {ppn}; next programmable offset is {expected_offset}"
-            ),
             FlashOpError::BlockHasValidPages { block, valid_pages } => {
                 write!(f, "erase of {block} with {valid_pages} valid pages")
             }
@@ -97,10 +68,6 @@ impl fmt::Display for FlashOpError {
             FlashOpError::CrossPlaneCopyback { src, dest_block } => {
                 write!(f, "copyback from {src} to {dest_block} crosses planes")
             }
-            FlashOpError::ProgramFailed { ppn } => {
-                write!(f, "program of {ppn} failed; page marked bad")
-            }
-            FlashOpError::EraseFailed { block } => write!(f, "erase of {block} failed"),
         }
     }
 }
@@ -118,6 +85,28 @@ impl From<AddressError> for FlashOpError {
     fn from(e: AddressError) -> Self {
         FlashOpError::Address(e)
     }
+}
+
+/// What a flash command reports once it has run: when it completed,
+/// and whether an injected NAND fault hit it. A faulted command still
+/// spends its full time — the failure only shows in the status poll,
+/// so a retry starts at `done`. What the fault did depends on the
+/// command:
+///
+/// * read — an uncorrectable-ECC event forced a second sense and
+///   transfer; the data survived;
+/// * program, and copyback's program half — the page went
+///   [`PageState::Bad`] without ever holding data, and the block's
+///   cursor moved past it;
+/// * erase — the block did not erase; its page states and wear are
+///   unchanged.
+#[must_use]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    /// When the command finished.
+    pub done: SimTime,
+    /// Whether an injected fault hit the command.
+    pub faulted: bool,
 }
 
 /// Aggregate operation counters for the whole array.
@@ -326,18 +315,18 @@ impl FlashArray {
         Ok(self.blocks[block.index() as usize].free_count())
     }
 
-    /// Reads a page, returning the completion time and whether an
-    /// uncorrectable-ECC event forced a retry.
+    /// Reads a page. The page must hold data (valid or invalid — GC
+    /// may read garbage pages).
     ///
-    /// The page must hold data (valid or invalid — GC may read garbage
-    /// pages). A retried read costs a full second sense + transfer
-    /// pass; the retry always succeeds (the data survives — the FTL
-    /// should still relocate it off the suspect page).
+    /// A faulted read hit an uncorrectable-ECC event and cost a full
+    /// second sense + transfer pass; the retry always succeeds (the
+    /// data survives — the FTL should still relocate it off the
+    /// suspect page).
     ///
     /// # Errors
     ///
     /// Returns an error if the page is out of range, free, or bad.
-    pub fn read_page(&mut self, ppn: Ppn, at: SimTime) -> Result<(SimTime, bool), FlashOpError> {
+    pub fn read_page(&mut self, ppn: Ppn, at: SimTime) -> Result<Completion, FlashOpError> {
         let state = self.page_state(ppn)?;
         if state == PageState::Free || state == PageState::Bad {
             return Err(FlashOpError::State {
@@ -351,14 +340,13 @@ impl FlashArray {
             block.placement.chip as usize,
             block.placement.channel as usize,
         );
-        let wear = block.erase_count;
         let sense_start = at.max(self.chip_busy_until[chip]);
         let sense_done = sense_start + self.timing.read;
         let xfer_start = sense_done.max(self.channel_busy_until[channel]);
         let mut done = xfer_start + self.timing.transfer;
         self.stats.reads.incr();
-        let retried = self.fault.decide(FaultKind::Read, ppn.index(), wear);
-        if retried {
+        let faulted = self.fault.decide(FaultKind::Read, ppn.index());
+        if faulted {
             // ECC failed on the first sense: sense and transfer again.
             let retry_xfer = (done + self.timing.read).max(self.channel_busy_until[channel]);
             done = retry_xfer + self.timing.transfer;
@@ -367,68 +355,15 @@ impl FlashArray {
         }
         self.chip_busy_until[chip] = done;
         self.channel_busy_until[channel] = done;
-        Ok((done, retried))
+        Ok(Completion { done, faulted })
     }
 
-    /// Programs a page, returning the completion time. The page becomes
-    /// [`PageState::Valid`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is out of range, not free, or not
-    /// the next sequential page of its block. An injected program
-    /// failure ([`FlashOpError::ProgramFailed`]) marks the page bad and
-    /// advances the cursor past it — the full transfer + `tPROG` time
-    /// is still spent (the failure only shows in the status poll), and
-    /// the caller retries on the block's next page.
-    pub fn program_page(&mut self, ppn: Ppn, at: SimTime) -> Result<SimTime, FlashOpError> {
-        let state = self.page_state(ppn)?;
-        if state != PageState::Free {
-            return Err(FlashOpError::State {
-                ppn,
-                expected: PageState::Free,
-                actual: state,
-            });
-        }
-        let block_id = self.geometry.block_of(ppn);
-        let block = &self.blocks[block_id.index() as usize];
-        if self.geometry.page_in_block(ppn) != block.write_cursor {
-            return Err(FlashOpError::OutOfOrderProgram {
-                ppn,
-                expected_offset: block.write_cursor,
-            });
-        }
-        let (chip, channel) = (
-            block.placement.chip as usize,
-            block.placement.channel as usize,
-        );
-        let failed = self
-            .fault
-            .decide(FaultKind::Program, ppn.index(), block.erase_count);
-        let (block, pages) = self.block_mut(block_id);
-        if failed {
-            block.fail_at_cursor(pages);
-        } else {
-            block.program_at_cursor(pages);
-        }
-
-        let xfer_start = at
-            .max(self.chip_busy_until[chip])
-            .max(self.channel_busy_until[channel]);
-        let xfer_done = xfer_start + self.timing.transfer;
-        let done = xfer_done + self.timing.program;
-        self.channel_busy_until[channel] = xfer_done;
-        self.chip_busy_until[chip] = done;
-        if failed {
-            self.stats.program_failures.incr();
-            return Err(FlashOpError::ProgramFailed { ppn });
-        }
-        self.stats.programs.incr();
-        Ok(done)
-    }
-
-    /// Programs the next sequential page of `block`, returning the
-    /// chosen page and completion time.
+    /// Programs the next sequential page of `block`: the transfer
+    /// serializes on the channel, then the chip is busy for `tPROG`.
+    /// Returns the page and the command's [`Completion`]; on success the
+    /// page becomes [`PageState::Valid`]. A faulted program still spent
+    /// the full transfer + `tPROG`, and the caller retries on the
+    /// block's next page.
     ///
     /// # Errors
     ///
@@ -437,15 +372,49 @@ impl FlashArray {
         &mut self,
         block: BlockId,
         at: SimTime,
-    ) -> Result<(Ppn, SimTime), FlashOpError> {
+    ) -> Result<(Ppn, Completion), FlashOpError> {
+        let (ppn, faulted) = self.program_at_cursor(block)?;
+        let placement = self.blocks[block.index() as usize].placement;
+        let (chip, channel) = (placement.chip as usize, placement.channel as usize);
+        let xfer_start = at
+            .max(self.chip_busy_until[chip])
+            .max(self.channel_busy_until[channel]);
+        let xfer_done = xfer_start + self.timing.transfer;
+        let done = xfer_done + self.timing.program;
+        self.channel_busy_until[channel] = xfer_done;
+        self.chip_busy_until[chip] = done;
+        Ok((ppn, Completion { done, faulted }))
+    }
+
+    /// The page-state half of every program, shared by
+    /// [`program_next`](FlashArray::program_next) and
+    /// [`copyback_page`](FlashArray::copyback_page): checks that `block`
+    /// exists and has a free page, decides whether the program fails,
+    /// marks the page at the write cursor valid (or bad) and counts the
+    /// outcome. Returns the page and whether the program failed; the
+    /// callers charge the time.
+    fn program_at_cursor(&mut self, block: BlockId) -> Result<(Ppn, bool), FlashOpError> {
         self.check_block(block)?;
         let cursor = self.blocks[block.index() as usize].write_cursor;
         if cursor >= self.geometry.pages_per_block() {
             return Err(FlashOpError::BlockFull { block });
         }
         let ppn = Ppn::new(self.geometry.first_ppn_of(block).index() + u64::from(cursor));
-        let done = self.program_page(ppn, at)?;
-        Ok((ppn, done))
+        debug_assert_eq!(
+            self.pages[ppn.index() as usize],
+            PageState::Free,
+            "the write cursor rests on a free page"
+        );
+        let failed = self.fault.decide(FaultKind::Program, ppn.index());
+        let (record, pages) = self.block_mut(block);
+        if failed {
+            record.fail_at_cursor(pages);
+            self.stats.program_failures.incr();
+        } else {
+            record.program_at_cursor(pages);
+            self.stats.programs.incr();
+        }
+        Ok((ppn, failed))
     }
 
     /// Marks a valid page invalid (a death). Pure bookkeeping: no flash
@@ -498,8 +467,9 @@ impl FlashArray {
     /// copyback / internal-data-move advanced command): the plane
     /// reads the source into its page register and programs the
     /// destination directly. Returns the destination page and the
-    /// completion time. The source keeps its state (the caller
-    /// invalidates it); the destination becomes valid.
+    /// command's [`Completion`]. The source keeps its state (the caller
+    /// invalidates it); the destination becomes valid, or bad if the
+    /// program half faulted.
     ///
     /// Cost: `tR + tPROG` of chip time, no channel occupancy — cheaper
     /// than a read–modify–write relocation and the reason GC prefers
@@ -515,9 +485,9 @@ impl FlashArray {
         src: Ppn,
         dest_block: BlockId,
         at: SimTime,
-    ) -> Result<(Ppn, SimTime), FlashOpError> {
+    ) -> Result<(Ppn, Completion), FlashOpError> {
         let state = self.page_state(src)?;
-        if state == PageState::Free {
+        if state == PageState::Free || state == PageState::Bad {
             return Err(FlashOpError::State {
                 ppn: src,
                 expected: PageState::Valid,
@@ -525,55 +495,31 @@ impl FlashArray {
             });
         }
         self.check_block(dest_block)?;
-        let source = self.record_of(src);
-        let target = &self.blocks[dest_block.index() as usize];
-        if target.placement.plane != source.placement.plane {
+        let source = self.record_of(src).placement;
+        if self.blocks[dest_block.index() as usize].placement.plane != source.plane {
             return Err(FlashOpError::CrossPlaneCopyback { src, dest_block });
         }
-        let cursor = target.write_cursor;
-        if cursor >= self.geometry.pages_per_block() || target.free_count() == 0 {
-            return Err(FlashOpError::BlockFull { block: dest_block });
-        }
-        let dest = Ppn::new(self.geometry.first_ppn_of(dest_block).index() + u64::from(cursor));
+        let (dest, faulted) = self.program_at_cursor(dest_block)?;
         // One plane lives on one chip.
-        let chip = source.placement.chip as usize;
-
-        // The program half of the move is subject to the same injected
-        // failures as a host program.
-        let failed = self
-            .fault
-            .decide(FaultKind::Program, dest.index(), target.erase_count);
-        // State transition of the destination page, mirroring
-        // program_page but without touching the channel.
-        let (block, pages) = self.block_mut(dest_block);
-        if failed {
-            block.fail_at_cursor(pages);
-        } else {
-            block.program_at_cursor(pages);
-        }
+        let chip = source.chip as usize;
         let start = at.max(self.chip_busy_until[chip]);
         let done = start + self.timing.read + self.timing.program;
         self.chip_busy_until[chip] = done;
         self.stats.reads.incr();
-        if failed {
-            self.stats.program_failures.incr();
-            return Err(FlashOpError::ProgramFailed { ppn: dest });
-        }
-        self.stats.programs.incr();
-        Ok((dest, done))
+        Ok((dest, Completion { done, faulted }))
     }
 
-    /// Erases a block, returning the completion time. All non-bad
-    /// pages become free and the block's wear count increments.
+    /// Erases a block: the chip is busy for `tBERS`. All non-bad pages
+    /// become free and the block's wear count increments. A faulted
+    /// erase spent the full `tBERS` but left page states and wear
+    /// untouched — the caller retries, and retires the block if
+    /// failures repeat.
     ///
     /// # Errors
     ///
     /// Returns an error if the block is out of range or still holds
-    /// valid pages (relocate them first). An injected erase failure
-    /// ([`FlashOpError::EraseFailed`]) spends the full `tBERS` but
-    /// leaves page states untouched — the caller retries, and retires
-    /// the block if failures repeat.
-    pub fn erase_block(&mut self, block: BlockId, at: SimTime) -> Result<SimTime, FlashOpError> {
+    /// valid pages (relocate them first).
+    pub fn erase_block(&mut self, block: BlockId, at: SimTime) -> Result<Completion, FlashOpError> {
         self.check_block(block)?;
         let b = &self.blocks[block.index() as usize];
         if b.valid_count > 0 {
@@ -583,20 +529,17 @@ impl FlashArray {
             });
         }
         let chip = b.placement.chip as usize;
-        let failed = self
-            .fault
-            .decide(FaultKind::Erase, block.index(), b.erase_count);
-        let start = at.max(self.chip_busy_until[chip]);
-        let done = start + self.timing.erase;
+        let faulted = self.fault.decide(FaultKind::Erase, block.index());
+        let done = at.max(self.chip_busy_until[chip]) + self.timing.erase;
         self.chip_busy_until[chip] = done;
-        if failed {
+        if faulted {
             self.stats.erase_failures.incr();
-            return Err(FlashOpError::EraseFailed { block });
+        } else {
+            let (b, pages) = self.block_mut(block);
+            b.erase(pages);
+            self.stats.erases.incr();
         }
-        let (b, pages) = self.block_mut(block);
-        b.erase(pages);
-        self.stats.erases.incr();
-        Ok(done)
+        Ok(Completion { done, faulted })
     }
 
     /// Permanently removes a block from service: every page becomes
@@ -622,12 +565,6 @@ impl FlashArray {
         b.retire(pages);
         self.stats.retired_blocks.incr();
         Ok(())
-    }
-
-    /// Earliest time the chip owning `ppn` is free — lets the FTL
-    /// estimate queueing before issuing.
-    pub fn chip_free_at(&self, ppn: Ppn) -> SimTime {
-        self.chip_busy_until[self.record_of(ppn).placement.chip as usize]
     }
 
     /// Completes a request on the *controller's* fast path — a revival,
@@ -764,6 +701,7 @@ impl WearSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultConfig;
     use zssd_types::SimDuration;
 
     fn tiny() -> FlashArray {
@@ -771,65 +709,51 @@ mod tests {
         FlashArray::new(geom, FlashTiming::paper_table1())
     }
 
+    /// Programs the next page of `block` at `at`, expecting no fault.
+    fn program(flash: &mut FlashArray, block: u64, at: SimTime) -> (Ppn, SimTime) {
+        let (ppn, program) = flash
+            .program_next(BlockId::new(block), at)
+            .expect("program");
+        assert!(!program.faulted, "no fault injected");
+        (ppn, program.done)
+    }
+
     #[test]
     fn program_then_read_round_trip_times() {
         let mut flash = tiny();
-        let ppn = Ppn::new(0);
         let t = FlashTiming::paper_table1();
-        let done = flash.program_page(ppn, SimTime::ZERO).expect("program");
+        let (ppn, done) = program(&mut flash, 0, SimTime::ZERO);
+        assert_eq!(ppn, Ppn::new(0));
         assert_eq!(done, SimTime::ZERO + t.transfer + t.program);
-        let (read_done, _) = flash.read_page(ppn, SimTime::ZERO).expect("read");
+        let read = flash.read_page(ppn, SimTime::ZERO).expect("read");
         // The read waits for the program to finish on the same chip.
-        assert_eq!(read_done, done + t.read + t.transfer);
+        assert_eq!(read.done, done + t.read + t.transfer);
+        assert!(!read.faulted);
     }
 
     #[test]
     fn programs_on_different_channels_overlap() {
         let mut flash = tiny();
         let geom = *flash.geometry();
-        let a = geom.ppn_at(0, 0, 0, 0, 0, 0);
-        let b = geom.ppn_at(1, 0, 0, 0, 0, 0);
-        let da = flash.program_page(a, SimTime::ZERO).expect("program a");
-        let db = flash.program_page(b, SimTime::ZERO).expect("program b");
+        let a = geom.block_of(geom.ppn_at(0, 0, 0, 0, 0, 0));
+        let b = geom.block_of(geom.ppn_at(1, 0, 0, 0, 0, 0));
+        let (_, da) = program(&mut flash, a.index(), SimTime::ZERO);
+        let (_, db) = program(&mut flash, b.index(), SimTime::ZERO);
         assert_eq!(da, db, "independent channels see identical latency");
     }
 
     #[test]
     fn programs_on_same_chip_serialize() {
         let mut flash = tiny();
-        let a = Ppn::new(0);
-        let b = Ppn::new(1);
-        let da = flash.program_page(a, SimTime::ZERO).expect("program a");
-        let db = flash.program_page(b, SimTime::ZERO).expect("program b");
+        let (_, da) = program(&mut flash, 0, SimTime::ZERO);
+        let (_, db) = program(&mut flash, 0, SimTime::ZERO);
         assert!(db > da, "same-chip programs must queue");
-    }
-
-    #[test]
-    fn out_of_order_program_rejected() {
-        let mut flash = tiny();
-        let err = flash.program_page(Ppn::new(2), SimTime::ZERO).unwrap_err();
-        assert!(matches!(
-            err,
-            FlashOpError::OutOfOrderProgram {
-                expected_offset: 0,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn double_program_rejected() {
-        let mut flash = tiny();
-        flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
-        let err = flash.program_page(Ppn::new(0), SimTime::ZERO).unwrap_err();
-        assert!(matches!(err, FlashOpError::State { .. }));
     }
 
     #[test]
     fn invalidate_then_revive_counts_and_states() {
         let mut flash = tiny();
-        let ppn = Ppn::new(0);
-        flash.program_page(ppn, SimTime::ZERO).expect("program");
+        let (ppn, _) = program(&mut flash, 0, SimTime::ZERO);
         flash.invalidate_page(ppn).expect("invalidate");
         assert_eq!(flash.page_state(ppn).expect("state"), PageState::Invalid);
         assert_eq!(flash.total_invalid_pages(), 1);
@@ -850,19 +774,19 @@ mod tests {
     fn erase_requires_no_valid_pages_and_bumps_wear() {
         let mut flash = tiny();
         let block = BlockId::new(0);
-        flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
+        let (ppn, programmed) = program(&mut flash, 0, SimTime::ZERO);
         let err = flash.erase_block(block, SimTime::ZERO).unwrap_err();
         assert!(matches!(err, FlashOpError::BlockHasValidPages { .. }));
-        flash.invalidate_page(Ppn::new(0)).expect("invalidate");
+        flash.invalidate_page(ppn).expect("invalidate");
         // The erase queues behind the still-running program on the
         // same chip.
-        let chip_free = flash.chip_free_at(Ppn::new(0));
-        let done = flash.erase_block(block, SimTime::ZERO).expect("erase");
-        assert_eq!(done, chip_free + SimDuration::from_micros(3800));
+        let erase = flash.erase_block(block, SimTime::ZERO).expect("erase");
+        assert_eq!(erase.done, programmed + SimDuration::from_micros(3800));
+        assert!(!erase.faulted);
         assert_eq!(flash.erase_count(block).expect("count"), 1);
         assert_eq!(flash.free_pages_in(block).expect("free"), 4);
         // Block can be programmed again from offset zero.
-        flash.program_page(Ppn::new(0), done).expect("reprogram");
+        assert_eq!(program(&mut flash, 0, erase.done).0, Ppn::new(0));
     }
 
     #[test]
@@ -871,7 +795,7 @@ mod tests {
         let block = BlockId::new(1);
         let mut last = SimTime::ZERO;
         for expect in 4..8u64 {
-            let (ppn, done) = flash.program_next(block, last).expect("program");
+            let (ppn, done) = program(&mut flash, 1, last);
             assert_eq!(ppn.index(), expect);
             last = done;
         }
@@ -894,16 +818,22 @@ mod tests {
             flash.read_page(bad, SimTime::ZERO).unwrap_err(),
             FlashOpError::Address(_)
         ));
+        assert!(matches!(
+            flash
+                .program_next(BlockId::new(99), SimTime::ZERO)
+                .unwrap_err(),
+            FlashOpError::Address(_)
+        ));
         assert!(flash.block_info(BlockId::new(99)).is_err());
     }
 
     #[test]
     fn stats_track_each_operation() {
         let mut flash = tiny();
-        flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
-        flash.read_page(Ppn::new(0), SimTime::ZERO).expect("ok");
-        flash.invalidate_page(Ppn::new(0)).expect("ok");
-        flash
+        let (ppn, _) = program(&mut flash, 0, SimTime::ZERO);
+        let _ = flash.read_page(ppn, SimTime::ZERO).expect("ok");
+        flash.invalidate_page(ppn).expect("ok");
+        let _ = flash
             .erase_block(BlockId::new(0), SimTime::ZERO)
             .expect("ok");
         let s = flash.stats();
@@ -926,29 +856,29 @@ mod tests {
         let t = FlashTiming::paper_table1();
         // Program page 0 of block 0 (plane 0), then copy it into
         // block 1 (same plane).
-        let src = Ppn::new(0);
-        let done = flash.program_page(src, SimTime::ZERO).expect("program");
-        let (dest, cb_done) = flash
+        let (src, done) = program(&mut flash, 0, SimTime::ZERO);
+        let (dest, copy) = flash
             .copyback_page(src, BlockId::new(1), done)
             .expect("copyback");
         assert_eq!(geom.block_of(dest), BlockId::new(1));
         assert_eq!(
-            cb_done,
+            copy.done,
             done + t.read + t.program,
             "tR + tPROG, no transfer"
         );
+        assert!(!copy.faulted);
         assert_eq!(flash.page_state(dest).expect("state"), PageState::Valid);
         // Source is untouched until the caller invalidates it.
         assert_eq!(flash.page_state(src).expect("state"), PageState::Valid);
         flash.invalidate_page(src).expect("invalidate");
         // Cross-plane copyback is rejected (block 2 is plane 1).
         let err = flash
-            .copyback_page(dest, BlockId::new(2), cb_done)
+            .copyback_page(dest, BlockId::new(2), copy.done)
             .unwrap_err();
         assert!(matches!(err, FlashOpError::CrossPlaneCopyback { .. }));
         // Copyback of a free page is rejected.
         let err = flash
-            .copyback_page(Ppn::new(3), BlockId::new(1), cb_done)
+            .copyback_page(Ppn::new(3), BlockId::new(1), copy.done)
             .unwrap_err();
         assert!(matches!(err, FlashOpError::State { .. }));
     }
@@ -957,8 +887,8 @@ mod tests {
     fn copyback_fills_destination_sequentially() {
         let geom = Geometry::new(1, 1, 1, 1, 2, 2).expect("valid geometry");
         let mut flash = FlashArray::new(geom, FlashTiming::paper_table1());
-        flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
-        flash.program_page(Ppn::new(1), SimTime::ZERO).expect("ok");
+        program(&mut flash, 0, SimTime::ZERO);
+        program(&mut flash, 0, SimTime::ZERO);
         let (d1, _) = flash
             .copyback_page(Ppn::new(0), BlockId::new(1), SimTime::ZERO)
             .expect("copyback");
@@ -980,11 +910,11 @@ mod tests {
         assert_eq!(fresh.imbalance(), 0.0);
         // Erase block 0 three times, block 1 once (4 blocks total).
         for _ in 0..3 {
-            flash
+            let _ = flash
                 .erase_block(BlockId::new(0), SimTime::ZERO)
                 .expect("erase");
         }
-        flash
+        let _ = flash
             .erase_block(BlockId::new(1), SimTime::ZERO)
             .expect("erase");
         let worn = flash.wear_summary();
@@ -1018,14 +948,13 @@ mod tests {
     fn controller_completion_waits_for_a_busy_channel() {
         let mut flash = tiny();
         let t = FlashTiming::paper_table1();
-        let ppn = Ppn::new(0);
-        flash.program_page(ppn, SimTime::ZERO).expect("program");
+        let (ppn, _) = program(&mut flash, 0, SimTime::ZERO);
         // Read holds the channel until its transfer finishes.
-        let (read_done, _) = flash.read_page(ppn, SimTime::ZERO).expect("read");
+        let read = flash.read_page(ppn, SimTime::ZERO).expect("read");
         let done = flash
             .controller_complete(Some(ppn), SimTime::ZERO)
             .expect("complete");
-        assert_eq!(done, read_done + t.transfer, "waits out the channel");
+        assert_eq!(done, read.done + t.transfer, "waits out the channel");
         // A flash-free completion ignores channels entirely.
         let free = flash.controller_complete(None, SimTime::ZERO).expect("ok");
         assert_eq!(free, done + t.transfer, "only the controller serializes");
@@ -1037,27 +966,27 @@ mod tests {
         let mut flash = FlashArray::with_faults(
             geom,
             FlashTiming::paper_table1(),
-            crate::FaultConfig::none().with_program_fail(1.0),
+            FaultConfig::none().with_program_fail(1.0),
         );
         let block = BlockId::new(0);
-        let err = flash.program_next(block, SimTime::ZERO).unwrap_err();
-        assert!(matches!(err, FlashOpError::ProgramFailed { ppn } if ppn == Ppn::new(0)));
-        assert_eq!(
-            flash.page_state(Ppn::new(0)).expect("state"),
-            PageState::Bad
-        );
+        let (ppn, program) = flash.program_next(block, SimTime::ZERO).expect("ran");
+        assert_eq!(ppn, Ppn::new(0));
+        assert!(program.faulted);
+        assert_eq!(flash.page_state(ppn).expect("state"), PageState::Bad);
         assert_eq!(flash.free_pages_in(block).expect("free"), 3);
         assert_eq!(flash.stats().program_failures.get(), 1);
         assert_eq!(flash.stats().programs.get(), 0, "failures are not programs");
         // The failed attempt still occupied the chip for a full program.
         let t = FlashTiming::paper_table1();
-        assert_eq!(
-            flash.chip_free_at(Ppn::new(0)),
-            SimTime::ZERO + t.transfer + t.program
-        );
-        // At rate 1.0 every retry fails too, until the block is consumed.
-        for _ in 0..3 {
-            assert!(flash.program_next(block, SimTime::ZERO).is_err());
+        assert_eq!(program.done, SimTime::ZERO + t.transfer + t.program);
+        // At rate 1.0 every retry fails too, until the block is consumed;
+        // each retry queues behind the failed pulse before it.
+        let mut last = program.done;
+        for expect in 1..4u64 {
+            let (ppn, retry) = flash.program_next(block, SimTime::ZERO).expect("ran");
+            assert_eq!((ppn.index(), retry.faulted), (expect, true));
+            assert_eq!(retry.done, last + t.transfer + t.program);
+            last = retry.done;
         }
         assert!(matches!(
             flash.program_next(block, SimTime::ZERO).unwrap_err(),
@@ -1067,23 +996,63 @@ mod tests {
     }
 
     #[test]
+    fn injected_copyback_failure_marks_destination_bad_and_keeps_source() {
+        let geom = Geometry::new(1, 1, 1, 1, 2, 4).expect("valid geometry");
+        let t = FlashTiming::paper_table1();
+        // A seed whose first program (page 0, the source) succeeds and
+        // whose second (page 4, the copyback's destination) fails.
+        let config = |seed| FaultConfig::none().with_program_fail(0.5).with_seed(seed);
+        let seed = (0..)
+            .find(|&seed| {
+                let mut plan = FaultPlan::new(config(seed));
+                !plan.decide(FaultKind::Program, 0) && plan.decide(FaultKind::Program, 4)
+            })
+            .expect("some seed fails only the copyback");
+        let mut flash = FlashArray::with_faults(geom, t, config(seed));
+        let (src, programmed) = program(&mut flash, 0, SimTime::ZERO);
+        let before = *flash.stats();
+        let (dest, copy) = flash
+            .copyback_page(src, BlockId::new(1), programmed)
+            .expect("ran");
+        assert!(copy.faulted);
+        assert_eq!(dest, Ppn::new(4));
+        assert_eq!(copy.done, programmed + t.read + t.program, "tR + tPROG");
+        assert_eq!(flash.page_state(dest).expect("state"), PageState::Bad);
+        assert_eq!(flash.page_state(src).expect("state"), PageState::Valid);
+        let after = flash.stats();
+        assert_eq!(after.reads.get(), before.reads.get() + 1);
+        assert_eq!(
+            after.program_failures.get(),
+            before.program_failures.get() + 1
+        );
+        assert_eq!(after.programs.get(), before.programs.get());
+        // The destination's cursor moved past the bad page.
+        assert_eq!(flash.free_pages_in(BlockId::new(1)).expect("free"), 3);
+        let (next, _) = flash.program_next(BlockId::new(1), copy.done).expect("ran");
+        assert_eq!(next, Ppn::new(5));
+        // A bad page holds no data to copy.
+        assert!(matches!(
+            flash.copyback_page(dest, BlockId::new(1), copy.done),
+            Err(FlashOpError::State { .. })
+        ));
+    }
+
+    #[test]
     fn injected_erase_failure_leaves_block_intact() {
         let geom = Geometry::new(1, 1, 1, 1, 2, 4).expect("valid geometry");
         let mut flash = FlashArray::with_faults(
             geom,
             FlashTiming::paper_table1(),
-            crate::FaultConfig::none().with_erase_fail(1.0),
+            FaultConfig::none().with_erase_fail(1.0),
         );
         let block = BlockId::new(0);
-        flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
-        flash.invalidate_page(Ppn::new(0)).expect("ok");
-        let err = flash.erase_block(block, SimTime::ZERO).unwrap_err();
-        assert!(matches!(err, FlashOpError::EraseFailed { .. }));
+        let (ppn, programmed) = program(&mut flash, 0, SimTime::ZERO);
+        flash.invalidate_page(ppn).expect("ok");
+        let erase = flash.erase_block(block, SimTime::ZERO).expect("ran");
+        assert!(erase.faulted);
         // Page states and wear are untouched, but tBERS was spent.
-        assert_eq!(
-            flash.page_state(Ppn::new(0)).expect("state"),
-            PageState::Invalid
-        );
+        assert_eq!(erase.done, programmed + FlashTiming::paper_table1().erase);
+        assert_eq!(flash.page_state(ppn).expect("state"), PageState::Invalid);
         assert_eq!(flash.erase_count(block).expect("wear"), 0);
         assert_eq!(flash.stats().erase_failures.get(), 1);
         assert_eq!(flash.stats().erases.get(), 0);
@@ -1092,13 +1061,13 @@ mod tests {
         assert_eq!(flash.stats().retired_blocks.get(), 1);
         assert!(flash.block_info(block).expect("info").is_retired());
         assert_eq!(flash.free_pages_in(block).expect("free"), 0);
-        assert!(flash.read_page(Ppn::new(0), SimTime::ZERO).is_err());
+        assert!(flash.read_page(ppn, SimTime::ZERO).is_err());
     }
 
     #[test]
     fn retire_refuses_blocks_with_valid_pages() {
         let mut flash = tiny();
-        flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
+        program(&mut flash, 0, SimTime::ZERO);
         assert!(matches!(
             flash.retire_block(BlockId::new(0)).unwrap_err(),
             FlashOpError::BlockHasValidPages { .. }
@@ -1111,16 +1080,14 @@ mod tests {
         let mut flash = FlashArray::with_faults(
             geom,
             FlashTiming::paper_table1(),
-            crate::FaultConfig::none().with_read_error(1.0),
+            FaultConfig::none().with_read_error(1.0),
         );
         let t = FlashTiming::paper_table1();
-        let done = flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
-        let (read_done, retried) = flash
-            .read_page(Ppn::new(0), done)
-            .expect("read survives via retry");
-        assert!(retried);
+        let (ppn, done) = program(&mut flash, 0, SimTime::ZERO);
+        let read = flash.read_page(ppn, done).expect("read survives via retry");
+        assert!(read.faulted);
         assert_eq!(
-            read_done,
+            read.done,
             done + t.read + t.transfer + t.read + t.transfer,
             "two full sense + transfer passes"
         );
@@ -1133,17 +1100,15 @@ mod tests {
         let mut faulty = FlashArray::with_faults(
             *tiny().geometry(),
             FlashTiming::paper_table1(),
-            crate::FaultConfig::none().with_seed(12345),
+            FaultConfig::none().with_seed(12345),
         );
         let mut plain = tiny();
-        for (a, b) in [(&mut faulty, &mut plain)] {
-            for ppn in 0..4u64 {
-                let da = a.program_page(Ppn::new(ppn), SimTime::ZERO).expect("ok");
-                let db = b.program_page(Ppn::new(ppn), SimTime::ZERO).expect("ok");
-                assert_eq!(da, db);
-            }
-            assert_eq!(a.stats(), b.stats());
+        for _ in 0..4 {
+            let a = faulty.program_next(BlockId::new(0), SimTime::ZERO);
+            let b = plain.program_next(BlockId::new(0), SimTime::ZERO);
+            assert_eq!(a, b);
         }
+        assert_eq!(faulty.stats(), plain.stats());
     }
 
     /// Every block's stored placement equals `decode` of its first page.
@@ -1179,9 +1144,7 @@ mod tests {
         // Fill all three blocks, then kill every page of the middle one.
         for b in 0..3 {
             for _ in 0..4 {
-                flash
-                    .program_next(BlockId::new(b), SimTime::ZERO)
-                    .expect("program");
+                program(&mut flash, b, SimTime::ZERO);
             }
         }
         for ppn in geom.pages_of(BlockId::new(1)) {
@@ -1194,7 +1157,7 @@ mod tests {
         };
         let before = neighbours(&flash);
         assert!(before.iter().flatten().all(|&p| p == PageState::Valid));
-        flash.erase_block(middle, SimTime::ZERO).expect("erase");
+        let _ = flash.erase_block(middle, SimTime::ZERO).expect("erase");
         assert!(flash
             .page_states(middle)
             .expect("in range")
@@ -1215,25 +1178,28 @@ mod tests {
     #[test]
     fn reset_time_and_stats_clear_state() {
         let mut flash = tiny();
-        flash.program_page(Ppn::new(0), SimTime::ZERO).expect("ok");
+        let t = FlashTiming::paper_table1();
+        let (ppn, _) = program(&mut flash, 0, SimTime::ZERO);
         flash
             .controller_complete(None, SimTime::ZERO)
             .expect("controller");
-        assert!(flash.chip_free_at(Ppn::new(0)) > SimTime::ZERO);
         flash.reset_time();
-        assert_eq!(flash.chip_free_at(Ppn::new(0)), SimTime::ZERO);
+        // Neither the program's chip nor its channel is busy any more.
+        let read = flash.read_page(ppn, SimTime::ZERO).expect("read");
+        assert_eq!(read.done, SimTime::ZERO + t.read + t.transfer);
+        flash.reset_time();
         let d = flash
             .controller_complete(None, SimTime::ZERO)
             .expect("controller");
         assert_eq!(
             d,
-            SimTime::ZERO + FlashTiming::paper_table1().transfer,
+            SimTime::ZERO + t.transfer,
             "controller busy-until cleared"
         );
         assert_eq!(flash.stats().programs.get(), 1);
         flash.reset_stats();
         assert_eq!(flash.stats().programs.get(), 0);
         // Page states survive the resets.
-        assert_eq!(flash.page_state(Ppn::new(0)).expect("ok"), PageState::Valid);
+        assert_eq!(flash.page_state(ppn).expect("ok"), PageState::Valid);
     }
 }

@@ -29,17 +29,17 @@
 //!
 //! let config = FaultConfig::none().with_program_fail(1.0);
 //! let mut plan = FaultPlan::new(config);
-//! assert!(plan.decide(FaultKind::Program, 0, 0));
-//! assert!(!plan.decide(FaultKind::Erase, 0, 0));
+//! assert!(plan.decide(FaultKind::Program, 0));
+//! assert!(!plan.decide(FaultKind::Erase, 0));
 //!
 //! // Same config, same op sequence -> same decisions.
 //! let replay: Vec<bool> = {
 //!     let mut p = FaultPlan::new(config);
-//!     (0..8).map(|i| p.decide(FaultKind::Program, i, 0)).collect()
+//!     (0..8).map(|i| p.decide(FaultKind::Program, i)).collect()
 //! };
 //! let again: Vec<bool> = {
 //!     let mut p = FaultPlan::new(config);
-//!     (0..8).map(|i| p.decide(FaultKind::Program, i, 0)).collect()
+//!     (0..8).map(|i| p.decide(FaultKind::Program, i)).collect()
 //! };
 //! assert_eq!(replay, again);
 //! ```
@@ -82,8 +82,8 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// Per-operation fault probabilities plus the seed and wear knob that
-/// make them reproducible.
+/// Per-operation fault probabilities plus the seed that makes them
+/// reproducible.
 ///
 /// The default ([`FaultConfig::none`]) injects nothing; the array then
 /// behaves byte-identically to a build without fault injection.
@@ -97,11 +97,6 @@ pub struct FaultConfig {
     /// Probability that a page read raises an uncorrectable ECC error
     /// and must be retried.
     pub read_error: f64,
-    /// Wear acceleration: the effective program/erase failure
-    /// probability of a block is scaled by
-    /// `1 + wear_acceleration * erase_count`, modeling cells degrading
-    /// with program/erase cycles. Zero (the default) keeps rates flat.
-    pub wear_acceleration: f64,
     /// Seed of the decision hash; the same seed reproduces the same
     /// fault pattern for the same operation sequence.
     pub seed: u64,
@@ -114,7 +109,6 @@ impl FaultConfig {
             program_fail: 0.0,
             erase_fail: 0.0,
             read_error: 0.0,
-            wear_acceleration: 0.0,
             seed: 0,
         }
     }
@@ -142,12 +136,6 @@ impl FaultConfig {
         self
     }
 
-    /// Returns a copy with the given wear-acceleration factor.
-    pub const fn with_wear_acceleration(mut self, accel: f64) -> Self {
-        self.wear_acceleration = accel;
-        self
-    }
-
     /// Returns a copy with the given decision seed.
     pub const fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -160,7 +148,7 @@ impl FaultConfig {
     /// * a bare probability (`1e-3`) — applied to program, erase, and
     ///   read alike,
     /// * a comma-separated key list —
-    ///   `program=1e-3,erase=5e-3,read=1e-3,wear=0.1,seed=42`, any
+    ///   `program=1e-3,erase=5e-3,read=1e-3,seed=42`, any
     ///   subset, unnamed keys defaulting to zero.
     ///
     /// # Errors
@@ -190,15 +178,6 @@ impl FaultConfig {
                 "program" => config.program_fail = parse_probability(key, raw)?,
                 "erase" => config.erase_fail = parse_probability(key, raw)?,
                 "read" => config.read_error = parse_probability(key, raw)?,
-                "wear" => {
-                    let accel: f64 = raw
-                        .parse()
-                        .map_err(|e| format!("bad wear acceleration {raw:?}: {e}"))?;
-                    if !accel.is_finite() || accel < 0.0 {
-                        return Err(format!("wear acceleration {accel} must be finite and >= 0"));
-                    }
-                    config.wear_acceleration = accel;
-                }
                 "seed" => {
                     config.seed = raw
                         .parse()
@@ -207,7 +186,7 @@ impl FaultConfig {
                 other => {
                     return Err(format!(
                         "unknown fault spec key {other:?}; expected \
-                         program | erase | read | wear | seed"
+                         program | erase | read | seed"
                     ));
                 }
             }
@@ -231,12 +210,12 @@ impl FaultConfig {
         }
     }
 
-    /// Validates the probabilities and wear factor.
+    /// Validates the probabilities.
     ///
     /// # Errors
     ///
     /// Returns a description of the problem if any probability is
-    /// outside `[0, 1]` or the wear factor is negative or non-finite.
+    /// outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("program_fail", self.program_fail),
@@ -247,23 +226,7 @@ impl FaultConfig {
                 return Err(format!("fault probability {name}={p} must be in [0, 1]"));
             }
         }
-        if !self.wear_acceleration.is_finite() || self.wear_acceleration < 0.0 {
-            return Err(format!(
-                "wear_acceleration {} must be finite and >= 0",
-                self.wear_acceleration
-            ));
-        }
         Ok(())
-    }
-
-    /// The effective failure probability of an operation on a block
-    /// with the given wear: `base * (1 + wear_acceleration * erases)`,
-    /// clamped to 1.
-    pub fn effective(&self, base: f64, erase_count: u64) -> f64 {
-        if base <= 0.0 {
-            return 0.0;
-        }
-        (base * (1.0 + self.wear_acceleration * erase_count as f64)).min(1.0)
     }
 }
 
@@ -277,8 +240,8 @@ impl fmt::Display for FaultConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "program={} erase={} read={} wear={} seed={}",
-            self.program_fail, self.erase_fail, self.read_error, self.wear_acceleration, self.seed
+            "program={} erase={} read={} seed={}",
+            self.program_fail, self.erase_fail, self.read_error, self.seed
         )
     }
 }
@@ -298,21 +261,15 @@ impl FaultPlan {
     }
 
     /// Decides whether the next operation of `kind` on `target` (a
-    /// page or block index) fails, given the wear of the block it
-    /// touches. Each call consumes one slot of the decision stream.
-    pub fn decide(&mut self, kind: FaultKind, target: u64, erase_count: u64) -> bool {
+    /// page or block index) fails. Each call consumes one slot of the
+    /// decision stream.
+    pub fn decide(&mut self, kind: FaultKind, target: u64) -> bool {
         let op = self.ops;
         self.ops = self.ops.wrapping_add(1);
-        let base = match kind {
+        let p = match kind {
             FaultKind::Program => self.config.program_fail,
             FaultKind::Erase => self.config.erase_fail,
             FaultKind::Read => self.config.read_error,
-        };
-        let p = match kind {
-            // Reads do not stress the cells; wear acceleration applies
-            // to program/erase only.
-            FaultKind::Read => base,
-            _ => self.config.effective(base, erase_count),
         };
         if p <= 0.0 {
             return false;
@@ -348,9 +305,9 @@ mod tests {
         let mut plan = FaultPlan::new(FaultConfig::none());
         assert!(FaultConfig::none().is_none());
         for i in 0..1000 {
-            assert!(!plan.decide(FaultKind::Program, i, i));
-            assert!(!plan.decide(FaultKind::Erase, i, i));
-            assert!(!plan.decide(FaultKind::Read, i, i));
+            assert!(!plan.decide(FaultKind::Program, i));
+            assert!(!plan.decide(FaultKind::Erase, i));
+            assert!(!plan.decide(FaultKind::Read, i));
         }
     }
 
@@ -358,7 +315,7 @@ mod tests {
     fn certain_failure_always_fails() {
         let mut plan = FaultPlan::new(FaultConfig::none().with_program_fail(1.0));
         for i in 0..100 {
-            assert!(plan.decide(FaultKind::Program, i, 0));
+            assert!(plan.decide(FaultKind::Program, i));
         }
     }
 
@@ -379,7 +336,6 @@ mod tests {
                             FaultKind::Read
                         },
                         i,
-                        0,
                     )
                 })
                 .collect::<Vec<bool>>()
@@ -396,21 +352,10 @@ mod tests {
     fn empirical_rate_tracks_probability() {
         let mut plan = FaultPlan::new(FaultConfig::none().with_program_fail(0.1).with_seed(7));
         let fails = (0..20_000)
-            .filter(|&i| plan.decide(FaultKind::Program, i % 64, 0))
+            .filter(|&i| plan.decide(FaultKind::Program, i % 64))
             .count();
         let rate = fails as f64 / 20_000.0;
         assert!((rate - 0.1).abs() < 0.01, "empirical rate {rate}");
-    }
-
-    #[test]
-    fn wear_acceleration_raises_effective_rate() {
-        let config = FaultConfig::none()
-            .with_erase_fail(0.01)
-            .with_wear_acceleration(0.5);
-        assert_eq!(config.effective(0.01, 0), 0.01);
-        assert!(config.effective(0.01, 10) > config.effective(0.01, 1));
-        assert_eq!(config.effective(0.5, 1_000_000), 1.0, "clamped");
-        assert_eq!(config.effective(0.0, 1_000_000), 0.0);
     }
 
     #[test]
@@ -420,12 +365,10 @@ mod tests {
         assert_eq!(uniform.program_fail, 1e-3);
         assert_eq!(uniform.erase_fail, 1e-3);
         assert_eq!(uniform.read_error, 1e-3);
-        let full = FaultConfig::from_spec("program=1e-3,erase=5e-3,read=1e-3,wear=0.1,seed=9")
-            .expect("ok");
+        let full = FaultConfig::from_spec("program=1e-3,erase=5e-3,read=1e-3,seed=9").expect("ok");
         assert_eq!(full.program_fail, 1e-3);
         assert_eq!(full.erase_fail, 5e-3);
         assert_eq!(full.read_error, 1e-3);
-        assert_eq!(full.wear_acceleration, 0.1);
         assert_eq!(full.seed, 9);
         assert_eq!(
             FaultConfig::from_spec(" program = 0.5 ")
@@ -437,7 +380,7 @@ mod tests {
         assert!(FaultConfig::from_spec("bogus=1").is_err());
         assert!(FaultConfig::from_spec("program=2.0").is_err());
         assert!(FaultConfig::from_spec("program=x").is_err());
-        assert!(FaultConfig::from_spec("wear=-1").is_err());
+        assert!(FaultConfig::from_spec("wear=2").is_err(), "no wear knob");
         assert!(FaultConfig::from_spec("seed=x").is_err());
         assert!(FaultConfig::from_spec("5").is_err(), "bare rate above 1");
     }
@@ -457,10 +400,6 @@ mod tests {
             .with_read_error(f64::NAN)
             .validate()
             .is_err());
-        assert!(FaultConfig::none()
-            .with_wear_acceleration(f64::INFINITY)
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -477,10 +416,8 @@ mod tests {
             .with_seed(3);
         let mut a = FaultPlan::new(config);
         let mut b = FaultPlan::new(config);
-        let programs: Vec<bool> = (0..64)
-            .map(|i| a.decide(FaultKind::Program, i, 0))
-            .collect();
-        let erases: Vec<bool> = (0..64).map(|i| b.decide(FaultKind::Erase, i, 0)).collect();
+        let programs: Vec<bool> = (0..64).map(|i| a.decide(FaultKind::Program, i)).collect();
+        let erases: Vec<bool> = (0..64).map(|i| b.decide(FaultKind::Erase, i)).collect();
         assert_ne!(programs, erases);
     }
 

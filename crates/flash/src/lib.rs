@@ -18,22 +18,29 @@
 //! operation, which is how a dead-value-pool hit short-circuits a
 //! write.
 //!
+//! Faults: every NAND command — [`FlashArray::read_page`],
+//! [`program_next`](FlashArray::program_next),
+//! [`copyback_page`](FlashArray::copyback_page) and
+//! [`erase_block`](FlashArray::erase_block) — returns a [`Completion`]:
+//! when it finished and whether an injected fault ([`FaultConfig`]) hit
+//! it. [`FlashOpError`] is reserved for illegal commands, which are FTL
+//! bugs.
+//!
 //! Observability: the array keeps counters ([`FlashStats`]) but
-//! records no events. Every operation reports its fault in its result
-//! (an error or the read-retry flag), and the FTL turns those results
-//! into the run's event log (DESIGN.md §13).
+//! records no events; the FTL turns each command's [`Completion`] into
+//! the run's event log (DESIGN.md §13).
 //!
 //! # Examples
 //!
 //! ```
-//! use zssd_flash::{FlashArray, FlashTiming, Geometry};
+//! use zssd_flash::{BlockId, FlashArray, FlashTiming, Geometry};
 //! use zssd_types::SimTime;
 //!
 //! let geom = Geometry::new(1, 1, 1, 1, 4, 8)?;
 //! let mut flash = FlashArray::new(geom, FlashTiming::paper_table1());
-//! let ppn = geom.ppn_at(0, 0, 0, 0, 0, 0);
-//! let done = flash.program_page(ppn, SimTime::ZERO)?;
-//! assert!(done > SimTime::ZERO);
+//! let (ppn, program) = flash.program_next(BlockId::new(0), SimTime::ZERO)?;
+//! assert_eq!(ppn, geom.ppn_at(0, 0, 0, 0, 0, 0));
+//! assert!(program.done > SimTime::ZERO && !program.faulted);
 //! flash.invalidate_page(ppn)?;   // page dies (out-of-place update)
 //! flash.revive_page(ppn)?;       // ...and is revived by a DVP hit
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -48,7 +55,7 @@ mod fault;
 mod geometry;
 mod timing;
 
-pub use array::{FlashArray, FlashOpError, FlashStats, WearSummary};
+pub use array::{Completion, FlashArray, FlashOpError, FlashStats, WearSummary};
 pub use block::{BlockInfo, PageState};
 pub use fault::{FaultConfig, FaultKind, FaultPlan};
 pub use geometry::{BlockId, Geometry, PageAddress};

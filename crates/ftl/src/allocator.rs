@@ -184,7 +184,7 @@ mod tests {
         for _ in 0..4 {
             let block = alloc.take_active(0, &flash).expect("block");
             assert_eq!(block, first);
-            flash.program_next(block, SimTime::ZERO).expect("program");
+            let _ = flash.program_next(block, SimTime::ZERO).expect("program");
         }
         let second = alloc.take_active(0, &flash).expect("block");
         assert_ne!(second, first);
@@ -198,7 +198,7 @@ mod tests {
         for _ in 0..3 {
             let block = alloc.take_active(0, &flash).expect("block");
             for _ in 0..4 {
-                flash.program_next(block, SimTime::ZERO).expect("program");
+                let _ = flash.program_next(block, SimTime::ZERO).expect("program");
             }
             // Force rollover by requesting again (last one errors).
             let _ = alloc.take_active(0, &flash);
@@ -230,7 +230,7 @@ mod tests {
         for _ in 0..3 {
             let block = alloc.take_active(0, &flash).expect("block");
             for _ in 0..4 {
-                flash.program_next(block, SimTime::ZERO).expect("program");
+                let _ = flash.program_next(block, SimTime::ZERO).expect("program");
             }
             let _ = alloc.take_active(0, &flash);
         }
@@ -246,8 +246,8 @@ mod tests {
         let mut flash = FlashArray::new(geom, FlashTiming::paper_table1());
         let mut alloc = Allocator::new(&geom);
         let block = alloc.take_active(0, &flash).expect("block");
-        flash.program_next(block, SimTime::ZERO).expect("ok");
-        flash.program_next(block, SimTime::ZERO).expect("ok");
+        let _ = flash.program_next(block, SimTime::ZERO).expect("ok");
+        let _ = flash.program_next(block, SimTime::ZERO).expect("ok");
         assert!(matches!(
             alloc.take_active_any(&flash),
             Err(SsdError::OutOfSpace { .. })
@@ -259,14 +259,14 @@ mod tests {
         let (geom, mut flash, mut alloc) = setup();
         let block = alloc.take_active(1, &flash).expect("block");
         for _ in 0..4 {
-            flash.program_next(block, SimTime::ZERO).expect("program");
+            let _ = flash.program_next(block, SimTime::ZERO).expect("program");
         }
         // Roll the active pointer off the full block before erasing.
         let _ = alloc.take_active(1, &flash).expect("rollover");
         for ppn in geom.pages_of(block) {
             flash.invalidate_page(ppn).expect("invalidate");
         }
-        flash.erase_block(block, SimTime::ZERO).expect("erase");
+        let _ = flash.erase_block(block, SimTime::ZERO).expect("erase");
         let before = alloc.free_blocks_in(1);
         alloc.on_block_erased(&geom, block);
         assert_eq!(alloc.free_blocks_in(1), before + 1);

@@ -91,8 +91,8 @@ mod tests {
         fn takes(_: SsdError) {}
         takes(AddressError::out_of_range("lpn", 1, 1).into());
         takes(
-            FlashOpError::ProgramFailed {
-                ppn: zssd_types::Ppn::new(0),
+            FlashOpError::BlockFull {
+                block: zssd_flash::BlockId::new(0),
             }
             .into(),
         );

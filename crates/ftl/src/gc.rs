@@ -137,7 +137,7 @@ mod tests {
         let block = BlockId::new(block);
         let pages: Vec<Ppn> = flash.geometry().pages_of(block).take(programmed).collect();
         for _ in &pages {
-            flash.program_next(block, SimTime::ZERO).expect("program");
+            let _ = flash.program_next(block, SimTime::ZERO).expect("program");
         }
         for &ppn in pages.iter().take(kill) {
             flash.invalidate_page(ppn).expect("invalidate");
@@ -153,7 +153,7 @@ mod tests {
     fn wear_block(flash: &mut FlashArray, block: u64, cycles: u64) {
         for _ in 0..cycles {
             fill_block(flash, block, 4);
-            flash
+            let _ = flash
                 .erase_block(BlockId::new(block), SimTime::ZERO)
                 .expect("erase");
         }

@@ -27,7 +27,6 @@ use zssd_types::{AddressError, Lpn, PopularityDegree, Ppn};
 pub struct MappingTable {
     entries: Vec<Option<Ppn>>,
     popularity: Vec<PopularityDegree>,
-    mapped: u64,
 }
 
 impl MappingTable {
@@ -36,18 +35,12 @@ impl MappingTable {
         MappingTable {
             entries: vec![None; logical_pages as usize],
             popularity: vec![PopularityDegree::ZERO; logical_pages as usize],
-            mapped: 0,
         }
     }
 
     /// Number of logical pages.
     pub fn logical_pages(&self) -> u64 {
         self.entries.len() as u64
-    }
-
-    /// Number of currently mapped pages.
-    pub fn mapped_pages(&self) -> u64 {
-        self.mapped
     }
 
     fn check(&self, lpn: Lpn) -> Result<usize, AddressError> {
@@ -80,11 +73,7 @@ impl MappingTable {
     /// Returns an error if the page is beyond the logical capacity.
     pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Result<Option<Ppn>, AddressError> {
         let idx = self.check(lpn)?;
-        let old = self.entries[idx].replace(ppn);
-        if old.is_none() {
-            self.mapped += 1;
-        }
-        Ok(old)
+        Ok(self.entries[idx].replace(ppn))
     }
 
     /// Unmaps a logical page, returning its previous location.
@@ -94,11 +83,7 @@ impl MappingTable {
     /// Returns an error if the page is beyond the logical capacity.
     pub fn unmap(&mut self, lpn: Lpn) -> Result<Option<Ppn>, AddressError> {
         let idx = self.check(lpn)?;
-        let old = self.entries[idx].take();
-        if old.is_some() {
-            self.mapped -= 1;
-        }
-        Ok(old)
+        Ok(self.entries[idx].take())
     }
 
     /// The popularity counter of a logical page.
@@ -121,24 +106,6 @@ impl MappingTable {
         self.popularity[idx].increment();
         Ok(self.popularity[idx])
     }
-
-    /// Raises the counter to at least `pop` (used when a DVP hit
-    /// carries a popularity estimate back into the table, §IV-C).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is beyond the logical capacity.
-    pub fn raise_popularity(
-        &mut self,
-        lpn: Lpn,
-        pop: PopularityDegree,
-    ) -> Result<(), AddressError> {
-        let idx = self.check(lpn)?;
-        if pop > self.popularity[idx] {
-            self.popularity[idx] = pop;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +120,6 @@ mod tests {
             map.update(Lpn::new(0), Ppn::new(20)).expect("ok"),
             Some(Ppn::new(10))
         );
-        assert_eq!(map.mapped_pages(), 1);
     }
 
     #[test]
@@ -162,7 +128,6 @@ mod tests {
         map.update(Lpn::new(1), Ppn::new(5)).expect("ok");
         assert_eq!(map.unmap(Lpn::new(1)).expect("ok"), Some(Ppn::new(5)));
         assert_eq!(map.unmap(Lpn::new(1)).expect("ok"), None);
-        assert_eq!(map.mapped_pages(), 0);
         assert_eq!(map.lookup(Lpn::new(1)).expect("ok"), None);
     }
 
@@ -176,19 +141,6 @@ mod tests {
         assert_eq!(
             map.popularity(Lpn::new(0)).expect("ok"),
             PopularityDegree::new(2)
-        );
-        map.raise_popularity(Lpn::new(0), PopularityDegree::new(9))
-            .expect("ok");
-        assert_eq!(
-            map.popularity(Lpn::new(0)).expect("ok"),
-            PopularityDegree::new(9)
-        );
-        // raise never lowers
-        map.raise_popularity(Lpn::new(0), PopularityDegree::new(1))
-            .expect("ok");
-        assert_eq!(
-            map.popularity(Lpn::new(0)).expect("ok"),
-            PopularityDegree::new(9)
         );
     }
 

@@ -2,7 +2,7 @@
 
 use zssd_core::{DeadValuePool, PoolStats};
 use zssd_dedup::DedupStore;
-use zssd_flash::{FlashArray, FlashOpError, PageState};
+use zssd_flash::{BlockId, Completion, FlashArray, PageState};
 use zssd_metrics::{Event, EventLog, FaultEvent, LatencySummary};
 use zssd_trace::{initial_value_of, IoOp, TraceRecord};
 use zssd_types::{Fingerprint, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
@@ -185,35 +185,42 @@ impl Ssd {
         }
     }
 
-    /// Records an injected program failure on `ppn` and returns when
-    /// the failed pulse finished, the earliest time a retry can start.
-    fn program_failed(&mut self, ppn: Ppn) -> SimTime {
-        let at = self.flash.chip_free_at(ppn);
-        self.emit(
-            at,
-            Event::Fault {
-                kind: FaultEvent::Program,
-                unit: ppn.index(),
-            },
-        );
-        at
+    /// Records an injected fault of `kind` on `unit` (a page or block
+    /// index), stamped with when the faulted command finished.
+    fn fault(&mut self, at: SimTime, kind: FaultEvent, unit: u64) {
+        self.emit(at, Event::Fault { kind, unit });
     }
 
     /// Reads a page, recording the fault when an injected ECC error
-    /// forced a retry. Returns the completion time and whether the
-    /// read retried.
-    fn read_page(&mut self, ppn: Ppn, at: SimTime) -> Result<(SimTime, bool), SsdError> {
-        let (done, retried) = self.flash.read_page(ppn, at)?;
-        if retried {
-            self.emit(
-                done,
-                Event::Fault {
-                    kind: FaultEvent::ReadRetry,
-                    unit: ppn.index(),
-                },
-            );
+    /// forced a retry.
+    fn read_page(&mut self, ppn: Ppn, at: SimTime) -> Result<Completion, SsdError> {
+        let read = self.flash.read_page(ppn, at)?;
+        if read.faulted {
+            self.fault(read.done, FaultEvent::ReadRetry, ppn.index());
         }
-        Ok((done, retried))
+        Ok(read)
+    }
+
+    /// Issues `attempt` — one program of some page — until a program
+    /// sticks, recording each injected failure, and returns the page
+    /// and its completion time. A failed attempt consumed its page and
+    /// is only seen in the status poll, so the retry starts when the
+    /// failed pulse finished. Each attempt takes its page from the
+    /// allocator, which runs out of space rather than loops if the
+    /// whole device fails.
+    fn program_retrying(
+        &mut self,
+        mut t: SimTime,
+        mut attempt: impl FnMut(&mut Self, SimTime) -> Result<(Ppn, Completion), SsdError>,
+    ) -> Result<(Ppn, SimTime), SsdError> {
+        loop {
+            let (ppn, program) = attempt(self, t)?;
+            if !program.faulted {
+                return Ok((ppn, program.done));
+            }
+            self.fault(program.done, FaultEvent::Program, ppn.index());
+            t = program.done;
+        }
     }
 
     /// The event trace recorded so far (empty unless the config enabled
@@ -331,10 +338,10 @@ impl Ssd {
         let value;
         match self.mapping.lookup(lpn)? {
             Some(ppn) => {
-                let (read_done, retried) = self.read_page(ppn, arrival)?;
-                done = read_done;
+                let read = self.read_page(ppn, arrival)?;
+                done = read.done;
                 value = record(&mut self.rmap, ppn).value;
-                if retried {
+                if read.faulted {
                     // The data survived the ECC retry but the page is
                     // suspect: scrub it onto fresh flash in the
                     // background. The host latency is the read's alone.
@@ -674,23 +681,16 @@ impl Ssd {
     }
 
     /// Programs the next page of the striped host stream at time `t`,
-    /// returning the page, its completion time and its plane.
-    ///
-    /// An injected program failure marks the attempted page bad and
-    /// retries on the next page (possibly of a fresh block) once the
-    /// failed pulse finishes — the failure is only visible in the
-    /// status poll, so the retry cannot start earlier. Runs out of
-    /// space rather than loops if the whole device fails.
-    fn program_host_page(&mut self, mut t: SimTime) -> Result<(Ppn, SimTime, u64), SsdError> {
+    /// returning the page, its completion time and its plane. An
+    /// injected program failure retries on the plane's next page
+    /// (possibly of a fresh block).
+    fn program_host_page(&mut self, t: SimTime) -> Result<(Ppn, SimTime, u64), SsdError> {
         let plane = self.allocator.next_plane();
-        loop {
-            let block = self.allocator.take_active(plane, &self.flash)?;
-            match self.flash.program_next(block, t) {
-                Ok((ppn, done)) => return Ok((ppn, done, plane)),
-                Err(FlashOpError::ProgramFailed { ppn }) => t = self.program_failed(ppn),
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let (ppn, done) = self.program_retrying(t, |ssd, t| {
+            let block = ssd.allocator.take_active(plane, &ssd.flash)?;
+            Ok(ssd.flash.program_next(block, t)?)
+        })?;
+        Ok((ppn, done, plane))
     }
 
     /// Moves a page whose read needed an ECC retry onto fresh flash in
@@ -707,14 +707,12 @@ impl Ssd {
             Err(SsdError::OutOfSpace { .. }) => return Ok(()),
             Err(e) => return Err(e),
         };
-        let (new_ppn, scrub_done) = match self.flash.copyback_page(ppn, dest_block, at) {
-            Ok(ok) => ok,
-            Err(FlashOpError::ProgramFailed { ppn: failed }) => {
-                self.program_failed(failed);
-                return Ok(());
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let (new_ppn, copy) = self.flash.copyback_page(ppn, dest_block, at)?;
+        if copy.faulted {
+            self.fault(copy.done, FaultEvent::Program, new_ppn.index());
+            return Ok(());
+        }
+        let scrub_done = copy.done;
         self.stats.scrub_programs += 1;
         self.stats
             .phases
@@ -792,7 +790,7 @@ impl Ssd {
     /// pool, erases it, and returns the erase completion time.
     fn collect_block(
         &mut self,
-        victim: zssd_flash::BlockId,
+        victim: BlockId,
         plane: u64,
         now: SimTime,
         emergency: bool,
@@ -827,30 +825,18 @@ impl Ssd {
                     // Either way an injected program failure consumes
                     // the attempted destination page and the move
                     // retries on the next one.
-                    let (new_ppn, done) = if emergency {
-                        (t, _) = self.read_page(ppn, t)?;
-                        loop {
-                            let (_, dest_block) = self.allocator.take_active_any(&self.flash)?;
-                            match self.flash.program_next(dest_block, t) {
-                                Ok(ok) => break ok,
-                                Err(FlashOpError::ProgramFailed { ppn: failed }) => {
-                                    t = self.program_failed(failed);
-                                }
-                                Err(e) => return Err(e.into()),
-                            }
-                        }
-                    } else {
-                        loop {
-                            let dest_block = self.allocator.take_active(plane, &self.flash)?;
-                            match self.flash.copyback_page(ppn, dest_block, t) {
-                                Ok(ok) => break ok,
-                                Err(FlashOpError::ProgramFailed { ppn: failed }) => {
-                                    t = self.program_failed(failed);
-                                }
-                                Err(e) => return Err(e.into()),
-                            }
-                        }
-                    };
+                    if emergency {
+                        t = self.read_page(ppn, t)?.done;
+                    }
+                    let (new_ppn, done) = self.program_retrying(t, |ssd, t| {
+                        Ok(if emergency {
+                            let (_, dest_block) = ssd.allocator.take_active_any(&ssd.flash)?;
+                            ssd.flash.program_next(dest_block, t)?
+                        } else {
+                            let dest_block = ssd.allocator.take_active(plane, &ssd.flash)?;
+                            ssd.flash.copyback_page(ppn, dest_block, t)?
+                        })
+                    })?;
                     t = done;
                     self.stats.gc_programs += 1;
                     self.emit(
@@ -878,26 +864,20 @@ impl Ssd {
         self.stats
             .phases
             .add("gc_relocate", t.saturating_since(now));
-        let done = match self.flash.erase_block(victim, t) {
-            Ok(done) => done,
-            Err(FlashOpError::EraseFailed { .. }) => {
-                // The failed pulse spent a full tBERS; retry once from
-                // when the chip frees.
-                let retry_at = self.erase_failed(victim);
-                match self.flash.erase_block(victim, retry_at) {
-                    Ok(done) => done,
-                    Err(FlashOpError::EraseFailed { .. }) => {
-                        self.erase_failed(victim);
-                        let done = self.retire_victim(victim)?;
-                        self.stats.phases.add("gc_erase", done.saturating_since(t));
-                        return Ok(done);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let mut erase = self.flash.erase_block(victim, t)?;
+        if erase.faulted {
+            // The failed pulse spent a full tBERS; retry once from when
+            // it finished.
+            self.fault(erase.done, FaultEvent::Erase, victim.index());
+            erase = self.flash.erase_block(victim, erase.done)?;
+        }
+        let done = erase.done;
         self.stats.phases.add("gc_erase", done.saturating_since(t));
+        if erase.faulted {
+            self.fault(done, FaultEvent::Erase, victim.index());
+            self.retire_victim(victim, done)?;
+            return Ok(done);
+        }
         self.allocator.on_block_erased(&geometry, victim);
         self.stats.gc_collections += 1;
         self.emit(
@@ -909,29 +889,13 @@ impl Ssd {
         Ok(done)
     }
 
-    /// Records an injected erase failure on `block` and returns when the
-    /// failed pulse finished.
-    fn erase_failed(&mut self, block: zssd_flash::BlockId) -> SimTime {
-        let at = self
-            .flash
-            .chip_free_at(self.config.geometry.first_ppn_of(block));
-        self.emit(
-            at,
-            Event::Fault {
-                kind: FaultEvent::Erase,
-                unit: block.index(),
-            },
-        );
-        at
-    }
-
     /// Gives up on a block whose erase failed twice: purges every
     /// remaining pool and reverse-map entry into it (so a zombie on
-    /// dead flash can never be revived) and retires it for good. The
-    /// block never returns to the allocator's free lists — the plane
-    /// permanently shrinks by one block. Returns when the second
-    /// failed erase pulse finished.
-    fn retire_victim(&mut self, victim: zssd_flash::BlockId) -> Result<SimTime, SsdError> {
+    /// dead flash can never be revived) and retires it for good at
+    /// `at`, when the second failed erase pulse finished. The block
+    /// never returns to the allocator's free lists — the plane
+    /// permanently shrinks by one block.
+    fn retire_victim(&mut self, victim: BlockId, at: SimTime) -> Result<(), SsdError> {
         let geometry = self.config.geometry;
         for ppn in geometry.pages_of(victim) {
             if let Some(pool) = self.pool.as_mut() {
@@ -941,16 +905,13 @@ impl Ssd {
         }
         self.flash.retire_block(victim)?;
         self.stats.gc_collections += 1;
-        // Retirement itself is pure bookkeeping; it happens when the
-        // second failed erase pulse finishes.
-        let done = self.flash.chip_free_at(geometry.first_ppn_of(victim));
         self.emit(
-            done,
+            at,
             Event::Retire {
                 block: victim.index(),
             },
         );
-        Ok(done)
+        Ok(())
     }
 }
 

@@ -39,16 +39,6 @@ impl Counter {
     pub const fn get(self) -> u64 {
         self.0
     }
-
-    /// Fraction of this counter relative to `total`, or 0 when `total`
-    /// is zero.
-    pub fn fraction_of(self, total: Counter) -> f64 {
-        if total.0 == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total.0 as f64
-        }
-    }
 }
 
 impl fmt::Display for Counter {
@@ -90,17 +80,6 @@ mod tests {
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
-    fn fraction_handles_zero_total() {
-        let c = Counter::new();
-        assert_eq!(Counter::new().fraction_of(c), 0.0);
-        let mut total = Counter::new();
-        total.add(4);
-        let mut part = Counter::new();
-        part.add(1);
-        assert_eq!(part.fraction_of(total), 0.25);
     }
 
     #[test]

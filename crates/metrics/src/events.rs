@@ -256,12 +256,6 @@ impl EventLog {
         &self.events
     }
 
-    /// The last `n` events (fewer if the log is shorter).
-    pub fn tail(&self, n: usize) -> &[TracedEvent] {
-        let start = self.events.len().saturating_sub(n);
-        &self.events[start..]
-    }
-
     /// Consumes the log, returning its events.
     pub fn into_events(self) -> Vec<TracedEvent> {
         self.events
@@ -286,8 +280,7 @@ mod tests {
         log.emit(SimTime::from_nanos(1), Event::Retire { block: 3 });
         let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1]);
-        assert_eq!(log.tail(1)[0].event, Event::Retire { block: 3 });
-        assert_eq!(log.tail(10).len(), 2);
+        assert_eq!(log.events()[1].event, Event::Retire { block: 3 });
         log.clear();
         assert!(log.is_empty());
         log.emit(SimTime::ZERO, Event::GcErase { block: 0 });

@@ -9,7 +9,7 @@
 
 use core::fmt;
 
-use zssd_types::{SimDuration, SimTime};
+use zssd_types::SimDuration;
 
 use crate::events::TracedEvent;
 use crate::timeline::WindowStat;
@@ -370,7 +370,8 @@ impl Parser<'_> {
 }
 
 /// Serializes a windowed time series (the GC-episode view) with its
-/// window length, so [`windows_from_json`] can reconstruct it exactly.
+/// window length, every field an exact integer of nanoseconds or
+/// requests.
 pub fn windows_to_json(window: SimDuration, windows: &[WindowStat]) -> Json {
     Json::Obj(vec![
         ("window_ns".into(), Json::U64(window.as_nanos())),
@@ -391,27 +392,6 @@ pub fn windows_to_json(window: SimDuration, windows: &[WindowStat]) -> Json {
             ),
         ),
     ])
-}
-
-/// Reconstructs a windowed time series serialized by
-/// [`windows_to_json`]. Returns `None` if the value does not have that
-/// shape.
-pub fn windows_from_json(value: &Json) -> Option<(SimDuration, Vec<WindowStat>)> {
-    let window = SimDuration::from_nanos(value.get("window_ns")?.as_u64()?);
-    let windows = value
-        .get("windows")?
-        .as_arr()?
-        .iter()
-        .map(|w| {
-            Some(WindowStat {
-                start: SimTime::from_nanos(w.get("start_ns")?.as_u64()?),
-                count: w.get("count")?.as_u64()?,
-                mean: SimDuration::from_nanos(w.get("mean_ns")?.as_u64()?),
-                max: SimDuration::from_nanos(w.get("max_ns")?.as_u64()?),
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some((window, windows))
 }
 
 /// Renders a windowed time series as CSV
@@ -486,7 +466,7 @@ pub fn events_to_csv(events: &[TracedEvent]) -> String {
 mod tests {
     use super::*;
     use crate::events::{Event, FaultEvent};
-    use zssd_types::Lpn;
+    use zssd_types::{Lpn, SimTime};
 
     #[test]
     fn render_and_parse_round_trip() {
@@ -547,10 +527,13 @@ mod tests {
         let window = SimDuration::from_millis(250);
         let json = windows_to_json(window, &windows);
         let text = json.to_string();
-        let parsed = Json::parse(&text).expect("parses");
-        let (rt_window, rt_windows) = windows_from_json(&parsed).expect("shape");
-        assert_eq!(rt_window, window);
-        assert_eq!(rt_windows, windows);
+        assert_eq!(Json::parse(&text).expect("parses"), json);
+        assert_eq!(
+            text,
+            "{\"window_ns\":250000000,\"windows\":[\
+             {\"start_ns\":0,\"count\":2,\"mean_ns\":10000,\"max_ns\":30000},\
+             {\"start_ns\":250000000,\"count\":0,\"mean_ns\":0,\"max_ns\":0}]}"
+        );
         let csv = windows_to_csv(&windows);
         assert!(csv.starts_with("start_ns,count,mean_ns,max_ns\n"));
         assert_eq!(csv.lines().count(), 3);

@@ -57,8 +57,7 @@ pub use cdf::Cdf;
 pub use counter::{reduction_pct, Counter};
 pub use events::{Event, EventLog, FaultEvent, TracedEvent};
 pub use export::{
-    events_to_csv, events_to_json, windows_from_json, windows_to_csv, windows_to_json, Json,
-    JsonParseError,
+    events_to_csv, events_to_json, windows_to_csv, windows_to_json, Json, JsonParseError,
 };
 pub use latency::LatencySummary;
 pub use registry::{CounterRegistry, PhaseTimers, PhaseTotal};

@@ -12,52 +12,6 @@ use core::fmt;
 
 use crate::ValueId;
 
-/// Size of one flash page / host request payload, in bytes (§II-A:
-/// "All traces contain identical request sizes of 4KB").
-pub const PAGE_SIZE_BYTES: usize = 4096;
-
-/// A deterministic 4 KB page image for a [`ValueId`].
-///
-/// Used by tests and examples that want to exercise byte-level hashing
-/// rather than the fast id-level path.
-#[derive(Clone, PartialEq, Eq)]
-pub struct PageBuf {
-    bytes: Box<[u8; PAGE_SIZE_BYTES]>,
-}
-
-impl PageBuf {
-    /// Expands a value id into its canonical 4 KB page image.
-    ///
-    /// Distinct ids produce distinct images (the id is embedded in the
-    /// first 8 bytes) and the remainder is a fixed pseudo-random fill
-    /// keyed by the id, so images look like incompressible data.
-    pub fn for_value(value: ValueId) -> Self {
-        let mut bytes = Box::new([0u8; PAGE_SIZE_BYTES]);
-        let mut state = value.raw() ^ 0x9e37_79b9_7f4a_7c15;
-        for chunk in bytes.chunks_exact_mut(8) {
-            state = splitmix64(state);
-            chunk.copy_from_slice(&state.to_le_bytes());
-        }
-        bytes[..8].copy_from_slice(&value.raw().to_le_bytes());
-        PageBuf { bytes }
-    }
-
-    /// Returns the page contents.
-    pub fn as_bytes(&self) -> &[u8; PAGE_SIZE_BYTES] {
-        &self.bytes
-    }
-}
-
-impl fmt::Debug for PageBuf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "PageBuf {{ value: {:#x}, .. }}",
-            u64::from_le_bytes(self.bytes[..8].try_into().expect("8 bytes"))
-        )
-    }
-}
-
 /// A 16-byte content hash, the unit stored in dead-value-pool entries.
 ///
 /// Stands in for the MD5/SHA-1 digests carried by the FIU/OSU traces.
@@ -87,34 +41,9 @@ impl Fingerprint {
         Fingerprint(((hi as u128) << 64) | lo as u128)
     }
 
-    /// Computes the fingerprint of raw bytes (FNV-1a folded to 128 bits
-    /// with per-half offset bases), used when byte-level realism is
-    /// wanted, e.g. hashing a [`PageBuf`].
-    pub fn of_bytes(bytes: &[u8]) -> Self {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut h2: u64 = 0x84222325_cbf29ce4;
-        for &b in bytes {
-            h1 = (h1 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            h2 = (h2 ^ u64::from(b.rotate_left(3))).wrapping_mul(FNV_PRIME);
-        }
-        // Avalanche both halves so short inputs still disperse.
-        Fingerprint(((splitmix64(h1) as u128) << 64) | splitmix64(h2) as u128)
-    }
-
     /// Returns the digest as 16 big-endian bytes.
     pub fn as_bytes(self) -> [u8; 16] {
         self.0.to_be_bytes()
-    }
-
-    /// Reconstructs a fingerprint from 16 big-endian bytes.
-    pub fn from_bytes(bytes: [u8; 16]) -> Self {
-        Fingerprint(u128::from_be_bytes(bytes))
-    }
-
-    /// Returns the raw 128-bit digest.
-    pub const fn as_u128(self) -> u128 {
-        self.0
     }
 }
 
@@ -174,36 +103,6 @@ mod tests {
             .map(|v| Fingerprint::of_value(ValueId::new(v)))
             .collect();
         assert_eq!(fps.len(), 100_000, "no collisions over 100k ids");
-    }
-
-    #[test]
-    fn byte_round_trip() {
-        let fp = Fingerprint::of_value(ValueId::new(5));
-        assert_eq!(Fingerprint::from_bytes(fp.as_bytes()), fp);
-    }
-
-    #[test]
-    fn of_bytes_differs_on_single_bit_flip() {
-        let mut a = [0u8; 64];
-        let fp_a = Fingerprint::of_bytes(&a);
-        a[17] ^= 1;
-        assert_ne!(Fingerprint::of_bytes(&a), fp_a);
-    }
-
-    #[test]
-    fn page_buf_embeds_value_and_is_deterministic() {
-        let p1 = PageBuf::for_value(ValueId::new(123));
-        let p2 = PageBuf::for_value(ValueId::new(123));
-        assert_eq!(p1, p2);
-        assert_eq!(&p1.as_bytes()[..8], &123u64.to_le_bytes());
-        assert_ne!(p1, PageBuf::for_value(ValueId::new(124)));
-    }
-
-    #[test]
-    fn page_buf_hashes_agree_with_inequality_of_values() {
-        let h1 = Fingerprint::of_bytes(PageBuf::for_value(ValueId::new(1)).as_bytes());
-        let h2 = Fingerprint::of_bytes(PageBuf::for_value(ValueId::new(2)).as_bytes());
-        assert_ne!(h1, h2);
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod popularity;
 mod time;
 
 pub use error::{AddressError, ConfigError};
-pub use fingerprint::{splitmix64, Fingerprint, PageBuf, PAGE_SIZE_BYTES};
+pub use fingerprint::{splitmix64, Fingerprint};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Lpn, Ppn, ValueId};
 pub use intrusive::{ListHandle, Slab, SlotId};

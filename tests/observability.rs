@@ -9,9 +9,7 @@ use zssd_bench::{
 use zssd_core::SystemKind;
 use zssd_flash::FaultConfig;
 use zssd_ftl::{Ssd, SsdConfig};
-use zssd_metrics::{
-    events_to_csv, events_to_json, windows_from_json, windows_to_json, Event, Json,
-};
+use zssd_metrics::{events_to_csv, events_to_json, windows_to_json, Event, Json};
 use zssd_trace::{SyntheticTrace, WorkloadProfile};
 
 /// FNV-1a over the bytes of `text`.
@@ -63,9 +61,24 @@ fn gc_episode_series_round_trips_through_the_json_exporter() {
     assert!(!windows.is_empty(), "the run spans at least one window");
     let text = windows_to_json(METRICS_WINDOW, &windows).to_string();
     let parsed = Json::parse(&text).expect("exporter emits valid JSON");
-    let (window, recovered) = windows_from_json(&parsed).expect("well-formed series");
-    assert_eq!(window, METRICS_WINDOW);
-    assert_eq!(recovered, windows, "lossless series round-trip");
+    let field = |value: &Json, key: &str| value.get(key).and_then(Json::as_u64);
+    assert_eq!(field(&parsed, "window_ns"), Some(METRICS_WINDOW.as_nanos()));
+    let rows = parsed
+        .get("windows")
+        .and_then(Json::as_arr)
+        .expect("a windows array");
+    assert_eq!(rows.len(), windows.len());
+    for (row, w) in rows.iter().zip(&windows) {
+        let got = ["start_ns", "count", "mean_ns", "max_ns"].map(|key| field(row, key));
+        let want = [
+            w.start.as_nanos(),
+            w.count,
+            w.mean.as_nanos(),
+            w.max.as_nanos(),
+        ]
+        .map(Some);
+        assert_eq!(got, want, "lossless series round-trip");
+    }
 }
 
 #[test]
