@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use zssd_core::{MqConfig, MqDeadValuePool};
 use zssd_trace::TraceRecord;
-use zssd_types::{Fingerprint, FxHashMap, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
+use zssd_types::{FxHashMap, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
 use crate::content::{Found, Replay, Rule};
 use crate::lifecycle::{popularity_bins, PopularityBin};
@@ -175,7 +175,7 @@ impl PoolReuseSim {
                 popularity.entry(record.lpn).or_default().increment();
                 // The pool is looked up before the killed copy enters
                 // it (§IV-C order).
-                if self.pool.take_match(record.fingerprint(), now).is_some() {
+                if self.pool.take_match(record.value, now).is_some() {
                     summary.hits += 1;
                 } else if let Found::Dead(_) = found {
                     summary.capacity_misses += 1;
@@ -185,10 +185,9 @@ impl PoolReuseSim {
             // A copy's synthetic PPN is the write clock that placed it,
             // which no other copy shares.
             if let Some((old, born)) = kill {
-                let fp = Fingerprint::of_value(old);
                 let pop = popularity[&record.lpn];
                 self.pool
-                    .insert_dead(fp, Ppn::new(born), record.lpn, pop, now);
+                    .insert_dead(old, Ppn::new(born), record.lpn, pop, now);
             }
         }
         summary.writes = oracle.clock();

@@ -4,12 +4,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use zssd_dedup::DedupStore;
-use zssd_types::{Fingerprint, Ppn, ValueId};
+use zssd_types::{Ppn, ValueId};
 
 fn filled_store(values: u64) -> DedupStore {
     let mut store = DedupStore::new(values as usize);
     for i in 0..values {
-        store.register(Fingerprint::of_value(ValueId::new(i)), Ppn::new(i));
+        store.register(ValueId::new(i), Ppn::new(i));
     }
     store
 }
@@ -21,13 +21,13 @@ fn bench_ops(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 1) % 1_000_000;
-            black_box(store.lookup(Fingerprint::of_value(ValueId::new(i))))
+            black_box(store.lookup(ValueId::new(i)))
         });
     });
     group.bench_function("lookup_miss_1m", |b| {
         let store = filled_store(1_000_000);
-        let fp = Fingerprint::of_value(ValueId::new(u64::MAX));
-        b.iter(|| black_box(store.lookup(black_box(fp))));
+        let value = ValueId::new(u64::MAX);
+        b.iter(|| black_box(store.lookup(black_box(value))));
     });
     group.finish();
 }

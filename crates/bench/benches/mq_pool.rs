@@ -5,13 +5,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use zssd_core::{MqConfig, MqDeadValuePool};
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
+use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
 fn filled_pool(entries: usize) -> MqDeadValuePool {
     let mut pool = MqDeadValuePool::new(MqConfig::paper_default().with_capacity(entries), 64);
     for i in 0..entries as u64 {
         pool.insert_dead(
-            Fingerprint::of_value(ValueId::new(i)),
+            ValueId::new(i),
             Ppn::new(i),
             Lpn::new(i),
             PopularityDegree::new((i % 16) as u8),
@@ -30,7 +30,7 @@ fn bench_insert(c: &mut Criterion) {
             |pool| {
                 i += 1;
                 pool.insert_dead(
-                    Fingerprint::of_value(ValueId::new(i)),
+                    ValueId::new(i),
                     Ppn::new(i),
                     Lpn::new(i),
                     PopularityDegree::new(3),
@@ -46,18 +46,18 @@ fn bench_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("mq_pool");
     group.bench_function("lookup_miss_200k", |b| {
         let mut pool = filled_pool(200_000);
-        let fp = Fingerprint::of_value(ValueId::new(u64::MAX));
-        b.iter(|| black_box(pool.take_match(black_box(fp), WriteClock::from_count(1))));
+        let value = ValueId::new(u64::MAX);
+        b.iter(|| black_box(pool.take_match(black_box(value), WriteClock::from_count(1))));
     });
     group.bench_function("hit_then_reinsert_200k", |b| {
         let mut pool = filled_pool(200_000);
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 1) % 200_000;
-            let fp = Fingerprint::of_value(ValueId::new(i));
+            let value = ValueId::new(i);
             let now = WriteClock::from_count(1_000_000 + i);
-            if let Some(ppn) = pool.take_match(fp, now) {
-                pool.insert_dead(fp, ppn, Lpn::new(i), PopularityDegree::new(3), now);
+            if let Some(ppn) = pool.take_match(value, now) {
+                pool.insert_dead(value, ppn, Lpn::new(i), PopularityDegree::new(3), now);
             }
             black_box(pool.len())
         });

@@ -14,7 +14,7 @@
 //! * if the hit ratio stayed poor despite the current size, the pool
 //!   shrinks — RAM is better returned to the rest of the controller.
 
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
+use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
 use crate::mq::{MqConfig, MqDeadValuePool};
 use crate::pool::PoolStats;
@@ -170,8 +170,8 @@ impl AdaptiveMqPool {
         self.epoch_evictions_start = self.inner.stats().evictions;
     }
 
-    pub(crate) fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn> {
-        let result = self.inner.take_match(fp, now);
+    pub(crate) fn take_match(&mut self, value: ValueId, now: WriteClock) -> Option<Ppn> {
+        let result = self.inner.take_match(value, now);
         self.epoch_lookups += 1;
         if result.is_some() {
             self.epoch_hits += 1;
@@ -182,13 +182,13 @@ impl AdaptiveMqPool {
 
     pub(crate) fn insert_dead(
         &mut self,
-        fp: Fingerprint,
+        value: ValueId,
         ppn: Ppn,
         lpn: Lpn,
         pop: PopularityDegree,
         now: WriteClock,
     ) {
-        self.inner.insert_dead(fp, ppn, lpn, pop, now);
+        self.inner.insert_dead(value, ppn, lpn, pop, now);
         self.on_event();
     }
 
@@ -224,7 +224,6 @@ impl AdaptiveMqPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_types::ValueId;
 
     fn cfg() -> AdaptiveConfig {
         AdaptiveConfig {
@@ -238,10 +237,6 @@ mod tests {
         }
     }
 
-    fn fp(v: u64) -> Fingerprint {
-        Fingerprint::of_value(ValueId::new(v))
-    }
-
     #[test]
     fn grows_under_pressure_with_hits() {
         let mut pool = AdaptiveMqPool::new(cfg(), 4);
@@ -253,19 +248,19 @@ mod tests {
         for round in 0..60u64 {
             for v in 0..4u64 {
                 let now = clock.tick();
-                let _ = pool.take_match(fp(v), now);
+                let _ = pool.take_match(ValueId::new(v), now);
                 // Two dead copies per round: the second access promotes
                 // the entry out of Q0, so the cold flood below cannot
                 // evict it (that is MQ working as designed).
                 pool.insert_dead(
-                    fp(v),
+                    ValueId::new(v),
                     Ppn::new(round * 100 + v),
                     Lpn::new(v),
                     PopularityDegree::new(7),
                     now,
                 );
                 pool.insert_dead(
-                    fp(v),
+                    ValueId::new(v),
                     Ppn::new(round * 100 + 50 + v),
                     Lpn::new(v),
                     PopularityDegree::new(7),
@@ -276,7 +271,7 @@ mod tests {
                 cold += 1;
                 let now = clock.tick();
                 pool.insert_dead(
-                    fp(cold),
+                    ValueId::new(cold),
                     Ppn::new(cold + 1_000_000),
                     Lpn::new(cold),
                     PopularityDegree::ZERO,
@@ -305,8 +300,14 @@ mod tests {
         // Unique values only: zero hits forever.
         for v in 0..500u64 {
             let now = clock.tick();
-            let _ = pool.take_match(fp(1_000_000 + v), now);
-            pool.insert_dead(fp(v), Ppn::new(v), Lpn::new(v), PopularityDegree::ZERO, now);
+            let _ = pool.take_match(ValueId::new(1_000_000 + v), now);
+            pool.insert_dead(
+                ValueId::new(v),
+                Ppn::new(v),
+                Lpn::new(v),
+                PopularityDegree::ZERO,
+                now,
+            );
         }
         assert_eq!(pool.current_capacity(), 4, "no-hit pool shrinks to min");
     }
@@ -318,9 +319,9 @@ mod tests {
         for round in 0..200u64 {
             for v in 0..30u64 {
                 let now = clock.tick();
-                let _ = pool.take_match(fp(v), now);
+                let _ = pool.take_match(ValueId::new(v), now);
                 pool.insert_dead(
-                    fp(v),
+                    ValueId::new(v),
                     Ppn::new(round * 1000 + v),
                     Lpn::new(v),
                     PopularityDegree::new(5),
@@ -337,7 +338,7 @@ mod tests {
     fn delegates_pool_behaviour() {
         let mut pool = AdaptiveMqPool::new(cfg(), 4);
         pool.insert_dead(
-            fp(1),
+            ValueId::new(1),
             Ppn::new(1),
             Lpn::new(1),
             PopularityDegree::new(2),

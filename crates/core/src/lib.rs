@@ -4,10 +4,13 @@
 //! When an out-of-place update invalidates a flash page, its content
 //! does not disappear: the page keeps holding a dead copy of the value
 //! until GC erases the block. This crate implements the paper's
-//! **dead-value pool**: a small buffer of `(16-byte content hash →
-//! garbage PPNs)` entries kept in controller RAM. An incoming write
-//! whose hash hits the pool is *short-circuited* — the matching garbage
-//! page is flipped back to valid and no NAND program happens.
+//! **dead-value pool**: a small buffer of `(content → garbage PPNs)`
+//! entries kept in controller RAM. The paper keys an entry by the
+//! content's MD5; the pools here key it by its
+//! [`ValueId`](zssd_types::ValueId), which equal contents share. An
+//! incoming write whose value hits the pool is *short-circuited* — the
+//! matching garbage page is flipped back to valid and no NAND program
+//! happens.
 //!
 //! [`DeadValuePool`] is an enum over the three pool designs:
 //!
@@ -37,20 +40,20 @@
 //!
 //! ```
 //! use zssd_core::{MqConfig, MqDeadValuePool};
-//! use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
+//! use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 //!
 //! let mut pool = MqDeadValuePool::new(MqConfig::default(), 64); // 64-page blocks
-//! let fp = Fingerprint::of_value(ValueId::new(7));
+//! let value = ValueId::new(7);
 //! let mut clock = WriteClock::ZERO;
 //!
 //! // A page holding value 7 dies...
 //! let now = clock.tick();
-//! pool.insert_dead(fp, Ppn::new(42), Lpn::new(3), PopularityDegree::new(2), now);
+//! pool.insert_dead(value, Ppn::new(42), Lpn::new(3), PopularityDegree::new(2), now);
 //!
 //! // ...and a later write of value 7 revives it.
 //! let now = clock.tick();
-//! assert_eq!(pool.take_match(fp, now), Some(Ppn::new(42)));
-//! assert_eq!(pool.take_match(fp, now), None); // consumed
+//! assert_eq!(pool.take_match(value, now), Some(Ppn::new(42)));
+//! assert_eq!(pool.take_match(value, now), None); // consumed
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,7 +67,7 @@ mod slots;
 mod system;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveMqPool};
-pub use lxssd::{LxSsdConfig, LxSsdPool};
+pub use lxssd::LxSsdPool;
 pub use mq::{MqConfig, MqDeadValuePool};
 pub use pool::{DeadValuePool, PoolStats};
 pub use system::SystemKind;

@@ -22,42 +22,16 @@
 //! demonstrates on mail.
 
 use zssd_types::{
-    Fingerprint, FxHashMap, ListHandle, Lpn, PopularityDegree, Ppn, Slab, SlotId, WriteClock,
+    FxHashMap, ListHandle, Lpn, PopularityDegree, Ppn, Slab, SlotId, ValueId, WriteClock,
 };
 
 use crate::pool::PoolStats;
 use crate::slots::PpnSlots;
 
-/// Configuration of the [`LxSsdPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LxSsdConfig {
-    /// Maximum number of tracked garbage pages (one entry each).
-    pub capacity: usize,
-}
-
-impl LxSsdConfig {
-    /// Same entry budget as the paper gives the DVP (200 K).
-    pub fn paper_default() -> Self {
-        LxSsdConfig { capacity: 200_000 }
-    }
-
-    /// Overrides the capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
-    }
-}
-
-impl Default for LxSsdConfig {
-    fn default() -> Self {
-        LxSsdConfig::paper_default()
-    }
-}
-
 /// One tracked garbage page.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    fp: Fingerprint,
+    value: ValueId,
     ppn: Ppn,
     lpn: Lpn,
     /// Combined read+write access count (the conflation the paper
@@ -71,24 +45,25 @@ struct Entry {
 /// # Examples
 ///
 /// ```
-/// use zssd_core::{DeadValuePool, LxSsdConfig, LxSsdPool};
-/// use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
+/// use zssd_core::{DeadValuePool, LxSsdPool};
+/// use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 ///
-/// let mut pool = DeadValuePool::LxSsd(LxSsdPool::new(LxSsdConfig::default().with_capacity(10), 64));
-/// let fp = Fingerprint::of_value(ValueId::new(1));
-/// pool.insert_dead(fp, Ppn::new(1), Lpn::new(7), PopularityDegree::ZERO, WriteClock::ZERO);
+/// let mut pool = DeadValuePool::LxSsd(LxSsdPool::new(10, 64));
+/// let value = ValueId::new(1);
+/// pool.insert_dead(value, Ppn::new(1), Lpn::new(7), PopularityDegree::ZERO, WriteClock::ZERO);
 /// // A *read* of LBA 7 refreshes the entry — the behaviour the paper
 /// // identifies as a mistake.
 /// pool.note_lpn_access(Lpn::new(7));
-/// assert_eq!(pool.take_match(fp, WriteClock::from_count(2)), Some(Ppn::new(1)));
+/// assert_eq!(pool.take_match(value, WriteClock::from_count(2)), Some(Ppn::new(1)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LxSsdPool {
-    cfg: LxSsdConfig,
+    /// Maximum number of tracked garbage pages (one entry each).
+    capacity: usize,
     slab: Slab<Entry>,
     lru: ListHandle,
-    /// All garbage pages currently holding each content hash.
-    by_fp: FxHashMap<Fingerprint, Vec<SlotId>>,
+    /// All garbage pages currently holding each value.
+    by_value: FxHashMap<ValueId, Vec<SlotId>>,
     by_ppn: PpnSlots,
     /// Entries whose recency is refreshed by accesses to an address.
     by_lpn: FxHashMap<Lpn, Vec<SlotId>>,
@@ -96,19 +71,19 @@ pub struct LxSsdPool {
 }
 
 impl LxSsdPool {
-    /// Creates an empty pool for a device whose flash blocks hold
-    /// `pages_per_block` pages.
+    /// Creates an empty pool of `capacity` entries for a device whose
+    /// flash blocks hold `pages_per_block` pages.
     ///
     /// # Panics
     ///
-    /// Panics if the configured capacity or `pages_per_block` is zero.
-    pub fn new(cfg: LxSsdConfig, pages_per_block: u32) -> Self {
-        assert!(cfg.capacity > 0, "LX-SSD pool capacity must be nonzero");
+    /// Panics if `capacity` or `pages_per_block` is zero.
+    pub fn new(capacity: usize, pages_per_block: u32) -> Self {
+        assert!(capacity > 0, "LX-SSD pool capacity must be nonzero");
         LxSsdPool {
-            cfg,
-            slab: Slab::with_capacity(cfg.capacity.min(1 << 20)),
+            capacity,
+            slab: Slab::with_capacity(capacity.min(1 << 20)),
             lru: ListHandle::default(),
-            by_fp: FxHashMap::default(),
+            by_value: FxHashMap::default(),
             by_ppn: PpnSlots::new(pages_per_block),
             by_lpn: FxHashMap::default(),
             stats: PoolStats::default(),
@@ -126,10 +101,10 @@ impl LxSsdPool {
     fn remove_entry(&mut self, id: SlotId) -> Entry {
         self.lru.detach(&mut self.slab, id);
         let entry = self.slab.remove(id);
-        if let Some(ids) = self.by_fp.get_mut(&entry.fp) {
+        if let Some(ids) = self.by_value.get_mut(&entry.value) {
             ids.retain(|&e| e != id);
             if ids.is_empty() {
-                self.by_fp.remove(&entry.fp);
+                self.by_value.remove(&entry.value);
             }
         }
         self.by_ppn.remove(entry.ppn, entry.pop);
@@ -142,12 +117,12 @@ impl LxSsdPool {
         entry
     }
 
-    pub(crate) fn take_match(&mut self, fp: Fingerprint, _now: WriteClock) -> Option<Ppn> {
-        let Some(ids) = self.by_fp.get(&fp) else {
+    pub(crate) fn take_match(&mut self, value: ValueId, _now: WriteClock) -> Option<Ppn> {
+        let Some(ids) = self.by_value.get(&value) else {
             self.stats.misses += 1;
             return None;
         };
-        let id = *ids.last().expect("fp index entries are non-empty");
+        let id = *ids.last().expect("value index entries are non-empty");
         let entry = self.remove_entry(id);
         self.stats.hits += 1;
         Some(entry.ppn)
@@ -155,7 +130,7 @@ impl LxSsdPool {
 
     pub(crate) fn insert_dead(
         &mut self,
-        fp: Fingerprint,
+        value: ValueId,
         ppn: Ppn,
         lpn: Lpn,
         pop: PopularityDegree,
@@ -165,12 +140,17 @@ impl LxSsdPool {
             return;
         }
         self.stats.insertions += 1;
-        let id = self.slab.insert(Entry { fp, ppn, lpn, pop });
+        let id = self.slab.insert(Entry {
+            value,
+            ppn,
+            lpn,
+            pop,
+        });
         self.lru.push_tail(&mut self.slab, id);
-        self.by_fp.entry(fp).or_default().push(id);
+        self.by_value.entry(value).or_default().push(id);
         self.by_ppn.insert(ppn, id, pop);
         self.by_lpn.entry(lpn).or_default().push(id);
-        if self.slab.len() > self.cfg.capacity {
+        if self.slab.len() > self.capacity {
             self.evict_one();
         }
     }
@@ -217,7 +197,7 @@ impl LxSsdPool {
     }
 
     pub(crate) fn capacity(&self) -> Option<usize> {
-        Some(self.cfg.capacity)
+        Some(self.capacity)
     }
 
     pub(crate) fn stats(&self) -> PoolStats {
@@ -228,19 +208,14 @@ impl LxSsdPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_types::ValueId;
-
-    fn fp(v: u64) -> Fingerprint {
-        Fingerprint::of_value(ValueId::new(v))
-    }
 
     fn pool(capacity: usize) -> LxSsdPool {
-        LxSsdPool::new(LxSsdConfig::default().with_capacity(capacity), 4)
+        LxSsdPool::new(capacity, 4)
     }
 
     fn insert(pool: &mut LxSsdPool, v: u64, ppn: u64, lpn: u64, now: u64) {
         pool.insert_dead(
-            fp(v),
+            ValueId::new(v),
             Ppn::new(ppn),
             Lpn::new(lpn),
             PopularityDegree::ZERO,
@@ -257,8 +232,13 @@ mod tests {
         // value is never rewritten...
         p.note_lpn_access(Lpn::new(10));
         insert(&mut p, 3, 3, 30, 4); // evicts value 2, not value 1
-        assert!(p.take_match(fp(1), WriteClock::from_count(5)).is_some());
-        assert_eq!(p.take_match(fp(2), WriteClock::from_count(6)), None);
+        assert!(p
+            .take_match(ValueId::new(1), WriteClock::from_count(5))
+            .is_some());
+        assert_eq!(
+            p.take_match(ValueId::new(2), WriteClock::from_count(6)),
+            None
+        );
     }
 
     #[test]
@@ -304,12 +284,12 @@ mod tests {
         insert(&mut p, 1, 2, 11, 2);
         assert_eq!(p.tracked_ppns(), 2);
         assert_eq!(
-            p.take_match(fp(1), WriteClock::from_count(3)),
+            p.take_match(ValueId::new(1), WriteClock::from_count(3)),
             Some(Ppn::new(2))
         );
         assert_eq!(p.len(), 1);
         assert_eq!(
-            p.take_match(fp(1), WriteClock::from_count(4)),
+            p.take_match(ValueId::new(1), WriteClock::from_count(4)),
             Some(Ppn::new(1))
         );
         assert_eq!(p.len(), 0);
@@ -343,9 +323,16 @@ mod tests {
         p.note_lpn_access(Lpn::new(10));
         insert(&mut p, 4, 4, 40, 5);
         insert(&mut p, 5, 5, 50, 6); // evicts value 3 (LRU), not 1 or 2
-        assert_eq!(p.take_match(fp(3), WriteClock::from_count(7)), None);
-        assert!(p.take_match(fp(1), WriteClock::from_count(8)).is_some());
-        assert!(p.take_match(fp(2), WriteClock::from_count(9)).is_some());
+        assert_eq!(
+            p.take_match(ValueId::new(3), WriteClock::from_count(7)),
+            None
+        );
+        assert!(p
+            .take_match(ValueId::new(1), WriteClock::from_count(8))
+            .is_some());
+        assert!(p
+            .take_match(ValueId::new(2), WriteClock::from_count(9))
+            .is_some());
     }
 
     #[test]

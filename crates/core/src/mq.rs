@@ -1,7 +1,7 @@
 //! The Multi-Queue dead-value pool (§III-B, §IV of the paper).
 
 use zssd_types::{
-    Fingerprint, FxHashMap, ListHandle, Lpn, PopularityDegree, Ppn, Slab, SlotId, WriteClock,
+    FxHashMap, ListHandle, Lpn, PopularityDegree, Ppn, Slab, SlotId, ValueId, WriteClock,
 };
 
 use crate::pool::PoolStats;
@@ -15,7 +15,7 @@ use crate::slots::PpnSlots;
 pub struct MqConfig {
     /// Number of LRU queues (popularity bands).
     pub num_queues: usize,
-    /// Maximum number of hash entries.
+    /// Maximum number of entries (distinct values).
     pub capacity: usize,
     /// Expiration interval (in writes) used until the pool has observed
     /// a re-access interval of its hottest entry (§IV-C: `ExpTime =
@@ -71,7 +71,7 @@ impl Default for MqConfig {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    fp: Fingerprint,
+    value: ValueId,
     /// Garbage pages currently holding this value, most recent death
     /// last. A hit surrenders the most recently dead copy.
     ppns: Vec<Ppn>,
@@ -97,14 +97,14 @@ struct Entry {
 ///
 /// ```
 /// use zssd_core::{MqConfig, MqDeadValuePool};
-/// use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
+/// use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 ///
 /// let mut pool = MqDeadValuePool::new(MqConfig::default().with_capacity(1000), 64);
-/// let fp = Fingerprint::of_value(ValueId::new(1));
-/// pool.insert_dead(fp, Ppn::new(10), Lpn::new(0), PopularityDegree::new(5),
+/// let value = ValueId::new(1);
+/// pool.insert_dead(value, Ppn::new(10), Lpn::new(0), PopularityDegree::new(5),
 ///                  WriteClock::from_count(1));
 /// assert_eq!(pool.len(), 1);
-/// assert_eq!(pool.take_match(fp, WriteClock::from_count(2)), Some(Ppn::new(10)));
+/// assert_eq!(pool.take_match(value, WriteClock::from_count(2)), Some(Ppn::new(10)));
 /// assert!(pool.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -112,7 +112,7 @@ pub struct MqDeadValuePool {
     cfg: MqConfig,
     slab: Slab<Entry>,
     queues: Vec<ListHandle>,
-    by_fp: FxHashMap<Fingerprint, SlotId>,
+    by_value: FxHashMap<ValueId, SlotId>,
     by_ppn: PpnSlots,
     hottest_pop: PopularityDegree,
     hottest_interval: u64,
@@ -134,7 +134,7 @@ impl MqDeadValuePool {
             cfg,
             slab: Slab::with_capacity(cfg.capacity.min(1 << 20)),
             queues: vec![ListHandle::default(); cfg.num_queues],
-            by_fp: FxHashMap::default(),
+            by_value: FxHashMap::default(),
             by_ppn: PpnSlots::new(pages_per_block),
             hottest_pop: PopularityDegree::ZERO,
             hottest_interval: cfg.initial_hottest_interval,
@@ -152,10 +152,10 @@ impl MqDeadValuePool {
         self.queues.iter().map(|q| q.len()).collect()
     }
 
-    /// Queue index currently holding the entry for `fp`, if present.
-    pub fn queue_of(&self, fp: Fingerprint) -> Option<usize> {
-        self.by_fp
-            .get(&fp)
+    /// Queue index currently holding the entry for `value`, if present.
+    pub fn queue_of(&self, value: ValueId) -> Option<usize> {
+        self.by_value
+            .get(&value)
             .map(|&id| usize::from(self.slab.get(id).queue))
     }
 
@@ -264,7 +264,7 @@ impl MqDeadValuePool {
         let queue = usize::from(self.slab.get(id).queue);
         self.queues[queue].detach(&mut self.slab, id);
         let entry = self.slab.remove(id);
-        self.by_fp.remove(&entry.fp);
+        self.by_value.remove(&entry.value);
         entry
     }
 
@@ -272,18 +272,18 @@ impl MqDeadValuePool {
     fn debug_validate(&self) {
         let in_queues: usize = self.queues.iter().map(|q| q.len()).sum();
         assert_eq!(in_queues, self.slab.len());
-        assert_eq!(self.by_fp.len(), self.slab.len());
+        assert_eq!(self.by_value.len(), self.slab.len());
         let ppns: usize = self
-            .by_fp
+            .by_value
             .values()
             .map(|&id| self.slab.get(id).ppns.len())
             .sum();
         assert_eq!(ppns, self.by_ppn.len());
     }
 
-    /// Looks up a write's hash; a hit removes and returns a dead copy.
-    pub fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn> {
-        let Some(&id) = self.by_fp.get(&fp) else {
+    /// Looks up a write's value; a hit removes and returns a dead copy.
+    pub fn take_match(&mut self, value: ValueId, now: WriteClock) -> Option<Ppn> {
+        let Some(&id) = self.by_value.get(&value) else {
             self.stats.misses += 1;
             return None;
         };
@@ -315,7 +315,7 @@ impl MqDeadValuePool {
     /// Offers a freshly dead page to the pool.
     pub fn insert_dead(
         &mut self,
-        fp: Fingerprint,
+        value: ValueId,
         ppn: Ppn,
         _lpn: Lpn,
         pop: PopularityDegree,
@@ -325,7 +325,7 @@ impl MqDeadValuePool {
             return; // already tracked (defensive; FTL never re-offers)
         }
         self.stats.insertions += 1;
-        if let Some(&id) = self.by_fp.get(&fp) {
+        if let Some(&id) = self.by_value.get(&value) {
             self.observe_access(id, now);
             let from = self.slab.get(id).pop;
             let to = from.max(pop);
@@ -337,7 +337,7 @@ impl MqDeadValuePool {
             self.refresh_and_promote(id, now);
         } else {
             let entry = Entry {
-                fp,
+                value,
                 ppns: vec![ppn],
                 pop,
                 expire: now.plus(self.hottest_interval),
@@ -346,7 +346,7 @@ impl MqDeadValuePool {
             };
             let id = self.slab.insert(entry);
             self.queues[0].push_tail(&mut self.slab, id);
-            self.by_fp.insert(fp, id);
+            self.by_value.insert(value, id);
             self.by_ppn.insert(ppn, id, pop);
             if self.slab.len() > self.cfg.capacity {
                 self.evict_one();
@@ -417,11 +417,6 @@ impl MqDeadValuePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zssd_types::ValueId;
-
-    fn fp(v: u64) -> Fingerprint {
-        Fingerprint::of_value(ValueId::new(v))
-    }
 
     fn pool(capacity: usize) -> MqDeadValuePool {
         MqDeadValuePool::new(MqConfig::default().with_capacity(capacity), 4)
@@ -429,7 +424,7 @@ mod tests {
 
     fn insert(pool: &mut MqDeadValuePool, v: u64, ppn: u64, pop: u8, now: u64) {
         pool.insert_dead(
-            fp(v),
+            ValueId::new(v),
             Ppn::new(ppn),
             Lpn::new(ppn),
             PopularityDegree::new(pop),
@@ -450,15 +445,18 @@ mod tests {
             assert_eq!(p.len(), 1);
             assert_eq!(p.tracked_ppns(), 2);
             assert_eq!(
-                p.take_match(fp(1), WriteClock::from_count(3)),
+                p.take_match(ValueId::new(1), WriteClock::from_count(3)),
                 Some(Ppn::new(200))
             );
             assert_eq!(p.len(), 1, "a hit on a multi-PPN entry keeps it");
             assert_eq!(
-                p.take_match(fp(1), WriteClock::from_count(4)),
+                p.take_match(ValueId::new(1), WriteClock::from_count(4)),
                 Some(Ppn::new(100))
             );
-            assert_eq!(p.take_match(fp(1), WriteClock::from_count(5)), None);
+            assert_eq!(
+                p.take_match(ValueId::new(1), WriteClock::from_count(5)),
+                None
+            );
             assert!(p.is_empty());
             p.debug_validate();
         }
@@ -467,7 +465,7 @@ mod tests {
     #[test]
     fn miss_counts_and_returns_none() {
         let mut p = pool(4);
-        assert_eq!(p.take_match(fp(9), WriteClock::ZERO), None);
+        assert_eq!(p.take_match(ValueId::new(9), WriteClock::ZERO), None);
         assert_eq!(p.stats().misses, 1);
     }
 
@@ -475,7 +473,7 @@ mod tests {
     fn new_entries_start_in_q0() {
         let mut p = pool(16);
         insert(&mut p, 1, 1, 200, 1); // very popular value still enters Q0
-        assert_eq!(p.queue_of(fp(1)), Some(0));
+        assert_eq!(p.queue_of(ValueId::new(1)), Some(0));
     }
 
     #[test]
@@ -488,10 +486,10 @@ mod tests {
         for round in 0..20u64 {
             insert(&mut p, 1, 100 + round, 0, now);
             now += 1;
-            let q = p.queue_of(fp(1)).expect("entry present");
+            let q = p.queue_of(ValueId::new(1)).expect("entry present");
             assert!(q >= last_queue, "no spontaneous drops while hot");
             last_queue = q;
-            let _ = p.take_match(fp(1), WriteClock::from_count(now));
+            let _ = p.take_match(ValueId::new(1), WriteClock::from_count(now));
             now += 1;
         }
         assert!(last_queue >= 2, "popular entry must climb queues");
@@ -503,9 +501,9 @@ mod tests {
     fn promotion_is_one_queue_per_access() {
         let mut p = pool(64);
         insert(&mut p, 1, 1, 255, 1); // band 8, but starts at Q0
-        assert_eq!(p.queue_of(fp(1)), Some(0));
+        assert_eq!(p.queue_of(ValueId::new(1)), Some(0));
         insert(&mut p, 1, 2, 255, 2);
-        assert_eq!(p.queue_of(fp(1)), Some(1), "one step per access");
+        assert_eq!(p.queue_of(ValueId::new(1)), Some(1), "one step per access");
     }
 
     #[test]
@@ -516,8 +514,13 @@ mod tests {
         }
         insert(&mut p, 4, 4, 0, 4); // overflows: evicts value 1
         assert_eq!(p.len(), 3);
-        assert_eq!(p.take_match(fp(1), WriteClock::from_count(5)), None);
-        assert!(p.take_match(fp(2), WriteClock::from_count(6)).is_some());
+        assert_eq!(
+            p.take_match(ValueId::new(1), WriteClock::from_count(5)),
+            None
+        );
+        assert!(p
+            .take_match(ValueId::new(2), WriteClock::from_count(6))
+            .is_some());
         assert_eq!(p.stats().evictions, 1);
         p.debug_validate();
     }
@@ -528,13 +531,16 @@ mod tests {
         // Value 1 becomes popular and climbs out of Q0.
         insert(&mut p, 1, 1, 3, 1);
         insert(&mut p, 1, 2, 3, 2);
-        assert!(p.queue_of(fp(1)).expect("present") >= 1);
+        assert!(p.queue_of(ValueId::new(1)).expect("present") >= 1);
         // Fill with cold values; each overflow must evict cold Q0
         // entries, never the popular one.
         insert(&mut p, 2, 10, 0, 3);
         insert(&mut p, 3, 11, 0, 4); // evicts value 2 (Q0 LRU)
-        assert!(p.queue_of(fp(1)).is_some(), "popular survivor");
-        assert_eq!(p.take_match(fp(2), WriteClock::from_count(5)), None);
+        assert!(p.queue_of(ValueId::new(1)).is_some(), "popular survivor");
+        assert_eq!(
+            p.take_match(ValueId::new(2), WriteClock::from_count(5)),
+            None
+        );
         p.debug_validate();
     }
 
@@ -551,11 +557,11 @@ mod tests {
         // Promote value 1 to Q1.
         insert(&mut p, 1, 1, 2, 1);
         insert(&mut p, 1, 2, 2, 2);
-        assert_eq!(p.queue_of(fp(1)), Some(1));
+        assert_eq!(p.queue_of(ValueId::new(1)), Some(1));
         // Let it expire: every insertion advances the clock past
         // expire = 2 + 5 = 7.
         insert(&mut p, 2, 10, 0, 20);
-        assert_eq!(p.queue_of(fp(1)), Some(0), "expired head demoted");
+        assert_eq!(p.queue_of(ValueId::new(1)), Some(0), "expired head demoted");
         assert!(p.stats().demotions >= 1);
     }
 
@@ -575,11 +581,11 @@ mod tests {
         // Promote value 1 to Q1 at now=2; expire = 2 + 5 = 7.
         insert(&mut p, 1, 1, 2, 1);
         insert(&mut p, 1, 2, 2, 2);
-        assert_eq!(p.queue_of(fp(1)), Some(1));
+        assert_eq!(p.queue_of(ValueId::new(1)), Some(1));
         // Insertion at exactly now == expire must demote the Q1 head.
         insert(&mut p, 2, 10, 0, 7);
         assert_eq!(
-            p.queue_of(fp(1)),
+            p.queue_of(ValueId::new(1)),
             Some(0),
             "boundary demotion at expire == now"
         );
@@ -668,8 +674,13 @@ mod tests {
         assert_eq!(p.len(), 3, "shrink evicts immediately");
         assert_eq!(p.capacity(), Some(3));
         // The survivors are the most recent insertions.
-        assert!(p.take_match(fp(8), WriteClock::from_count(9)).is_some());
-        assert_eq!(p.take_match(fp(1), WriteClock::from_count(10)), None);
+        assert!(p
+            .take_match(ValueId::new(8), WriteClock::from_count(9))
+            .is_some());
+        assert_eq!(
+            p.take_match(ValueId::new(1), WriteClock::from_count(10)),
+            None
+        );
         p.set_capacity(100);
         for v in 20..=40u64 {
             insert(&mut p, v, v, 0, v);
@@ -693,8 +704,13 @@ mod tests {
         // Touch value 1 so value 2 becomes LRU.
         insert(&mut p, 1, 10, 0, 3);
         insert(&mut p, 3, 3, 0, 4); // evicts value 2
-        assert_eq!(p.take_match(fp(2), WriteClock::from_count(5)), None);
-        assert!(p.take_match(fp(1), WriteClock::from_count(6)).is_some());
+        assert_eq!(
+            p.take_match(ValueId::new(2), WriteClock::from_count(5)),
+            None
+        );
+        assert!(p
+            .take_match(ValueId::new(1), WriteClock::from_count(6))
+            .is_some());
         assert_eq!(p.stats().evictions, 1);
         p.debug_validate();
     }
@@ -714,11 +730,13 @@ mod tests {
             }
         }
         assert_eq!(
-            lru.take_match(fp(1), WriteClock::from_count(9)),
+            lru.take_match(ValueId::new(1), WriteClock::from_count(9)),
             None,
             "LRU evicted the popular value"
         );
-        assert!(mq.take_match(fp(1), WriteClock::from_count(9)).is_some());
+        assert!(mq
+            .take_match(ValueId::new(1), WriteClock::from_count(9))
+            .is_some());
         assert_eq!(lru.stats().promotions, 0, "one queue never promotes");
     }
 
@@ -732,7 +750,7 @@ mod tests {
         assert_eq!(p.len(), 10_000);
         assert_eq!(p.stats().evictions, 0);
         assert!(p
-            .take_match(fp(0), WriteClock::from_count(10_001))
+            .take_match(ValueId::new(0), WriteClock::from_count(10_001))
             .is_some());
         p.debug_validate();
     }
@@ -747,7 +765,7 @@ mod tests {
             insert(&mut p, v, round + 1000, (v % 4) as u8, now);
             if round % 3 == 0 {
                 now += 1;
-                let _ = p.take_match(fp((round + 1) % 13), WriteClock::from_count(now));
+                let _ = p.take_match(ValueId::new((round + 1) % 13), WriteClock::from_count(now));
             }
             if round % 7 == 0 {
                 p.remove_ppn(Ppn::new(round + 1000));

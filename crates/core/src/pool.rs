@@ -2,11 +2,9 @@
 
 use core::fmt;
 
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
+use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
-use crate::{
-    AdaptiveConfig, AdaptiveMqPool, LxSsdConfig, LxSsdPool, MqConfig, MqDeadValuePool, SystemKind,
-};
+use crate::{AdaptiveConfig, AdaptiveMqPool, LxSsdPool, MqConfig, MqDeadValuePool, SystemKind};
 
 /// Counters shared by every pool design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,7 +54,7 @@ impl fmt::Display for PoolStats {
     }
 }
 
-/// A buffer of dead values: content hashes of garbage pages and the
+/// A buffer of dead values: the contents of garbage pages and the
 /// physical pages that still hold them. One variant per pool design;
 /// each method dispatches to the variant's own.
 ///
@@ -66,10 +64,10 @@ impl fmt::Display for PoolStats {
 ///
 /// # Contract
 ///
-/// * After `insert_dead(fp, ppn, ..)` and until `ppn` is returned by
+/// * After `insert_dead(value, ppn, ..)` and until `ppn` is returned by
 ///   [`take_match`](DeadValuePool::take_match) or dropped by
 ///   [`remove_ppn`](DeadValuePool::remove_ppn) or eviction, the pool
-///   *may* return `ppn` from a lookup of `fp`.
+///   *may* return `ppn` from a lookup of `value`.
 /// * A PPN is returned by `take_match` **at most once** — the FTL
 ///   revives it, so it is no longer garbage.
 /// * [`remove_ppn`](DeadValuePool::remove_ppn) must be called when GC
@@ -123,10 +121,7 @@ impl DeadValuePool {
                 Self::Mq(MqDeadValuePool::new(MqConfig::lru(entries), ppb))
             }
             SystemKind::Ideal => Self::Mq(MqDeadValuePool::new(MqConfig::ideal(), ppb)),
-            SystemKind::LxSsd { entries } => Self::LxSsd(LxSsdPool::new(
-                LxSsdConfig::paper_default().with_capacity(entries),
-                ppb,
-            )),
+            SystemKind::LxSsd { entries } => Self::LxSsd(LxSsdPool::new(entries, ppb)),
             SystemKind::AdaptiveDvp {
                 min_entries,
                 max_entries,
@@ -142,11 +137,11 @@ impl DeadValuePool {
         })
     }
 
-    /// Looks up the hash of an incoming write. On a hit, removes and
+    /// Looks up the value of an incoming write. On a hit, removes and
     /// returns one garbage PPN holding that content (the FTL will
     /// revive it). Entries with multiple PPNs surrender one per call.
-    pub fn take_match(&mut self, fp: Fingerprint, now: WriteClock) -> Option<Ppn> {
-        each!(self, pool => pool.take_match(fp, now))
+    pub fn take_match(&mut self, value: ValueId, now: WriteClock) -> Option<Ppn> {
+        each!(self, pool => pool.take_match(value, now))
     }
 
     /// Offers a freshly dead page to the pool. `lpn` is the logical
@@ -155,13 +150,13 @@ impl DeadValuePool {
     /// the mapping table.
     pub fn insert_dead(
         &mut self,
-        fp: Fingerprint,
+        value: ValueId,
         ppn: Ppn,
         lpn: Lpn,
         pop: PopularityDegree,
         now: WriteClock,
     ) {
-        each!(self, pool => pool.insert_dead(fp, ppn, lpn, pop, now));
+        each!(self, pool => pool.insert_dead(value, ppn, lpn, pop, now));
     }
 
     /// Drops a PPN whose block GC erased. Idempotent; untracked PPNs
@@ -196,7 +191,7 @@ impl DeadValuePool {
         }
     }
 
-    /// Number of distinct hash entries currently buffered.
+    /// Number of distinct values currently buffered.
     pub fn len(&self) -> usize {
         each!(self, pool => pool.len())
     }

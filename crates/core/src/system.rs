@@ -5,7 +5,7 @@ use core::fmt;
 /// Which system an experiment runs — the paper's four configurations
 /// plus the LRU strawman and the LX-SSD prior-work comparator.
 ///
-/// Pool sizes are in *entries* (hashes); the paper's default sweep is
+/// Pool sizes are in *entries* (values); the paper's default sweep is
 /// 100 K–300 K with 200 K as the headline point (~5 MB of RAM).
 ///
 /// # Examples

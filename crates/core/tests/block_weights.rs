@@ -6,10 +6,9 @@
 use proptest::prelude::*;
 
 use zssd_core::{
-    AdaptiveConfig, AdaptiveMqPool, DeadValuePool, LxSsdConfig, LxSsdPool, MqConfig,
-    MqDeadValuePool,
+    AdaptiveConfig, AdaptiveMqPool, DeadValuePool, LxSsdPool, MqConfig, MqDeadValuePool,
 };
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
+use zssd_types::{Lpn, PopularityDegree, Ppn, ValueId, WriteClock};
 
 const PAGES_PER_BLOCK: u32 = 8;
 /// PPNs span this many blocks, so one value's dead copies land in
@@ -50,10 +49,6 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn fp(value: u8) -> Fingerprint {
-    Fingerprint::of_value(ValueId::new(u64::from(value)))
-}
-
 /// Compares every block's kept sum with the sum of its pages'
 /// `garbage_weight`.
 fn check_sums(pool: &DeadValuePool) {
@@ -70,7 +65,7 @@ fn check_sums(pool: &DeadValuePool) {
 fn apply(pool: &mut DeadValuePool, op: Op, now: WriteClock) {
     match op {
         Op::Insert(v, p, d) => pool.insert_dead(
-            fp(v),
+            ValueId::new(u64::from(v)),
             Ppn::new(p),
             // Addresses repeat, so one access bumps several LX-SSD entries.
             Lpn::new(p % (PAGES / 4)),
@@ -78,7 +73,7 @@ fn apply(pool: &mut DeadValuePool, op: Op, now: WriteClock) {
             now,
         ),
         Op::Take(v) => {
-            let _ = pool.take_match(fp(v), now);
+            let _ = pool.take_match(ValueId::new(u64::from(v)), now);
         }
         Op::Remove(p) => pool.remove_ppn(Ppn::new(p)),
         Op::Note(lpn) => pool.note_lpn_access(Lpn::new(lpn)),
@@ -124,7 +119,7 @@ proptest! {
 
     #[test]
     fn lxssd_sums_match_a_recount(ops in prop::collection::vec(op(), 1..300)) {
-        let pool = LxSsdPool::new(LxSsdConfig::default().with_capacity(6), PAGES_PER_BLOCK);
+        let pool = LxSsdPool::new(6, PAGES_PER_BLOCK);
         run(DeadValuePool::LxSsd(pool), ops);
     }
 

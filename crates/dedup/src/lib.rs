@@ -7,13 +7,15 @@
 //! page's reverse-map record in the FTL, so the FTL alone decides when
 //! a page dies; this crate holds no per-page reference counts.
 //!
-//! The [`DedupStore`] is the **fingerprint index** (`fingerprint →
-//! PPN`). It lives in scarce controller RAM and is therefore
-//! *capacity-bounded* with LRU replacement, as in CAFTL/CA-SSD. Its
-//! entries sit on one intrusive list ([`zssd_types::ListHandle`], the
-//! LRU list the dead-value pools use), so a hit, a registration and an
-//! eviction are each O(1). Evicting an index entry does not affect the
-//! page or its owners — it only means future duplicates of that
+//! The [`DedupStore`] is the **fingerprint index** (`content → PPN`),
+//! keyed by the content's [`ValueId`], the exact identity a real drive
+//! approximates with a hash. It lives in scarce controller RAM and is
+//! therefore *capacity-bounded* with LRU replacement, as in
+//! CAFTL/CA-SSD. Its entries sit on one intrusive list
+//! ([`zssd_types::ListHandle`], the LRU list the dead-value pools
+//! use), so a hit, a registration and an eviction are each O(1).
+//! Evicting an index entry does not affect the page or its owners —
+//! it only means future duplicates of that
 //! content can no longer be detected and will be programmed again
 //! (possibly creating a second live physical copy, exactly as on a
 //! real bounded-index deduplicating SSD).
@@ -22,27 +24,27 @@
 //!
 //! ```
 //! use zssd_dedup::DedupStore;
-//! use zssd_types::{Fingerprint, Ppn, ValueId};
+//! use zssd_types::{Ppn, ValueId};
 //!
-//! let mut store = DedupStore::new(1024); // index up to 1024 fingerprints
-//! let fp = Fingerprint::of_value(ValueId::new(1));
+//! let mut store = DedupStore::new(1024); // index up to 1024 values
+//! let value = ValueId::new(1);
 //!
 //! // First write of a value programs a page and registers it.
-//! store.register(fp, Ppn::new(10));
+//! store.register(value, Ppn::new(10));
 //! // A second logical copy deduplicates against it.
-//! assert_eq!(store.reference(fp), Some(Ppn::new(10)));
+//! assert_eq!(store.reference(value), Some(Ppn::new(10)));
 //!
 //! // When the FTL sees the page's last owner leave, the page is
 //! // garbage and its index entry goes.
-//! store.forget(fp, Ppn::new(10));
-//! assert_eq!(store.lookup(fp), None);
+//! store.forget(value, Ppn::new(10));
+//! assert_eq!(store.lookup(value), None);
 //! assert_eq!(store.stats().deaths, 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use zssd_types::{Fingerprint, FxHashMap, ListHandle, Ppn, Slab, SlotId};
+use zssd_types::{FxHashMap, ListHandle, Ppn, Slab, SlotId, ValueId};
 
 /// Usage counters for the dedup index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,16 +57,16 @@ pub struct DedupStats {
     pub registrations: u64,
     /// Pages whose last owner left (true deaths).
     pub deaths: u64,
-    /// Fingerprint index entries evicted for capacity.
+    /// Index entries evicted for capacity.
     pub index_evictions: u64,
 }
 
 /// The content-addressed index of live values: a bounded,
-/// LRU-replaced fingerprint → physical-page lookup.
+/// LRU-replaced value → physical-page lookup.
 #[derive(Debug, Clone)]
 pub struct DedupStore {
-    index: FxHashMap<Fingerprint, SlotId>,
-    slab: Slab<(Fingerprint, Ppn)>,
+    index: FxHashMap<ValueId, SlotId>,
+    slab: Slab<(ValueId, Ppn)>,
     /// Least recently registered or referenced entry at the head.
     lru: ListHandle,
     capacity: usize,
@@ -72,8 +74,8 @@ pub struct DedupStore {
 }
 
 impl DedupStore {
-    /// Creates a store whose fingerprint index holds at most
-    /// `entries` fingerprints (LRU-replaced).
+    /// Creates a store whose index holds at most `entries` values
+    /// (LRU-replaced).
     ///
     /// # Panics
     ///
@@ -91,16 +93,16 @@ impl DedupStore {
 
     /// Looks up the live copy of a value without counting a hit or
     /// refreshing recency.
-    pub fn lookup(&self, fp: Fingerprint) -> Option<Ppn> {
-        self.index.get(&fp).map(|&id| self.slab.get(id).1)
+    pub fn lookup(&self, value: ValueId) -> Option<Ppn> {
+        self.index.get(&value).map(|&id| self.slab.get(id).1)
     }
 
     /// Finds the live copy a new logical page of this value should
     /// share, if the index still knows one. Counts a dedup hit (an
     /// eliminated write) on success and refreshes the entry's recency;
     /// counts a miss otherwise.
-    pub fn reference(&mut self, fp: Fingerprint) -> Option<Ppn> {
-        let Some(&id) = self.index.get(&fp) else {
+    pub fn reference(&mut self, value: ValueId) -> Option<Ppn> {
+        let Some(&id) = self.index.get(&value) else {
             self.stats.misses += 1;
             return None;
         };
@@ -110,18 +112,18 @@ impl DedupStore {
     }
 
     /// Makes a freshly programmed (or revived) copy of a value the
-    /// index's target for that fingerprint, as its most recently used
-    /// entry. A new fingerprint in a full index evicts the least
+    /// index's target for that value, as its most recently used
+    /// entry. A new value in a full index evicts the least
     /// recently used one.
     ///
-    /// Registering a fingerprint that already has an indexed copy
+    /// Registering a value that already has an indexed copy
     /// repoints the index at the new page (the old copy keeps its
     /// owners and dies when they leave). This is what happens on a
     /// real bounded-index device after an index miss on duplicated
     /// content.
-    pub fn register(&mut self, fp: Fingerprint, ppn: Ppn) {
+    pub fn register(&mut self, value: ValueId, ppn: Ppn) {
         self.stats.registrations += 1;
-        if let Some(&id) = self.index.get(&fp) {
+        if let Some(&id) = self.index.get(&value) {
             self.slab.get_mut(id).1 = ppn;
             self.lru.move_to_tail(&mut self.slab, id);
             return;
@@ -134,17 +136,17 @@ impl DedupStore {
                 self.stats.index_evictions += 1;
             }
         }
-        let id = self.slab.insert((fp, ppn));
+        let id = self.slab.insert((value, ppn));
         self.lru.push_tail(&mut self.slab, id);
-        self.index.insert(fp, id);
+        self.index.insert(value, id);
     }
 
-    /// Records the death of the page at `ppn` holding `fp` (its last
+    /// Records the death of the page at `ppn` holding `value` (its last
     /// owner left): drops the index entry if it pointed there.
-    pub fn forget(&mut self, fp: Fingerprint, ppn: Ppn) {
-        if let Some(&id) = self.index.get(&fp) {
+    pub fn forget(&mut self, value: ValueId, ppn: Ppn) {
+        if let Some(&id) = self.index.get(&value) {
             if self.slab.get(id).1 == ppn {
-                self.index.remove(&fp);
+                self.index.remove(&value);
                 self.lru.detach(&mut self.slab, id);
                 self.slab.remove(id);
             }
@@ -152,10 +154,10 @@ impl DedupStore {
         self.stats.deaths += 1;
     }
 
-    /// Follows a live page holding `fp` from `old` to `new` (GC or a
+    /// Follows a live page holding `value` from `old` to `new` (GC or a
     /// scrub relocated it), updating the index if it pointed at `old`.
-    pub fn relocate(&mut self, fp: Fingerprint, old: Ppn, new: Ppn) {
-        if let Some(&id) = self.index.get(&fp) {
+    pub fn relocate(&mut self, value: ValueId, old: Ppn, new: Ppn) {
+        if let Some(&id) = self.index.get(&value) {
             let entry = self.slab.get_mut(id);
             if entry.1 == old {
                 entry.1 = new;
@@ -163,13 +165,13 @@ impl DedupStore {
         }
     }
 
-    /// Every indexed fingerprint with the physical page it names, from
+    /// Every indexed value with the physical page it names, from
     /// the least to the most recently used.
-    pub fn entries(&self) -> impl Iterator<Item = (Fingerprint, Ppn)> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = (ValueId, Ppn)> + '_ {
         self.lru.iter(&self.slab).map(|id| *self.slab.get(id))
     }
 
-    /// Number of fingerprints currently in the bounded index.
+    /// Number of values currently in the bounded index.
     pub fn indexed_len(&self) -> usize {
         self.slab.len()
     }
@@ -190,20 +192,15 @@ impl DedupStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use zssd_types::ValueId;
-
-    fn fp(v: u64) -> Fingerprint {
-        Fingerprint::of_value(ValueId::new(v))
-    }
 
     #[test]
     fn references_hit_until_the_page_is_forgotten() {
         let mut s = DedupStore::new(64);
-        s.register(fp(1), Ppn::new(1));
-        assert_eq!(s.reference(fp(1)), Some(Ppn::new(1)));
-        assert_eq!(s.reference(fp(1)), Some(Ppn::new(1)));
-        s.forget(fp(1), Ppn::new(1));
-        assert_eq!(s.reference(fp(1)), None);
+        s.register(ValueId::new(1), Ppn::new(1));
+        assert_eq!(s.reference(ValueId::new(1)), Some(Ppn::new(1)));
+        assert_eq!(s.reference(ValueId::new(1)), Some(Ppn::new(1)));
+        s.forget(ValueId::new(1), Ppn::new(1));
+        assert_eq!(s.reference(ValueId::new(1)), None);
         assert_eq!(s.indexed_len(), 0);
         assert_eq!(s.stats().deaths, 1);
         assert_eq!(s.stats().dedup_hits, 2);
@@ -212,9 +209,9 @@ mod tests {
     #[test]
     fn lookup_does_not_take_references() {
         let mut s = DedupStore::new(64);
-        s.register(fp(1), Ppn::new(1));
-        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(1)));
-        assert_eq!(s.lookup(fp(2)), None);
+        s.register(ValueId::new(1), Ppn::new(1));
+        assert_eq!(s.lookup(ValueId::new(1)), Some(Ppn::new(1)));
+        assert_eq!(s.lookup(ValueId::new(2)), None);
         assert_eq!(s.stats().dedup_hits, 0, "lookups are not hits");
         assert_eq!(s.stats().misses, 0, "...nor misses");
     }
@@ -222,38 +219,38 @@ mod tests {
     #[test]
     fn relocate_moves_the_live_copy() {
         let mut s = DedupStore::new(64);
-        s.register(fp(1), Ppn::new(1));
-        s.reference(fp(1));
-        s.relocate(fp(1), Ppn::new(1), Ppn::new(5));
-        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(5)));
+        s.register(ValueId::new(1), Ppn::new(1));
+        s.reference(ValueId::new(1));
+        s.relocate(ValueId::new(1), Ppn::new(1), Ppn::new(5));
+        assert_eq!(s.lookup(ValueId::new(1)), Some(Ppn::new(5)));
         // A stale source no longer matches the index entry.
-        s.relocate(fp(1), Ppn::new(1), Ppn::new(6));
-        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(5)));
+        s.relocate(ValueId::new(1), Ppn::new(1), Ppn::new(6));
+        assert_eq!(s.lookup(ValueId::new(1)), Some(Ppn::new(5)));
     }
 
     #[test]
     fn a_value_can_be_reregistered_after_death() {
         let mut s = DedupStore::new(64);
-        s.register(fp(1), Ppn::new(1));
-        s.forget(fp(1), Ppn::new(1));
-        assert_eq!(s.lookup(fp(1)), None);
-        s.register(fp(1), Ppn::new(1));
-        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(1)));
+        s.register(ValueId::new(1), Ppn::new(1));
+        s.forget(ValueId::new(1), Ppn::new(1));
+        assert_eq!(s.lookup(ValueId::new(1)), None);
+        s.register(ValueId::new(1), Ppn::new(1));
+        assert_eq!(s.lookup(ValueId::new(1)), Some(Ppn::new(1)));
         assert_eq!(s.stats().registrations, 2);
     }
 
     #[test]
     fn bounded_index_evicts_lru_fingerprints() {
         let mut s = DedupStore::new(2);
-        s.register(fp(1), Ppn::new(1));
-        s.register(fp(2), Ppn::new(2));
-        s.reference(fp(1)); // refresh 1; 2 becomes LRU
-        s.register(fp(3), Ppn::new(3)); // evicts fp(2)
-        assert_eq!(s.lookup(fp(2)), None, "index entry evicted");
+        s.register(ValueId::new(1), Ppn::new(1));
+        s.register(ValueId::new(2), Ppn::new(2));
+        s.reference(ValueId::new(1)); // refresh 1; 2 becomes LRU
+        s.register(ValueId::new(3), Ppn::new(3)); // evicts ValueId::new(2)
+        assert_eq!(s.lookup(ValueId::new(2)), None, "index entry evicted");
         assert_eq!(s.indexed_len(), 2);
         assert_eq!(s.stats().index_evictions, 1);
         // Page 2 still dies normally, leaving the index alone.
-        s.forget(fp(2), Ppn::new(2));
+        s.forget(ValueId::new(2), Ppn::new(2));
         assert_eq!(s.indexed_len(), 2);
         assert_eq!(s.stats().deaths, 1);
     }
@@ -261,45 +258,45 @@ mod tests {
     #[test]
     fn duplicate_content_can_be_registered_twice_after_eviction() {
         let mut s = DedupStore::new(1);
-        s.register(fp(1), Ppn::new(1));
-        s.register(fp(2), Ppn::new(2)); // evicts fp(1)
+        s.register(ValueId::new(1), Ppn::new(1));
+        s.register(ValueId::new(2), Ppn::new(2)); // evicts ValueId::new(1)
 
-        // fp(1) content arrives again: index miss, a second physical
+        // ValueId::new(1) content arrives again: index miss, a second physical
         // copy is programmed and registered.
-        assert_eq!(s.reference(fp(1)), None);
-        s.register(fp(1), Ppn::new(3));
-        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(3)));
+        assert_eq!(s.reference(ValueId::new(1)), None);
+        s.register(ValueId::new(1), Ppn::new(3));
+        assert_eq!(s.lookup(ValueId::new(1)), Some(Ppn::new(3)));
         // The death of the *indexed* copy clears its index entry...
-        s.forget(fp(1), Ppn::new(3));
-        assert_eq!(s.lookup(fp(1)), None);
+        s.forget(ValueId::new(1), Ppn::new(3));
+        assert_eq!(s.lookup(ValueId::new(1)), None);
         // ...while the death of a non-indexed copy leaves it alone.
-        s.register(fp(1), Ppn::new(4));
-        s.forget(fp(1), Ppn::new(1));
-        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(4)));
+        s.register(ValueId::new(1), Ppn::new(4));
+        s.forget(ValueId::new(1), Ppn::new(1));
+        assert_eq!(s.lookup(ValueId::new(1)), Some(Ppn::new(4)));
     }
 
     #[test]
     fn reregistering_a_fingerprint_repoints_the_index() {
         let mut s = DedupStore::new(64);
-        s.register(fp(1), Ppn::new(1));
-        s.register(fp(1), Ppn::new(2));
-        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(2)));
-        assert_eq!(s.indexed_len(), 1, "one entry per fingerprint");
+        s.register(ValueId::new(1), Ppn::new(1));
+        s.register(ValueId::new(1), Ppn::new(2));
+        assert_eq!(s.lookup(ValueId::new(1)), Some(Ppn::new(2)));
+        assert_eq!(s.indexed_len(), 1, "one entry per value");
     }
 
     #[test]
     fn relocate_of_non_indexed_copy_keeps_index() {
         let mut s = DedupStore::new(64);
-        s.register(fp(1), Ppn::new(1));
-        s.register(fp(1), Ppn::new(2));
-        s.relocate(fp(1), Ppn::new(1), Ppn::new(9));
-        assert_eq!(s.lookup(fp(1)), Some(Ppn::new(2)));
+        s.register(ValueId::new(1), Ppn::new(1));
+        s.register(ValueId::new(1), Ppn::new(2));
+        s.relocate(ValueId::new(1), Ppn::new(1), Ppn::new(9));
+        assert_eq!(s.lookup(ValueId::new(1)), Some(Ppn::new(2)));
     }
 
     #[test]
     fn stats_track_misses() {
         let mut s = DedupStore::new(64);
-        assert_eq!(s.reference(fp(3)), None);
+        assert_eq!(s.reference(ValueId::new(3)), None);
         assert_eq!(s.stats().misses, 1);
         assert_eq!(s.indexed_len(), 0);
     }
@@ -307,11 +304,11 @@ mod tests {
     #[test]
     fn reset_stats_keeps_the_index() {
         let mut s = DedupStore::new(1);
-        s.register(fp(1), Ppn::new(1));
-        s.register(fp(2), Ppn::new(2));
+        s.register(ValueId::new(1), Ppn::new(1));
+        s.register(ValueId::new(2), Ppn::new(2));
         s.reset_stats();
         assert_eq!(s.stats(), DedupStats::default());
-        assert_eq!(s.lookup(fp(2)), Some(Ppn::new(2)));
+        assert_eq!(s.lookup(ValueId::new(2)), Some(Ppn::new(2)));
     }
 
     #[test]
@@ -320,7 +317,7 @@ mod tests {
         let _ = DedupStore::new(0);
     }
 
-    /// One call on the store: fingerprint ids are reduced into a
+    /// One call on the store: value ids are reduced into a
     /// domain sized to the capacity, PPNs are drawn from a few pages so
     /// `forget` and `relocate` often name the indexed copy.
     #[derive(Debug, Clone)]
@@ -344,32 +341,32 @@ mod tests {
     /// recently used, replaced from the front.
     #[derive(Default)]
     struct Model {
-        lru: Vec<(Fingerprint, Ppn)>,
+        lru: Vec<(ValueId, Ppn)>,
         stats: DedupStats,
     }
 
     impl Model {
-        fn find(&self, fp: Fingerprint) -> Option<usize> {
-            self.lru.iter().position(|&(f, _)| f == fp)
+        fn find(&self, value: ValueId) -> Option<usize> {
+            self.lru.iter().position(|&(f, _)| f == value)
         }
 
         fn apply(&mut self, op: &Op, capacity: usize, domain: u8) -> Option<Ppn> {
-            let fp = |f: u8| fp(u64::from(f % domain));
+            let value = |f: u8| ValueId::new(u64::from(f % domain));
             let ppn = |p: u8| Ppn::new(u64::from(p));
             match *op {
                 Op::Register(f, p) => {
                     self.stats.registrations += 1;
-                    if let Some(at) = self.find(fp(f)) {
+                    if let Some(at) = self.find(value(f)) {
                         self.lru.remove(at);
                     } else if self.lru.len() == capacity {
                         self.lru.remove(0);
                         self.stats.index_evictions += 1;
                     }
-                    self.lru.push((fp(f), ppn(p)));
+                    self.lru.push((value(f), ppn(p)));
                     None
                 }
                 Op::Reference(f) => {
-                    let Some(at) = self.find(fp(f)) else {
+                    let Some(at) = self.find(value(f)) else {
                         self.stats.misses += 1;
                         return None;
                     };
@@ -380,13 +377,13 @@ mod tests {
                 }
                 Op::Forget(f, p) => {
                     self.stats.deaths += 1;
-                    if let Some(at) = self.find(fp(f)).filter(|&at| self.lru[at].1 == ppn(p)) {
+                    if let Some(at) = self.find(value(f)).filter(|&at| self.lru[at].1 == ppn(p)) {
                         self.lru.remove(at);
                     }
                     None
                 }
                 Op::Relocate(f, old, new) => {
-                    if let Some(at) = self.find(fp(f)).filter(|&at| self.lru[at].1 == ppn(old)) {
+                    if let Some(at) = self.find(value(f)).filter(|&at| self.lru[at].1 == ppn(old)) {
                         self.lru[at].1 = ppn(new);
                     }
                     None
@@ -396,13 +393,13 @@ mod tests {
     }
 
     fn apply(store: &mut DedupStore, op: &Op, domain: u8) -> Option<Ppn> {
-        let fp = |f: u8| fp(u64::from(f % domain));
+        let value = |f: u8| ValueId::new(u64::from(f % domain));
         let ppn = |p: u8| Ppn::new(u64::from(p));
         match *op {
-            Op::Register(f, p) => store.register(fp(f), ppn(p)),
-            Op::Reference(f) => return store.reference(fp(f)),
-            Op::Forget(f, p) => store.forget(fp(f), ppn(p)),
-            Op::Relocate(f, old, new) => store.relocate(fp(f), ppn(old), ppn(new)),
+            Op::Register(f, p) => store.register(value(f), ppn(p)),
+            Op::Reference(f) => return store.reference(value(f)),
+            Op::Forget(f, p) => store.forget(value(f), ppn(p)),
+            Op::Relocate(f, old, new) => store.relocate(value(f), ppn(old), ppn(new)),
         }
         None
     }
@@ -422,9 +419,9 @@ mod tests {
                     let got = apply(&mut store, op, domain);
                     prop_assert_eq!(got, model.apply(op, capacity, domain), "{:?}", op);
                     for f in 0..domain {
-                        let fp = fp(u64::from(f));
-                        let want = model.find(fp).map(|at| model.lru[at].1);
-                        prop_assert_eq!(store.lookup(fp), want, "capacity {}", capacity);
+                        let value = ValueId::new(u64::from(f));
+                        let want = model.find(value).map(|at| model.lru[at].1);
+                        prop_assert_eq!(store.lookup(value), want, "capacity {}", capacity);
                     }
                     prop_assert_eq!(store.indexed_len(), model.lru.len());
                     prop_assert_eq!(store.stats(), model.stats);

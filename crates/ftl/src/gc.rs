@@ -118,7 +118,7 @@ mod tests {
     use proptest::prelude::*;
     use zssd_core::{MqConfig, MqDeadValuePool};
     use zssd_flash::{FlashTiming, Geometry};
-    use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, SimTime, ValueId, WriteClock};
+    use zssd_types::{Lpn, PopularityDegree, Ppn, SimTime, ValueId, WriteClock};
 
     /// One plane of `blocks` blocks of 4 pages.
     fn plane_of(blocks: u32) -> FlashArray {
@@ -164,7 +164,7 @@ mod tests {
         let mut pool = MqDeadValuePool::new(MqConfig::ideal(), 4);
         for (ppn, pop) in pages {
             pool.insert_dead(
-                Fingerprint::of_value(ValueId::new(ppn)),
+                ValueId::new(ppn),
                 Ppn::new(ppn),
                 Lpn::new(ppn),
                 PopularityDegree::new(pop),

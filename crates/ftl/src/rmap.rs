@@ -8,27 +8,18 @@
 //! geometry numbers them `0..total_pages`), so every probe is one
 //! bounds-checked array access with no hashing.
 
-use zssd_types::{Fingerprint, Lpn, Ppn, ValueId};
+use zssd_types::{Lpn, Ppn, ValueId};
 
 /// What the controller knows about the data in one physical page:
 /// its content identity and the logical pages referencing it (empty
 /// for garbage pages — kept so revival and GC know the content).
 ///
 /// `owners` is the page's only reference count: under deduplication
-/// the page dies when its last owner leaves. The fingerprint is not
-/// stored; it is derived from `value` when needed.
+/// the page dies when its last owner leaves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PhysPage {
     pub(crate) value: ValueId,
     pub(crate) owners: Owners,
-}
-
-impl PhysPage {
-    /// The content hash of the page's data.
-    #[inline]
-    pub(crate) fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::of_value(self.value)
-    }
 }
 
 /// The logical pages mapped to one physical page, in arrival order.

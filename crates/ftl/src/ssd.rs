@@ -5,7 +5,7 @@ use zssd_dedup::DedupStore;
 use zssd_flash::{BlockId, Completion, FlashArray, PageState};
 use zssd_metrics::{Event, EventLog, FaultEvent, LatencySummary};
 use zssd_trace::{initial_value_of, IoOp, TraceRecord};
-use zssd_types::{Fingerprint, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
+use zssd_types::{Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 
 use crate::config::SsdConfig;
 use crate::error::SsdError;
@@ -57,7 +57,6 @@ pub struct Ssd {
     pool: Option<DeadValuePool>,
     dedup: Option<DedupStore>,
     rmap: Rmap,
-    clock: WriteClock,
     stats: SsdStats,
     /// The run-wide event log (`None` unless the config asked for
     /// tracing). The drive is its only writer: flash faults and block
@@ -98,7 +97,6 @@ impl Ssd {
             pool,
             dedup,
             rmap: Rmap::new(config.geometry.total_pages()),
-            clock: WriteClock::ZERO,
             stats: SsdStats::new(),
             events: config.trace_events.then(EventLog::new),
             victim_states: Vec::with_capacity(config.geometry.pages_per_block() as usize),
@@ -139,7 +137,7 @@ impl Ssd {
 
     /// The paper's logical clock (number of host writes issued).
     pub fn write_clock(&self) -> WriteClock {
-        self.clock
+        WriteClock::from_count(self.stats.host_writes)
     }
 
     /// Fills every logical page with unique pre-trace content, then
@@ -160,7 +158,7 @@ impl Ssd {
             self.rmap.insert(ppn, value, lpn);
             self.mapping.update(lpn, ppn)?;
             if let Some(dedup) = self.dedup.as_mut().filter(|_| index >= first_indexed) {
-                dedup.register(Fingerprint::of_value(value), ppn);
+                dedup.register(value, ppn);
             }
         }
         self.flash.reset_time();
@@ -249,9 +247,8 @@ impl Ssd {
         arrival: SimTime,
     ) -> Result<SimTime, SsdError> {
         self.mapping.lookup(lpn)?; // address check up front
-        let now = self.clock.tick();
         self.stats.host_writes += 1;
-        let fp = Fingerprint::of_value(value);
+        let now = self.write_clock();
         let mut t = arrival;
         if self.config.system.uses_hashing() {
             t += self.flash.timing().hash;
@@ -259,7 +256,11 @@ impl Ssd {
         self.mapping.bump_popularity(lpn)?;
 
         // 1. Dead-value-pool lookup (§IV-C "Writes").
-        if let Some(zombie) = self.pool.as_mut().and_then(|pool| pool.take_match(fp, now)) {
+        if let Some(zombie) = self
+            .pool
+            .as_mut()
+            .and_then(|pool| pool.take_match(value, now))
+        {
             debug_assert_eq!(
                 self.flash.page_state(zombie).ok(),
                 Some(PageState::Invalid),
@@ -269,11 +270,11 @@ impl Ssd {
             self.flash.revive_page(zombie)?;
             let page = record(&mut self.rmap, zombie);
             debug_assert!(page.owners.is_empty());
-            debug_assert_eq!(page.fingerprint(), fp);
+            debug_assert_eq!(page.value, value);
             page.owners.push(lpn);
             self.mapping.update(lpn, zombie)?;
             if let Some(dedup) = self.dedup.as_mut() {
-                dedup.register(fp, zombie);
+                dedup.register(value, zombie);
             }
             self.stats.revived_writes += 1;
             // No program, but the completion still goes out through the
@@ -287,7 +288,7 @@ impl Ssd {
 
         // 2. Deduplication against live copies.
         if let Some(dedup) = self.dedup.as_mut() {
-            if let Some(shared) = dedup.reference(fp) {
+            if let Some(shared) = dedup.reference(value) {
                 // Same content rewritten in place changes nothing.
                 if self.mapping.lookup(lpn)? != Some(shared) {
                     self.kill_current(lpn, now)?;
@@ -309,7 +310,7 @@ impl Ssd {
         self.rmap.insert(ppn, value, lpn);
         self.mapping.update(lpn, ppn)?;
         if let Some(dedup) = self.dedup.as_mut() {
-            dedup.register(fp, ppn);
+            dedup.register(value, ppn);
         }
         // GC triggered by this write stalls it: the erase pipeline the
         // write set off must drain before the host sees completion, so
@@ -328,6 +329,7 @@ impl Ssd {
     ///
     /// Returns an error if `lpn` is beyond the logical capacity.
     pub fn read(&mut self, lpn: Lpn, arrival: SimTime) -> Result<(ValueId, SimTime), SsdError> {
+        let mapped = self.mapping.lookup(lpn)?; // address check up front
         self.stats.host_reads += 1;
         // LX-SSD refreshes garbage recency on reads (the behaviour the
         // paper critiques); other pools ignore this.
@@ -336,7 +338,7 @@ impl Ssd {
         }
         let done;
         let value;
-        match self.mapping.lookup(lpn)? {
+        match mapped {
             Some(ppn) => {
                 let read = self.read_page(ppn, arrival)?;
                 done = read.done;
@@ -382,8 +384,7 @@ impl Ssd {
         if mapped.is_none() {
             return Ok(());
         }
-        let now = self.clock;
-        self.kill_current(lpn, now)?;
+        self.kill_current(lpn, self.write_clock())?;
         self.mapping.unmap(lpn)?;
         Ok(())
     }
@@ -525,7 +526,7 @@ impl Ssd {
     ///    popularity sum (the GC victim score's `Σpop`) matches a
     ///    recount of its pages' [`DeadValuePool::garbage_weight`].
     /// 5. **Dedup-index hygiene** — every fingerprint index entry
-    ///    names a *valid* page whose record holds that fingerprint, so
+    ///    names a *valid* page whose record holds that value, so
     ///    a dedup hit always shares live, matching content.
     ///
     /// # Errors
@@ -635,14 +636,14 @@ impl Ssd {
             }
         }
         // 5. Dedup index -> live pages.
-        for (fp, ppn) in self.dedup.iter().flat_map(DedupStore::entries) {
+        for (value, ppn) in self.dedup.iter().flat_map(DedupStore::entries) {
             let state = self.flash.page_state(ppn).map_err(|e| e.to_string())?;
             if state != PageState::Valid {
                 return Err(format!("dedup index names {ppn} in state {state}"));
             }
-            if self.rmap.get(ppn).map(PhysPage::fingerprint) != Some(fp) {
+            if self.rmap.get(ppn).map(|page| page.value) != Some(value) {
                 return Err(format!(
-                    "dedup index entry {fp} names {ppn}, which holds other content"
+                    "dedup index entry {value} names {ppn}, which holds other content"
                 ));
             }
         }
@@ -668,13 +669,13 @@ impl Ssd {
         let page = record(&mut self.rmap, old);
         page.owners.remove(lpn);
         if page.owners.is_empty() {
-            let fp = page.fingerprint();
+            let value = page.value;
             self.flash.invalidate_page(old)?;
             if let Some(dedup) = self.dedup.as_mut() {
-                dedup.forget(fp, old);
+                dedup.forget(value, old);
             }
             if let Some(pool) = self.pool.as_mut() {
-                pool.insert_dead(fp, old, lpn, pop, now);
+                pool.insert_dead(value, old, lpn, pop, now);
             }
         }
         Ok(())
@@ -737,7 +738,7 @@ impl Ssd {
             self.mapping.update(owner, to)?;
         }
         if let Some(dedup) = self.dedup.as_mut() {
-            dedup.relocate(page.fingerprint(), from, to);
+            dedup.relocate(page.value, from, to);
         }
         self.rmap.relocate(from, to);
         self.flash.invalidate_page(from)?;
@@ -1228,11 +1229,27 @@ mod tests {
 
     #[test]
     fn out_of_range_lpn_is_an_error() {
-        let mut s = ssd(SystemKind::Baseline);
-        assert!(s
-            .write(Lpn::new(100_000), ValueId::new(1), SimTime::ZERO)
-            .is_err());
-        assert!(s.read(Lpn::new(100_000), SimTime::ZERO).is_err());
+        let mut s = ssd(SystemKind::LxSsd { entries: 64 });
+        w(&mut s, 0, 1);
+        w(&mut s, 0, 2);
+        s.read(Lpn::new(0), SimTime::ZERO).expect("read");
+        s.trim(Lpn::new(0)).expect("trim");
+        let counts = |s: &Ssd| {
+            let stats = s.stats();
+            (
+                stats.host_writes,
+                stats.host_reads,
+                stats.trims,
+                s.write_clock(),
+                s.pool_stats(),
+            )
+        };
+        let before = counts(&s);
+        let beyond = Lpn::new(100_000);
+        assert!(s.write(beyond, ValueId::new(1), SimTime::ZERO).is_err());
+        assert!(s.read(beyond, SimTime::ZERO).is_err());
+        assert!(s.trim(beyond).is_err());
+        assert_eq!(counts(&s), before, "a rejected command counts nothing");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use zssd_types::{Fingerprint, Lpn, SimTime, ValueId};
+use zssd_types::{Lpn, SimTime, ValueId};
 
 /// Value-id offset marking *pre-trace* device content: reading an LPN
 /// the trace never wrote observes `INITIAL_VALUE_BASE + lpn`, a value
@@ -120,12 +120,6 @@ impl TraceRecord {
     pub fn is_trim(&self) -> bool {
         self.op == IoOp::Trim
     }
-
-    /// The 16-byte digest of this request's content — what the device's
-    /// hash engine would compute.
-    pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::of_value(self.value)
-    }
 }
 
 impl fmt::Display for TraceRecord {
@@ -148,7 +142,6 @@ mod tests {
         let r = TraceRecord::read(1, Lpn::new(1), ValueId::new(2));
         assert!(w.is_write());
         assert!(!r.is_write());
-        assert_eq!(w.fingerprint(), r.fingerprint());
     }
 
     #[test]

@@ -91,9 +91,9 @@ impl From<u64> for Ppn {
 /// Real traces carry the MD5 of each request's payload; our synthetic
 /// traces instead carry a `ValueId` drawn from a popularity
 /// distribution. Two requests write identical bytes if and only if they
-/// carry equal `ValueId`s. The 16-byte digest the device would compute
-/// is derived deterministically via
-/// [`Fingerprint::of_value`](crate::Fingerprint::of_value).
+/// carry equal `ValueId`s, so the id is the content key of the
+/// dead-value pools and the dedup index, where the paper's drive keys
+/// by the digest its hash engine computes.
 ///
 /// # Examples
 ///

@@ -6,10 +6,9 @@
 //! * [`Lpn`] / [`Ppn`] — logical and physical page numbers
 //!   ([C-NEWTYPE]-style static distinctions so the two address spaces
 //!   can never be confused),
-//! * [`ValueId`] and [`Fingerprint`] — the identity of a 4 KB content
-//!   chunk and its 16-byte hash (the paper stores MD5 digests; we store
-//!   an equivalently collision-resistant 128-bit mix, see
-//!   [`Fingerprint::of_value`]),
+//! * [`ValueId`] — the identity of a 4 KB content chunk: equal
+//!   contents carry equal ids, so the id is the exact key the paper's
+//!   drive approximates with an MD5 digest of the page,
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated
 //!   wall-clock time,
 //! * [`WriteClock`] — the paper's *logical* clock: "the ith incoming
@@ -25,12 +24,11 @@
 //! # Examples
 //!
 //! ```
-//! use zssd_types::{Fingerprint, Lpn, PopularityDegree, ValueId};
+//! use zssd_types::{Lpn, PopularityDegree, ValueId};
 //!
 //! let value = ValueId::new(42);
-//! let fp = Fingerprint::of_value(value);
-//! assert_eq!(fp, Fingerprint::of_value(ValueId::new(42)));
-//! assert_ne!(fp, Fingerprint::of_value(ValueId::new(43)));
+//! assert_eq!(value, ValueId::new(42));
+//! assert_ne!(value, ValueId::new(43));
 //!
 //! let mut pop = PopularityDegree::ZERO;
 //! pop.increment();
@@ -42,17 +40,17 @@
 #![warn(missing_docs)]
 
 mod error;
-mod fingerprint;
 mod fx;
 mod ids;
 mod intrusive;
+mod mix;
 mod popularity;
 mod time;
 
 pub use error::{AddressError, ConfigError};
-pub use fingerprint::{splitmix64, Fingerprint};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Lpn, Ppn, ValueId};
 pub use intrusive::{ListHandle, Slab, SlotId};
+pub use mix::splitmix64;
 pub use popularity::PopularityDegree;
 pub use time::{SimDuration, SimTime, WriteClock};

@@ -4,7 +4,7 @@
 //! This facade crate re-exports the whole workspace so examples,
 //! integration tests, and downstream users need a single dependency:
 //!
-//! * [`types`] — shared identifiers, fingerprints, clocks,
+//! * [`types`] — shared identifiers (content is a `ValueId`), clocks,
 //! * [`metrics`] — counters, latency recorders, CDF/share curves,
 //! * [`flash`] — the NAND array model (geometry, timing, page state),
 //! * [`ftl`] — the page-mapped FTL, GC, and the [`ftl::Ssd`] device,

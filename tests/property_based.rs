@@ -9,16 +9,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use zombie_ssd::core::{
-    AdaptiveConfig, AdaptiveMqPool, DeadValuePool, LxSsdConfig, LxSsdPool, MqConfig,
-    MqDeadValuePool, SystemKind,
+    AdaptiveConfig, AdaptiveMqPool, DeadValuePool, LxSsdPool, MqConfig, MqDeadValuePool, SystemKind,
 };
 use zombie_ssd::flash::FaultConfig;
 use zombie_ssd::ftl::{Ssd, SsdConfig};
 use zombie_ssd::metrics::{Cdf, LatencySummary, ShareCurve, Timeline};
 use zombie_ssd::trace::{ArrivalProcess, SyntheticTrace, TraceRecord, WorkloadProfile};
-use zombie_ssd::types::{
-    Fingerprint, Lpn, PopularityDegree, Ppn, SimDuration, SimTime, ValueId, WriteClock,
-};
+use zombie_ssd::types::{Lpn, PopularityDegree, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 use zssd_bench::{run_grid_with_threads, GridCell};
 
 /// The latency digest of `ns` computed the plain way: sort everything,
@@ -66,9 +63,9 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
 }
 
 /// Drives any pool through an arbitrary op sequence against a simple
-/// model: a multiset of (fingerprint -> live-in-pool ppns). Checks
+/// model: a multiset of (value -> live-in-pool ppns). Checks
 /// that every hit returns a ppn that was inserted with that exact
-/// fingerprint and not yet consumed/removed, and that no ppn is ever
+/// value and not yet consumed/removed, and that no ppn is ever
 /// handed out twice. After every op, the pool's PPN index must agree
 /// with the model: a pool tracks only pages the model holds, and an
 /// unbounded pool (which never evicts) tracks exactly those.
@@ -78,17 +75,17 @@ fn check_pool_against_model(mut pool: DeadValuePool, ops: Vec<PoolOp>) {
     // Every ppn an op has named, so the index checks cover pages that
     // were never inserted or have left the pool too.
     let mut named: HashSet<Ppn> = HashSet::new();
-    // What the pool *may* return for each fingerprint (superset of
+    // What the pool *may* return for each value (superset of
     // what it will: bounded pools evict silently).
-    let mut may_return: HashMap<Fingerprint, HashSet<Ppn>> = HashMap::new();
-    let mut owner: HashMap<Ppn, Fingerprint> = HashMap::new();
+    let mut may_return: HashMap<ValueId, HashSet<Ppn>> = HashMap::new();
+    let mut owner: HashMap<Ppn, ValueId> = HashMap::new();
     let mut handed_out: HashSet<Ppn> = HashSet::new();
 
     for op in ops {
         let now = clock.tick();
         match op {
             PoolOp::Insert(v, p, d) => {
-                let fp = Fingerprint::of_value(ValueId::new(u64::from(v)));
+                let value = ValueId::new(u64::from(v));
                 let ppn = Ppn::new(u64::from(p));
                 named.insert(ppn);
                 if owner.contains_key(&ppn) {
@@ -98,26 +95,26 @@ fn check_pool_against_model(mut pool: DeadValuePool, ops: Vec<PoolOp>) {
                     continue;
                 }
                 pool.insert_dead(
-                    fp,
+                    value,
                     ppn,
                     Lpn::new(u64::from(p)),
                     PopularityDegree::new(d),
                     now,
                 );
                 // The pool may or may not retain it (eviction), but if
-                // it returns it later, it must be for this fp.
-                may_return.entry(fp).or_default().insert(ppn);
-                owner.insert(ppn, fp);
+                // it returns it later, it must be for this value.
+                may_return.entry(value).or_default().insert(ppn);
+                owner.insert(ppn, value);
             }
             PoolOp::Take(v) => {
-                let fp = Fingerprint::of_value(ValueId::new(u64::from(v)));
-                if let Some(ppn) = pool.take_match(fp, now) {
+                let value = ValueId::new(u64::from(v));
+                if let Some(ppn) = pool.take_match(value, now) {
                     assert!(
-                        may_return.get(&fp).is_some_and(|s| s.contains(&ppn)),
-                        "pool returned {ppn} never inserted for this fingerprint"
+                        may_return.get(&value).is_some_and(|s| s.contains(&ppn)),
+                        "pool returned {ppn} never inserted for this value"
                     );
                     assert!(handed_out.insert(ppn), "ppn {ppn} handed out twice");
-                    may_return.get_mut(&fp).expect("entry").remove(&ppn);
+                    may_return.get_mut(&value).expect("entry").remove(&ppn);
                     owner.remove(&ppn);
                 }
             }
@@ -125,8 +122,8 @@ fn check_pool_against_model(mut pool: DeadValuePool, ops: Vec<PoolOp>) {
                 let ppn = Ppn::new(u64::from(p));
                 named.insert(ppn);
                 pool.remove_ppn(ppn);
-                if let Some(fp) = owner.remove(&ppn) {
-                    may_return.get_mut(&fp).expect("entry").remove(&ppn);
+                if let Some(value) = owner.remove(&ppn) {
+                    may_return.get_mut(&value).expect("entry").remove(&ppn);
                 }
             }
             PoolOp::Note(p) => {
@@ -188,7 +185,7 @@ proptest! {
 
     #[test]
     fn lxssd_pool_honours_the_model(ops in prop::collection::vec(pool_op(), 1..400)) {
-        let pool = LxSsdPool::new(LxSsdConfig::default().with_capacity(16), PAGES_PER_BLOCK);
+        let pool = LxSsdPool::new(16, PAGES_PER_BLOCK);
         check_pool_against_model(DeadValuePool::LxSsd(pool), ops);
     }
 
@@ -223,7 +220,7 @@ proptest! {
             // exactly as the FTL would skip re-offering a tracked page.
             if seen.insert(ppn) {
                 pool.insert_dead(
-                    Fingerprint::of_value(ValueId::new(u64::from(*v))),
+                    ValueId::new(u64::from(*v)),
                     ppn,
                     Lpn::new(0),
                     PopularityDegree::ZERO,
@@ -235,7 +232,7 @@ proptest! {
         // Every value actually inserted must be matchable at least once.
         for v in inserted_values {
             prop_assert!(pool
-                .take_match(Fingerprint::of_value(ValueId::new(u64::from(v))), clock.tick())
+                .take_match(ValueId::new(u64::from(v)), clock.tick())
                 .is_some());
         }
     }
