@@ -5,6 +5,8 @@ use zssd_flash::{FaultConfig, FlashTiming, Geometry};
 use zssd_trace::ArrivalProcess;
 use zssd_types::{ConfigError, SimDuration};
 
+use crate::mapping::MAX_PAGES;
+
 /// Full configuration of a simulated drive.
 ///
 /// The builder starts from sane defaults and is adjusted with the
@@ -268,7 +270,9 @@ impl SsdConfig {
     ///
     /// Returns an error if the logical capacity is zero, exceeds
     /// physical capacity, or leaves less spare space than
-    /// `min_over_provisioning`, or if GC parameters are degenerate.
+    /// `min_over_provisioning`, if the drive has more than `u32::MAX`
+    /// pages (the page tables store 32-bit page numbers), or if GC
+    /// parameters are degenerate.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.logical_pages == 0 {
             return Err(ConfigError::new("logical capacity must be nonzero"));
@@ -277,6 +281,14 @@ impl SsdConfig {
             return Err(ConfigError::new(format!(
                 "logical capacity {} exceeds physical capacity {}",
                 self.logical_pages,
+                self.geometry.total_pages()
+            )));
+        }
+        // Logical pages never outnumber physical ones (checked above),
+        // so this bounds both page tables.
+        if self.geometry.total_pages() > MAX_PAGES {
+            return Err(ConfigError::new(format!(
+                "physical capacity {} pages exceeds the {MAX_PAGES} that 32-bit page numbers allow",
                 self.geometry.total_pages()
             )));
         }
@@ -351,6 +363,32 @@ mod tests {
         assert!(c.validate().is_err());
         c.logical_pages = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_drives_beyond_32_bit_page_numbers() {
+        // 2^24 blocks of 256 pages: 2^32 pages. Building the geometry
+        // allocates nothing, and validation fails before anything does.
+        let huge = Geometry::new(1, 1, 1, 1, 1 << 24, 256).expect("geometry");
+        assert_eq!(huge.total_pages(), 1 << 32);
+        let mut c = SsdConfig::small_test();
+        c.geometry = huge;
+        c.logical_pages = 1 << 31; // 50% spare: only the page count is wrong
+        let err = c.validate().expect_err("2^32 pages do not fit");
+        assert!(err.to_string().contains("32-bit page numbers"), "{err}");
+        c.logical_pages = u64::from(u32::MAX);
+        assert!(c.validate().is_err(), "nor do 2^32 - 1 logical pages on it");
+        assert!(matches!(
+            crate::Ssd::new(c),
+            Err(crate::SsdError::Config(_))
+        ));
+        // One block fewer fits: 2^32 - 256 pages.
+        let mut c = SsdConfig::small_test();
+        c.geometry = Geometry::new(1, 1, 1, 1, (1 << 24) - 1, 256).expect("geometry");
+        c.logical_pages = 1 << 31;
+        c.validate().expect("fits 32-bit page numbers");
+        assert_eq!(SsdConfig::paper_table1().geometry.total_pages(), 1 << 28);
+        SsdConfig::paper_table1().validate().expect("Table I fits");
     }
 
     #[test]

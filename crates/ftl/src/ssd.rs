@@ -11,7 +11,7 @@ use crate::config::SsdConfig;
 use crate::error::SsdError;
 use crate::gc;
 use crate::mapping::MappingTable;
-use crate::rmap::{PhysPage, Rmap};
+use crate::rmap::Rmap;
 use crate::stats::{RunReport, SsdStats};
 use crate::Allocator;
 
@@ -268,10 +268,9 @@ impl Ssd {
             );
             self.kill_current(lpn, now)?;
             self.flash.revive_page(zombie)?;
-            let page = record(&mut self.rmap, zombie);
-            debug_assert!(page.owners.is_empty());
-            debug_assert_eq!(page.value, value);
-            page.owners.push(lpn);
+            debug_assert_eq!(self.rmap.owners(zombie).next(), None);
+            debug_assert_eq!(self.rmap.value(zombie), Some(value));
+            self.rmap.push_owner(zombie, lpn);
             self.mapping.update(lpn, zombie)?;
             if let Some(dedup) = self.dedup.as_mut() {
                 dedup.register(value, zombie);
@@ -293,7 +292,7 @@ impl Ssd {
                 if self.mapping.lookup(lpn)? != Some(shared) {
                     self.kill_current(lpn, now)?;
                     self.mapping.update(lpn, shared)?;
-                    record(&mut self.rmap, shared).owners.push(lpn);
+                    self.rmap.push_owner(shared, lpn);
                 }
                 self.stats.deduped_writes += 1;
                 let done = self.flash.controller_complete(Some(shared), t)?;
@@ -342,7 +341,7 @@ impl Ssd {
             Some(ppn) => {
                 let read = self.read_page(ppn, arrival)?;
                 done = read.done;
-                value = record(&mut self.rmap, ppn).value;
+                value = self.rmap.recorded_value(ppn);
                 if read.faulted {
                     // The data survived the ECC retry but the page is
                     // suspect: scrub it onto fresh flash in the
@@ -525,15 +524,21 @@ impl Ssd {
     ///    states, and sum to the block size; the pool's per-block
     ///    popularity sum (the GC victim score's `Σpop`) matches a
     ///    recount of its pages' [`DeadValuePool::garbage_weight`].
-    /// 5. **Dedup-index hygiene** — every fingerprint index entry
-    ///    names a *valid* page whose record holds that value, so
-    ///    a dedup hit always shares live, matching content.
+    /// 5. **Dedup-index hygiene** — every dedup index entry names a
+    ///    *valid* page whose record holds that value, so a dedup hit
+    ///    always shares live, matching content.
+    /// 6. **Owner side table** — every overflow owner list in use is
+    ///    named by exactly one record and holds at least one owner;
+    ///    every free-listed list is empty and named by no record.
+    ///    Checked first, since clauses 1–2 read owners through it.
     ///
     /// # Errors
     ///
     /// Returns `Err(description)` on the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         let geometry = &self.config.geometry;
+        // 6. Owner side table.
+        self.rmap.check_lists()?;
         // 1. Mapping -> rmap direction.
         for lpn in (0..self.config.logical_pages).map(Lpn::new) {
             let Some(ppn) = self.mapping.lookup(lpn).map_err(|e| e.to_string())? else {
@@ -543,10 +548,10 @@ impl Ssd {
             if state != PageState::Valid {
                 return Err(format!("{lpn} maps to {ppn} in state {state}"));
             }
-            let Some(page) = self.rmap.get(ppn) else {
+            if self.rmap.value(ppn).is_none() {
                 return Err(format!("{lpn} maps to {ppn}, which has no record"));
-            };
-            if !page.owners.iter().any(|owner| owner == lpn) {
+            }
+            if !self.rmap.owners(ppn).any(|owner| owner == lpn) {
                 return Err(format!("{lpn} maps to {ppn} but is not an owner"));
             }
         }
@@ -554,20 +559,21 @@ impl Ssd {
         // mapping direction rides on the owner loop).
         for ppn in (0..geometry.total_pages()).map(Ppn::new) {
             let state = self.flash.page_state(ppn).map_err(|e| e.to_string())?;
-            let record = self.rmap.get(ppn);
+            let recorded = self.rmap.value(ppn).is_some();
+            let mut owners = self.rmap.owners(ppn).peekable();
             let pooled = self
                 .pool
                 .as_ref()
                 .is_some_and(|pool| pool.garbage_weight(ppn).is_some());
             match state {
                 PageState::Valid => {
-                    let Some(page) = record else {
+                    if !recorded {
                         return Err(format!("valid {ppn} has no record"));
-                    };
-                    if page.owners.is_empty() {
+                    }
+                    if owners.peek().is_none() {
                         return Err(format!("valid {ppn} has no owners"));
                     }
-                    for owner in page.owners.iter() {
+                    for owner in owners {
                         if self.mapping.lookup(owner).map_err(|e| e.to_string())? != Some(ppn) {
                             return Err(format!("{ppn} lists owner {owner} mapped elsewhere"));
                         }
@@ -577,17 +583,15 @@ impl Ssd {
                     }
                 }
                 PageState::Invalid => {
-                    if let Some(page) = record {
-                        if !page.owners.is_empty() {
-                            return Err(format!("garbage {ppn} still has owners"));
-                        }
+                    if owners.next().is_some() {
+                        return Err(format!("garbage {ppn} still has owners"));
                     }
-                    if pooled && record.is_none() {
+                    if pooled && !recorded {
                         return Err(format!("pool tracks {ppn}, which has no record"));
                     }
                 }
                 PageState::Free | PageState::Bad => {
-                    if record.is_some() {
+                    if recorded {
                         return Err(format!("{state} {ppn} has a record"));
                     }
                     if pooled {
@@ -641,7 +645,7 @@ impl Ssd {
             if state != PageState::Valid {
                 return Err(format!("dedup index names {ppn} in state {state}"));
             }
-            if self.rmap.get(ppn).map(|page| page.value) != Some(value) {
+            if self.rmap.value(ppn) != Some(value) {
                 return Err(format!(
                     "dedup index entry {value} names {ppn}, which holds other content"
                 ));
@@ -666,10 +670,8 @@ impl Ssd {
             return Ok(());
         };
         let pop = self.mapping.popularity(lpn)?;
-        let page = record(&mut self.rmap, old);
-        page.owners.remove(lpn);
-        if page.owners.is_empty() {
-            let value = page.value;
+        if self.rmap.remove_owner(old, lpn) {
+            let value = self.rmap.recorded_value(old);
             self.flash.invalidate_page(old)?;
             if let Some(dedup) = self.dedup.as_mut() {
                 dedup.forget(value, old);
@@ -733,12 +735,11 @@ impl Ssd {
     /// copy is deliberately *not* offered to the dead-value pool: its
     /// content is still live at `to`.
     fn relocate(&mut self, from: Ppn, to: Ppn) -> Result<(), SsdError> {
-        let page = record(&mut self.rmap, from);
-        for owner in page.owners.iter() {
+        for owner in self.rmap.owners(from) {
             self.mapping.update(owner, to)?;
         }
         if let Some(dedup) = self.dedup.as_mut() {
-            dedup.relocate(page.value, from, to);
+            dedup.relocate(self.rmap.recorded_value(from), from, to);
         }
         self.rmap.relocate(from, to);
         self.flash.invalidate_page(from)?;
@@ -914,17 +915,6 @@ impl Ssd {
         );
         Ok(())
     }
-}
-
-/// The record of a mapped, valid or pool-tracked page. Cannot fail:
-/// between host operations [`Ssd::check_invariants`] holds, so a
-/// mapped PPN (clause 1) or dedup-indexed PPN (5) is valid, every
-/// valid page has a record (2), and every PPN the pool tracks keeps
-/// its record (3). Callers look the PPN up before their operation
-/// changes that page's state.
-fn record(rmap: &mut Rmap, ppn: Ppn) -> &mut PhysPage {
-    rmap.get_mut(ppn)
-        .expect("mapped, valid and pool-tracked pages have physical-page records")
 }
 
 #[cfg(test)]
@@ -1547,6 +1537,23 @@ mod tests {
         let events = s.events();
         assert_eq!(events.last().map(|e| e.event.kind()), Some("host_write"));
         assert_eq!(events[0].seq, 0, "sequencing restarts after warm-up");
+    }
+
+    #[test]
+    fn check_invariants_finds_a_corrupt_owner_list() {
+        let mut s = ssd(SystemKind::Dedup);
+        w(&mut s, 0, 7);
+        w(&mut s, 1, 7); // shares L0's page: L1 and L2 go to list 0
+        w(&mut s, 2, 7);
+        w(&mut s, 3, 8);
+        s.check_invariants().expect("consistent before corruption");
+        let shared = s.mapping.lookup(Lpn::new(0)).expect("ok").expect("mapped");
+        let single = s.mapping.lookup(Lpn::new(3)).expect("ok").expect("mapped");
+        assert_ne!(shared, single);
+        // The single-owner page now names the shared page's list too.
+        s.rmap.point_at_list(single, 0);
+        let err = s.check_invariants().expect_err("corrupt slot found");
+        assert!(err.contains("owner list 0 is named by 2 records"), "{err}");
     }
 
     #[test]
