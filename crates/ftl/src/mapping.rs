@@ -54,6 +54,13 @@ impl Entry {
     fn ppn(self) -> Option<Ppn> {
         (self.ppn != UNMAPPED).then(|| Ppn::new(u64::from(self.ppn)))
     }
+
+    /// Sets the physical page, returning the previous one.
+    fn replace(&mut self, ppn: u32) -> Option<Ppn> {
+        let old = self.ppn();
+        self.ppn = ppn;
+        old
+    }
 }
 
 impl MappingTable {
@@ -122,10 +129,7 @@ impl MappingTable {
             .ok()
             .filter(|&packed| packed != UNMAPPED)
             .ok_or_else(|| AddressError::out_of_range("ppn", ppn.index(), MAX_PAGES))?;
-        let entry = &mut self.entries[idx];
-        let old = entry.ppn();
-        entry.ppn = packed;
-        Ok(old)
+        Ok(self.entries[idx].replace(packed))
     }
 
     /// Unmaps a logical page, returning its previous location.
@@ -135,10 +139,7 @@ impl MappingTable {
     /// Returns an error if the page is beyond the logical capacity.
     pub fn unmap(&mut self, lpn: Lpn) -> Result<Option<Ppn>, AddressError> {
         let idx = self.check(lpn)?;
-        let entry = &mut self.entries[idx];
-        let old = entry.ppn();
-        entry.ppn = UNMAPPED;
-        Ok(old)
+        Ok(self.entries[idx].replace(UNMAPPED))
     }
 
     /// The popularity counter of a logical page.
