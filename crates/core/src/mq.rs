@@ -554,12 +554,12 @@ mod tests {
             },
             4,
         );
-        // Promote value 1 to Q1.
+        // Promote value 1 to Q1. The re-access one write later sets the
+        // hottest interval to 1, so expire = 2 + 1 = 3.
         insert(&mut p, 1, 1, 2, 1);
         insert(&mut p, 1, 2, 2, 2);
         assert_eq!(p.queue_of(ValueId::new(1)), Some(1));
-        // Let it expire: every insertion advances the clock past
-        // expire = 2 + 5 = 7.
+        // Let it expire: the next insertion comes well after 3.
         insert(&mut p, 2, 10, 0, 20);
         assert_eq!(p.queue_of(ValueId::new(1)), Some(0), "expired head demoted");
         assert!(p.stats().demotions >= 1);
@@ -578,12 +578,16 @@ mod tests {
             },
             4,
         );
-        // Promote value 1 to Q1 at now=2; expire = 2 + 5 = 7.
+        // Promote value 1 to Q1 at now=2. The re-access one write after
+        // its death sets the hottest interval to 1 (not the initial 5),
+        // so expire = 2 + 1 = 3.
         insert(&mut p, 1, 1, 2, 1);
         insert(&mut p, 1, 2, 2, 2);
         assert_eq!(p.queue_of(ValueId::new(1)), Some(1));
-        // Insertion at exactly now == expire must demote the Q1 head.
-        insert(&mut p, 2, 10, 0, 7);
+        assert_eq!(p.hottest_interval(), 1);
+        // Insertion at exactly now == expire must demote the Q1 head;
+        // under `expire < now` it would stay in Q1.
+        insert(&mut p, 2, 10, 0, 3);
         assert_eq!(
             p.queue_of(ValueId::new(1)),
             Some(0),

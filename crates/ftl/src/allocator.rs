@@ -9,26 +9,8 @@ use crate::error::SsdError;
 /// Per-plane free-block lists and active (currently programmed)
 /// blocks, with round-robin plane striping for host writes — the
 /// "allocation strategy" knob of SSDSim-style simulators.
-///
-/// # Examples
-///
-/// ```
-/// use zssd_flash::{FlashArray, FlashTiming, Geometry};
-/// use zssd_ftl::Allocator;
-///
-/// let geom = Geometry::new(1, 1, 1, 2, 4, 8)?;
-/// let flash = FlashArray::new(geom, FlashTiming::paper_table1());
-/// let mut alloc = Allocator::new(&geom);
-/// assert_eq!(alloc.plane_count(), 2);
-/// // Every block starts free; taking an active block consumes one.
-/// assert_eq!(alloc.free_blocks_in(0), 4);
-/// let block = alloc.take_active(0, &flash)?;
-/// assert_eq!(alloc.free_blocks_in(0), 3);
-/// assert_eq!(alloc.active_block(0), Some(block));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 #[derive(Debug, Clone)]
-pub struct Allocator {
+pub(crate) struct Allocator {
     free: Vec<VecDeque<BlockId>>,
     active: Vec<Option<BlockId>>,
     cursor: u64,
@@ -36,7 +18,7 @@ pub struct Allocator {
 
 impl Allocator {
     /// Creates an allocator with every block of the geometry free.
-    pub fn new(geometry: &Geometry) -> Self {
+    pub(crate) fn new(geometry: &Geometry) -> Self {
         let planes = geometry.total_planes();
         let mut free: Vec<VecDeque<BlockId>> = (0..planes).map(|_| VecDeque::new()).collect();
         for b in 0..geometry.total_blocks() {
@@ -51,29 +33,24 @@ impl Allocator {
     }
 
     /// Number of planes managed.
-    pub fn plane_count(&self) -> u64 {
+    pub(crate) fn plane_count(&self) -> u64 {
         self.free.len() as u64
     }
 
     /// Free (fully erased, unassigned) blocks remaining in a plane.
-    pub fn free_blocks_in(&self, plane: u64) -> usize {
+    pub(crate) fn free_blocks_in(&self, plane: u64) -> usize {
         self.free[plane as usize].len()
-    }
-
-    /// Total free blocks across the device.
-    pub fn total_free_blocks(&self) -> usize {
-        self.free.iter().map(VecDeque::len).sum()
     }
 
     /// The block currently receiving writes in a plane, if any. GC
     /// victim selection must skip it.
-    pub fn active_block(&self, plane: u64) -> Option<BlockId> {
+    pub(crate) fn active_block(&self, plane: u64) -> Option<BlockId> {
         self.active[plane as usize]
     }
 
     /// The next plane for a host write (round-robin striping, so
     /// consecutive writes exploit channel/chip parallelism).
-    pub fn next_plane(&mut self) -> u64 {
+    pub(crate) fn next_plane(&mut self) -> u64 {
         let plane = self.cursor;
         self.cursor += 1;
         if self.cursor == self.plane_count() {
@@ -89,10 +66,14 @@ impl Allocator {
     ///
     /// Returns [`SsdError::OutOfSpace`] when the active block is full
     /// and the plane has no free blocks left.
-    pub fn take_active(&mut self, plane: u64, flash: &FlashArray) -> Result<BlockId, SsdError> {
+    pub(crate) fn take_active(
+        &mut self,
+        plane: u64,
+        flash: &FlashArray,
+    ) -> Result<BlockId, SsdError> {
         let slot = plane as usize;
         if let Some(block) = self.active[slot] {
-            if flash.free_pages_in(block).map_err(SsdError::Address)? > 0 {
+            if flash.free_pages_in(block) > 0 {
                 return Ok(block);
             }
             self.active[slot] = None;
@@ -108,7 +89,7 @@ impl Allocator {
     /// Used when GC must reclaim the active block itself (emergency
     /// collection): the block stops receiving writes and can then be
     /// relocated and erased like any other.
-    pub fn retire_active(&mut self, plane: u64) -> Option<BlockId> {
+    pub(crate) fn retire_active(&mut self, plane: u64) -> Option<BlockId> {
         self.active[plane as usize].take()
     }
 
@@ -121,7 +102,10 @@ impl Allocator {
     /// # Errors
     ///
     /// Returns [`SsdError::OutOfSpace`] when every plane is dry.
-    pub fn take_active_any(&mut self, flash: &FlashArray) -> Result<(u64, BlockId), SsdError> {
+    pub(crate) fn take_active_any(
+        &mut self,
+        flash: &FlashArray,
+    ) -> Result<(u64, BlockId), SsdError> {
         let planes = self.plane_count();
         for offset in 0..planes {
             let plane = (self.cursor + offset) % planes;
@@ -140,7 +124,7 @@ impl Allocator {
     ///
     /// Panics in debug builds if the block is the plane's active block
     /// (GC must never erase the active block).
-    pub fn on_block_erased(&mut self, geometry: &Geometry, block: BlockId) {
+    pub(crate) fn on_block_erased(&mut self, geometry: &Geometry, block: BlockId) {
         let plane = geometry.plane_of_block(block) as usize;
         debug_assert_ne!(self.active[plane], Some(block), "erased the active block");
         self.free[plane].push_back(block);
@@ -166,7 +150,6 @@ mod tests {
         assert_eq!(alloc.plane_count(), 2);
         assert_eq!(alloc.free_blocks_in(0), 3);
         assert_eq!(alloc.free_blocks_in(1), 3);
-        assert_eq!(alloc.total_free_blocks(), 6);
     }
 
     #[test]
@@ -180,6 +163,8 @@ mod tests {
     fn active_block_rolls_over_when_full() {
         let (_, mut flash, mut alloc) = setup();
         let first = alloc.take_active(0, &flash).expect("block");
+        assert_eq!(alloc.active_block(0), Some(first));
+        assert_eq!(alloc.free_blocks_in(0), 2);
         // Fill all 4 pages of the first block.
         for _ in 0..4 {
             let block = alloc.take_active(0, &flash).expect("block");

@@ -8,6 +8,24 @@ use zssd_types::{AddressError, ConfigError};
 
 /// Anything that can go wrong constructing or driving an [`Ssd`].
 ///
+/// # Examples
+///
+/// A host command beyond the logical capacity is refused before it
+/// touches the drive:
+///
+/// ```
+/// use zssd_ftl::{Ssd, SsdConfig, SsdError};
+/// use zssd_types::{Lpn, SimTime, ValueId};
+///
+/// let mut ssd = Ssd::new(SsdConfig::small_test().without_precondition())?;
+/// let beyond = Lpn::new(ssd.config().logical_pages);
+/// let err = ssd.write(beyond, ValueId::new(1), SimTime::ZERO).unwrap_err();
+/// assert!(matches!(err, SsdError::Address(_)));
+/// assert_eq!(err.to_string(), "lpn 192 out of range (limit 192)");
+/// assert_eq!(ssd.stats().host_writes, 0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
 /// [`Ssd`]: crate::Ssd
 #[derive(Debug)]
 pub enum SsdError {
@@ -17,6 +35,8 @@ pub enum SsdError {
     /// A flash command was illegal — indicates an FTL bookkeeping bug.
     Flash(FlashOpError),
     /// A host request addressed a page outside the logical capacity.
+    /// The host LPN is the only address checked: every other page or
+    /// block number comes from the drive's own tables.
     Address(AddressError),
     /// GC could not reclaim space: every candidate block in the plane
     /// is fully valid. The drive is over-committed (raise
@@ -66,12 +86,6 @@ impl From<FlashOpError> for SsdError {
     }
 }
 
-impl From<AddressError> for SsdError {
-    fn from(e: AddressError) -> Self {
-        SsdError::Address(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +103,6 @@ mod tests {
     #[test]
     fn conversions_exist() {
         fn takes(_: SsdError) {}
-        takes(AddressError::out_of_range("lpn", 1, 1).into());
         takes(
             FlashOpError::BlockFull {
                 block: zssd_flash::BlockId::new(0),

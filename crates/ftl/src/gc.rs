@@ -31,13 +31,16 @@ use zssd_flash::{BlockId, BlockInfo, FlashArray};
 /// `(invalid pages, Reverse(erase count), block)`.
 type Rank = (u32, Reverse<u64>, BlockId);
 
-/// How many top-ranked candidates get the popularity score. A block
-/// outside this set has no more invalid pages than any block inside
-/// it, so its score (≤ 255·invalid) can only win when the
-/// popular-garbage penalty demotes all of them — rare enough that
-/// bounding the set preserves the policy. The selector keeps the set
-/// in a fixed-size array during its one O(blocks) pass, and reads
-/// each member's Σpop from the pool's per-block sums.
+/// How many top-ranked candidates get the popularity score. This
+/// shortlist is part of the victim policy, not only a saving: a block
+/// outside it is never chosen, even when the popular-garbage penalty
+/// demotes every block inside it below that block's score. Scoring
+/// every candidate instead changes the results (at default scale,
+/// web × MQ-DVP's write reduction moves from 32.6% to 33.5%, and
+/// `gc_tuning` at w = 8 erases 1 362 blocks instead of 919), so it
+/// bounds how far the weight can push a collection away from greedy. The selector keeps
+/// the set in a fixed-size array during its one O(blocks) pass, and
+/// reads each member's Σpop from the pool's per-block sums.
 const SCORED_CANDIDATES: usize = 12;
 
 /// Ranks the blocks of `plane` that `admit` accepts.
@@ -49,7 +52,7 @@ fn ranked<'a>(
     let bpp = u64::from(flash.geometry().blocks_per_plane());
     (plane * bpp..(plane + 1) * bpp).filter_map(move |b| {
         let block = BlockId::new(b);
-        let info = flash.block_info(block).expect("block within device");
+        let info = flash.block_info(block);
         admit(block, &info).then_some((info.invalid_pages, Reverse(info.erase_count), block))
     })
 }

@@ -3,16 +3,19 @@
 //! This crate assembles the substrates into the device the paper
 //! simulates (a modified SSDSim):
 //!
-//! * [`MappingTable`] — page-level LPN→PPN map carrying the paper's
+//! * the mapping table — page-level LPN→PPN map carrying the paper's
 //!   1-byte popularity counter per logical page (§IV-C, Fig 8),
-//! * [`Allocator`] — striped active-block allocation across planes
+//! * the allocator — striped active-block allocation across planes
 //!   with per-plane free lists,
 //! * GC victim selection — one order over a plane's blocks (more
 //!   invalid pages, then less wear, then the higher block id). Greedy
 //!   takes the top-ranked block; the paper's popularity-aware selector
-//!   (§IV-D) scores the top-ranked blocks by
+//!   (§IV-D) scores a shortlist of the 12 top-ranked blocks by
 //!   `255·invalid − w·Σpop(pooled garbage)`, so blocks holding popular
-//!   garbage are erased later. Set through
+//!   garbage are erased later. The shortlist is part of the policy, not
+//!   only a saving: a block outside it is never chosen, even when the
+//!   penalty drops every listed block below that block's score. Set
+//!   through
 //!   [`SsdConfig::popularity_aware_gc`] and
 //!   [`SsdConfig::gc_popularity_weight`],
 //! * [`Ssd`] — the device: write/read service paths wiring the
@@ -62,9 +65,7 @@ mod rmap;
 mod ssd;
 mod stats;
 
-pub use allocator::Allocator;
 pub use config::SsdConfig;
 pub use error::SsdError;
-pub use mapping::MappingTable;
 pub use ssd::Ssd;
 pub use stats::{RunReport, SsdStats};

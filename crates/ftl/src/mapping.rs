@@ -1,6 +1,6 @@
 //! The LPN→PPN mapping table with per-page popularity (Fig 8).
 
-use zssd_types::{AddressError, Lpn, PopularityDegree, Ppn};
+use zssd_types::{Lpn, PopularityDegree, Ppn};
 
 /// Page-level mapping table.
 ///
@@ -11,21 +11,12 @@ use zssd_types::{AddressError, Lpn, PopularityDegree, Ppn};
 /// page. The counter survives unmapping so popularity information is
 /// not lost when content dies.
 ///
-/// # Examples
-///
-/// ```
-/// use zssd_ftl::MappingTable;
-/// use zssd_types::{Lpn, Ppn};
-///
-/// let mut map = MappingTable::new(128);
-/// assert_eq!(map.lookup(Lpn::new(5))?, None);
-/// let old = map.update(Lpn::new(5), Ppn::new(40))?;
-/// assert_eq!(old, None);
-/// assert_eq!(map.lookup(Lpn::new(5))?, Some(Ppn::new(40)));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
+/// Every page number it is given comes from the drive's own tables or
+/// from a host address [`Ssd`](crate::Ssd) has already checked, so an
+/// out-of-range one is a bug and indexing panics, as the reverse map's
+/// writes do.
 #[derive(Debug, Clone)]
-pub struct MappingTable {
+pub(crate) struct MappingTable {
     entries: Vec<Entry>,
 }
 
@@ -74,7 +65,7 @@ impl MappingTable {
     ///
     /// [`SsdConfig::validate`]: crate::SsdConfig::validate
     /// [`Ssd::new`]: crate::Ssd::new
-    pub fn new(logical_pages: u64) -> Self {
+    pub(crate) fn new(logical_pages: u64) -> Self {
         assert!(
             logical_pages <= MAX_PAGES,
             "{logical_pages} logical pages do not fit 32-bit page numbers"
@@ -88,117 +79,81 @@ impl MappingTable {
         }
     }
 
-    /// Number of logical pages.
-    pub fn logical_pages(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    fn check(&self, lpn: Lpn) -> Result<usize, AddressError> {
-        let idx = lpn.index() as usize;
-        if idx >= self.entries.len() {
-            Err(AddressError::out_of_range(
-                "lpn",
-                lpn.index(),
-                self.entries.len() as u64,
-            ))
-        } else {
-            Ok(idx)
-        }
-    }
-
     /// Current physical location of a logical page.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is beyond the logical capacity.
-    pub fn lookup(&self, lpn: Lpn) -> Result<Option<Ppn>, AddressError> {
-        Ok(self.entries[self.check(lpn)?].ppn())
+    pub(crate) fn lookup(&self, lpn: Lpn) -> Option<Ppn> {
+        self.entries[lpn.index() as usize].ppn()
     }
 
     /// Points a logical page at a new physical page, returning the
     /// previous location (the page that just died, if any).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns an error if the logical page is beyond the logical
-    /// capacity, or the physical page number is `u32::MAX` or more
-    /// (no drive has that many pages).
-    pub fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Result<Option<Ppn>, AddressError> {
-        let idx = self.check(lpn)?;
+    /// Panics if the physical page number is `u32::MAX` or more, which
+    /// no drive that passed [`SsdConfig::validate`] numbers.
+    ///
+    /// [`SsdConfig::validate`]: crate::SsdConfig::validate
+    pub(crate) fn update(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
         let packed = u32::try_from(ppn.index())
             .ok()
             .filter(|&packed| packed != UNMAPPED)
-            .ok_or_else(|| AddressError::out_of_range("ppn", ppn.index(), MAX_PAGES))?;
-        Ok(self.entries[idx].replace(packed))
+            .expect("a validated drive numbers its pages below u32::MAX");
+        self.entries[lpn.index() as usize].replace(packed)
     }
 
     /// Unmaps a logical page, returning its previous location.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is beyond the logical capacity.
-    pub fn unmap(&mut self, lpn: Lpn) -> Result<Option<Ppn>, AddressError> {
-        let idx = self.check(lpn)?;
-        Ok(self.entries[idx].replace(UNMAPPED))
+    pub(crate) fn unmap(&mut self, lpn: Lpn) -> Option<Ppn> {
+        self.entries[lpn.index() as usize].replace(UNMAPPED)
     }
 
     /// The popularity counter of a logical page.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is beyond the logical capacity.
-    pub fn popularity(&self, lpn: Lpn) -> Result<PopularityDegree, AddressError> {
-        Ok(self.entries[self.check(lpn)?].popularity)
+    pub(crate) fn popularity(&self, lpn: Lpn) -> PopularityDegree {
+        self.entries[lpn.index() as usize].popularity
     }
 
     /// Increments the popularity counter (on every host write to the
-    /// page), saturating at 255, and returns the new value.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is beyond the logical capacity.
-    pub fn bump_popularity(&mut self, lpn: Lpn) -> Result<PopularityDegree, AddressError> {
-        let idx = self.check(lpn)?;
-        let popularity = &mut self.entries[idx].popularity;
-        popularity.increment();
-        Ok(*popularity)
+    /// page), saturating at 255.
+    pub(crate) fn bump_popularity(&mut self, lpn: Lpn) {
+        self.entries[lpn.index() as usize].popularity.increment();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Whether `f` panics.
+    fn panics(f: impl FnOnce()) -> bool {
+        catch_unwind(AssertUnwindSafe(f)).is_err()
+    }
 
     #[test]
     fn update_reports_the_dying_page() {
         let mut map = MappingTable::new(4);
-        assert_eq!(map.update(Lpn::new(0), Ppn::new(10)).expect("ok"), None);
-        assert_eq!(
-            map.update(Lpn::new(0), Ppn::new(20)).expect("ok"),
-            Some(Ppn::new(10))
-        );
+        assert_eq!(map.update(Lpn::new(0), Ppn::new(10)), None);
+        assert_eq!(map.update(Lpn::new(0), Ppn::new(20)), Some(Ppn::new(10)));
+        assert_eq!(map.lookup(Lpn::new(0)), Some(Ppn::new(20)));
     }
 
     #[test]
     fn unmap_clears_and_counts() {
         let mut map = MappingTable::new(4);
-        map.update(Lpn::new(1), Ppn::new(5)).expect("ok");
-        assert_eq!(map.unmap(Lpn::new(1)).expect("ok"), Some(Ppn::new(5)));
-        assert_eq!(map.unmap(Lpn::new(1)).expect("ok"), None);
-        assert_eq!(map.lookup(Lpn::new(1)).expect("ok"), None);
+        map.update(Lpn::new(1), Ppn::new(5));
+        assert_eq!(map.unmap(Lpn::new(1)), Some(Ppn::new(5)));
+        assert_eq!(map.unmap(Lpn::new(1)), None);
+        assert_eq!(map.lookup(Lpn::new(1)), None);
     }
 
     #[test]
     fn popularity_persists_across_remaps() {
         let mut map = MappingTable::new(2);
-        map.bump_popularity(Lpn::new(0)).expect("ok");
-        map.bump_popularity(Lpn::new(0)).expect("ok");
-        map.update(Lpn::new(0), Ppn::new(1)).expect("ok");
-        map.unmap(Lpn::new(0)).expect("ok");
-        assert_eq!(
-            map.popularity(Lpn::new(0)).expect("ok"),
-            PopularityDegree::new(2)
-        );
+        map.bump_popularity(Lpn::new(0));
+        map.bump_popularity(Lpn::new(0));
+        map.update(Lpn::new(0), Ppn::new(1));
+        map.unmap(Lpn::new(0));
+        assert_eq!(map.popularity(Lpn::new(0)), PopularityDegree::new(2));
+        assert_eq!(map.popularity(Lpn::new(1)), PopularityDegree::ZERO);
     }
 
     #[test]
@@ -212,19 +167,21 @@ mod tests {
     fn the_largest_page_numbers_round_trip() {
         let mut map = MappingTable::new(2);
         let last = Ppn::new(MAX_PAGES - 1);
-        assert_eq!(map.update(Lpn::new(1), last).expect("ok"), None);
-        assert_eq!(map.lookup(Lpn::new(1)).expect("ok"), Some(last));
-        assert_eq!(map.unmap(Lpn::new(1)).expect("ok"), Some(last));
+        assert_eq!(map.update(Lpn::new(1), last), None);
+        assert_eq!(map.lookup(Lpn::new(1)), Some(last));
+        assert_eq!(map.unmap(Lpn::new(1)), Some(last));
     }
 
     #[test]
-    fn ppns_beyond_32_bits_error_and_change_nothing() {
+    fn ppns_beyond_32_bits_panic_and_change_nothing() {
         let mut map = MappingTable::new(2);
-        map.update(Lpn::new(0), Ppn::new(3)).expect("ok");
+        map.update(Lpn::new(0), Ppn::new(3));
         for beyond in [MAX_PAGES, 1 << 32, u64::MAX] {
-            assert!(map.update(Lpn::new(0), Ppn::new(beyond)).is_err());
+            assert!(panics(|| {
+                map.update(Lpn::new(0), Ppn::new(beyond));
+            }));
         }
-        assert_eq!(map.lookup(Lpn::new(0)).expect("ok"), Some(Ppn::new(3)));
+        assert_eq!(map.lookup(Lpn::new(0)), Some(Ppn::new(3)));
     }
 
     #[test]
@@ -235,11 +192,21 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_lpns_error() {
+    fn out_of_range_lpns_panic() {
         let mut map = MappingTable::new(2);
-        assert!(map.lookup(Lpn::new(2)).is_err());
-        assert!(map.update(Lpn::new(9), Ppn::new(0)).is_err());
-        assert!(map.bump_popularity(Lpn::new(9)).is_err());
-        assert_eq!(map.logical_pages(), 2);
+        let beyond = Lpn::new(2);
+        assert!(panics(|| {
+            map.lookup(beyond);
+        }));
+        assert!(panics(|| {
+            map.update(beyond, Ppn::new(0));
+        }));
+        assert!(panics(|| {
+            map.unmap(beyond);
+        }));
+        assert!(panics(|| {
+            map.popularity(beyond);
+        }));
+        assert!(panics(|| map.bump_popularity(beyond)));
     }
 }

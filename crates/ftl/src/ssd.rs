@@ -5,15 +5,15 @@ use zssd_dedup::DedupStore;
 use zssd_flash::{BlockId, Completion, FlashArray, PageState};
 use zssd_metrics::{Event, EventLog, FaultEvent, LatencySummary};
 use zssd_trace::{initial_value_of, IoOp, TraceRecord};
-use zssd_types::{Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
+use zssd_types::{AddressError, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 
+use crate::allocator::Allocator;
 use crate::config::SsdConfig;
 use crate::error::SsdError;
 use crate::gc;
 use crate::mapping::MappingTable;
 use crate::rmap::Rmap;
 use crate::stats::{RunReport, SsdStats};
-use crate::Allocator;
 
 /// A simulated SSD assembled per [`SystemKind`](zssd_core::SystemKind):
 /// flash array, mapping table, allocator, and (optionally) the
@@ -21,6 +21,14 @@ use crate::Allocator;
 ///
 /// Drive it with [`Ssd::run_trace`] for whole-trace experiments, or
 /// with [`Ssd::write`] / [`Ssd::read`] for fine-grained control.
+///
+/// The host LPN of each command is the only address that comes from
+/// outside: [`Ssd::write`], [`Ssd::read`] and [`Ssd::trim`] check it
+/// once, on entry, and return [`SsdError::Address`] when it is beyond
+/// the logical capacity. Every LPN, PPN and block number below that
+/// point comes from the drive's own tables, so the mapping table and
+/// the flash array index with them directly; one out of range is a bug
+/// and panics.
 ///
 /// # Examples
 ///
@@ -156,7 +164,7 @@ impl Ssd {
             let value = initial_value_of(lpn);
             let (ppn, _, _) = self.program_host_page(SimTime::ZERO)?;
             self.rmap.insert(ppn, value, lpn);
-            self.mapping.update(lpn, ppn)?;
+            self.mapping.update(lpn, ppn);
             if let Some(dedup) = self.dedup.as_mut().filter(|_| index >= first_indexed) {
                 dedup.register(value, ppn);
             }
@@ -246,14 +254,14 @@ impl Ssd {
         value: ValueId,
         arrival: SimTime,
     ) -> Result<SimTime, SsdError> {
-        self.mapping.lookup(lpn)?; // address check up front
+        self.check_host_lpn(lpn)?;
         self.stats.host_writes += 1;
         let now = self.write_clock();
         let mut t = arrival;
         if self.config.system.uses_hashing() {
             t += self.flash.timing().hash;
         }
-        self.mapping.bump_popularity(lpn)?;
+        self.mapping.bump_popularity(lpn);
 
         // 1. Dead-value-pool lookup (§IV-C "Writes").
         if let Some(zombie) = self
@@ -262,8 +270,8 @@ impl Ssd {
             .and_then(|pool| pool.take_match(value, now))
         {
             debug_assert_eq!(
-                self.flash.page_state(zombie).ok(),
-                Some(PageState::Invalid),
+                self.flash.page_state(zombie),
+                PageState::Invalid,
                 "pool must only track garbage pages"
             );
             self.kill_current(lpn, now)?;
@@ -271,7 +279,7 @@ impl Ssd {
             debug_assert_eq!(self.rmap.owners(zombie).next(), None);
             debug_assert_eq!(self.rmap.value(zombie), Some(value));
             self.rmap.push_owner(zombie, lpn);
-            self.mapping.update(lpn, zombie)?;
+            self.mapping.update(lpn, zombie);
             if let Some(dedup) = self.dedup.as_mut() {
                 dedup.register(value, zombie);
             }
@@ -279,7 +287,7 @@ impl Ssd {
             // No program, but the completion still goes out through the
             // controller and the zombie's channel — a revival on a busy
             // device queues like any other request.
-            let done = self.flash.controller_complete(Some(zombie), t)?;
+            let done = self.flash.controller_complete(Some(zombie), t);
             self.emit(done, Event::Revive { lpn, ppn: zombie });
             self.record_write_latency(lpn, arrival, done);
             return Ok(done);
@@ -289,13 +297,13 @@ impl Ssd {
         if let Some(dedup) = self.dedup.as_mut() {
             if let Some(shared) = dedup.reference(value) {
                 // Same content rewritten in place changes nothing.
-                if self.mapping.lookup(lpn)? != Some(shared) {
+                if self.mapping.lookup(lpn) != Some(shared) {
                     self.kill_current(lpn, now)?;
-                    self.mapping.update(lpn, shared)?;
+                    self.mapping.update(lpn, shared);
                     self.rmap.push_owner(shared, lpn);
                 }
                 self.stats.deduped_writes += 1;
-                let done = self.flash.controller_complete(Some(shared), t)?;
+                let done = self.flash.controller_complete(Some(shared), t);
                 self.emit(done, Event::DedupHit { lpn, ppn: shared });
                 self.record_write_latency(lpn, arrival, done);
                 return Ok(done);
@@ -307,7 +315,7 @@ impl Ssd {
         let (ppn, done, plane) = self.program_host_page(t)?;
         self.stats.host_programs += 1;
         self.rmap.insert(ppn, value, lpn);
-        self.mapping.update(lpn, ppn)?;
+        self.mapping.update(lpn, ppn);
         if let Some(dedup) = self.dedup.as_mut() {
             dedup.register(value, ppn);
         }
@@ -328,7 +336,8 @@ impl Ssd {
     ///
     /// Returns an error if `lpn` is beyond the logical capacity.
     pub fn read(&mut self, lpn: Lpn, arrival: SimTime) -> Result<(ValueId, SimTime), SsdError> {
-        let mapped = self.mapping.lookup(lpn)?; // address check up front
+        self.check_host_lpn(lpn)?;
+        let mapped = self.mapping.lookup(lpn);
         self.stats.host_reads += 1;
         // LX-SSD refreshes garbage recency on reads (the behaviour the
         // paper critiques); other pools ignore this.
@@ -352,7 +361,7 @@ impl Ssd {
             None => {
                 // Answered from mapping state, but the completion still
                 // serializes on the controller.
-                done = self.flash.controller_complete(None, arrival)?;
+                done = self.flash.controller_complete(None, arrival);
                 value = initial_value_of(lpn);
             }
         }
@@ -374,7 +383,8 @@ impl Ssd {
     ///
     /// Returns an error if `lpn` is beyond the logical capacity.
     pub fn trim(&mut self, lpn: Lpn) -> Result<(), SsdError> {
-        let mapped = self.mapping.lookup(lpn)?; // address check up front
+        self.check_host_lpn(lpn)?;
+        let mapped = self.mapping.lookup(lpn);
 
         // Exactly one count per accepted command, whatever its effect:
         // trimming an already-trimmed (or never-written) page is an
@@ -384,7 +394,7 @@ impl Ssd {
             return Ok(());
         }
         self.kill_current(lpn, self.write_clock())?;
-        self.mapping.unmap(lpn)?;
+        self.mapping.unmap(lpn);
         Ok(())
     }
 
@@ -541,10 +551,10 @@ impl Ssd {
         self.rmap.check_lists()?;
         // 1. Mapping -> rmap direction.
         for lpn in (0..self.config.logical_pages).map(Lpn::new) {
-            let Some(ppn) = self.mapping.lookup(lpn).map_err(|e| e.to_string())? else {
+            let Some(ppn) = self.mapping.lookup(lpn) else {
                 continue;
             };
-            let state = self.flash.page_state(ppn).map_err(|e| e.to_string())?;
+            let state = self.flash.page_state(ppn);
             if state != PageState::Valid {
                 return Err(format!("{lpn} maps to {ppn} in state {state}"));
             }
@@ -558,7 +568,7 @@ impl Ssd {
         // 2–3. Per-page state, record, and pool coherence (rmap ->
         // mapping direction rides on the owner loop).
         for ppn in (0..geometry.total_pages()).map(Ppn::new) {
-            let state = self.flash.page_state(ppn).map_err(|e| e.to_string())?;
+            let state = self.flash.page_state(ppn);
             let recorded = self.rmap.value(ppn).is_some();
             let mut owners = self.rmap.owners(ppn).peekable();
             let pooled = self
@@ -574,7 +584,7 @@ impl Ssd {
                         return Err(format!("valid {ppn} has no owners"));
                     }
                     for owner in owners {
-                        if self.mapping.lookup(owner).map_err(|e| e.to_string())? != Some(ppn) {
+                        if self.mapping.lookup(owner) != Some(ppn) {
                             return Err(format!("{ppn} lists owner {owner} mapped elsewhere"));
                         }
                     }
@@ -604,7 +614,7 @@ impl Ssd {
         for (block, info) in self.flash.blocks() {
             let mut counts = [0u32; 4];
             let mut popularity = 0u32;
-            let states = self.flash.page_states(block).map_err(|e| e.to_string())?;
+            let states = self.flash.page_states(block);
             for (ppn, state) in geometry.pages_of(block).zip(states) {
                 counts[match state {
                     PageState::Valid => 0,
@@ -641,7 +651,7 @@ impl Ssd {
         }
         // 5. Dedup index -> live pages.
         for (value, ppn) in self.dedup.iter().flat_map(DedupStore::entries) {
-            let state = self.flash.page_state(ppn).map_err(|e| e.to_string())?;
+            let state = self.flash.page_state(ppn);
             if state != PageState::Valid {
                 return Err(format!("dedup index names {ppn} in state {state}"));
             }
@@ -652,6 +662,21 @@ impl Ssd {
             }
         }
         Ok(())
+    }
+
+    /// The drive's one address check: a host LPN must lie within the
+    /// logical capacity.
+    fn check_host_lpn(&self, lpn: Lpn) -> Result<(), SsdError> {
+        let limit = self.config.logical_pages;
+        if lpn.index() < limit {
+            Ok(())
+        } else {
+            Err(SsdError::Address(AddressError::out_of_range(
+                "lpn",
+                lpn.index(),
+                limit,
+            )))
+        }
     }
 
     fn record_write_latency(&mut self, lpn: Lpn, arrival: SimTime, done: SimTime) {
@@ -666,10 +691,10 @@ impl Ssd {
     /// it from the dedup index, and offers the fresh zombie to the
     /// pool (§IV-C "Updates", §VII).
     fn kill_current(&mut self, lpn: Lpn, now: WriteClock) -> Result<(), SsdError> {
-        let Some(old) = self.mapping.lookup(lpn)? else {
+        let Some(old) = self.mapping.lookup(lpn) else {
             return Ok(());
         };
-        let pop = self.mapping.popularity(lpn)?;
+        let pop = self.mapping.popularity(lpn);
         if self.rmap.remove_owner(old, lpn) {
             let value = self.rmap.recorded_value(old);
             self.flash.invalidate_page(old)?;
@@ -736,7 +761,7 @@ impl Ssd {
     /// content is still live at `to`.
     fn relocate(&mut self, from: Ppn, to: Ppn) -> Result<(), SsdError> {
         for owner in self.rmap.owners(from) {
-            self.mapping.update(owner, to)?;
+            self.mapping.update(owner, to);
         }
         if let Some(dedup) = self.dedup.as_mut() {
             dedup.relocate(self.rmap.recorded_value(from), from, to);
@@ -801,7 +826,7 @@ impl Ssd {
         // Payload assembly (the block-info lookup) is skipped entirely
         // when tracing is off; `emit` gates again internally.
         if self.events.is_some() {
-            let info = self.flash.block_info(victim)?;
+            let info = self.flash.block_info(victim);
             self.emit(now, Event::GcStart { plane, emergency });
             self.emit(
                 now,
@@ -817,7 +842,7 @@ impl Ssd {
         // a copy of the victim's states taken up front stays accurate.
         let mut states = std::mem::take(&mut self.victim_states);
         states.clear();
-        states.extend_from_slice(self.flash.page_states(victim)?);
+        states.extend_from_slice(self.flash.page_states(victim));
         for (ppn, &state) in geometry.pages_of(victim).zip(&states) {
             match state {
                 PageState::Valid => {
@@ -1235,10 +1260,22 @@ mod tests {
             )
         };
         let before = counts(&s);
-        let beyond = Lpn::new(100_000);
-        assert!(s.write(beyond, ValueId::new(1), SimTime::ZERO).is_err());
-        assert!(s.read(beyond, SimTime::ZERO).is_err());
-        assert!(s.trim(beyond).is_err());
+        let limit = s.config().logical_pages;
+        for beyond in [limit, 100_000] {
+            let lpn = Lpn::new(beyond);
+            let expected = format!("lpn {beyond} out of range (limit {limit})");
+            let errors = [
+                s.write(lpn, ValueId::new(1), SimTime::ZERO).map(|_| ()),
+                s.read(lpn, SimTime::ZERO).map(|_| ()),
+                s.trim(lpn),
+            ];
+            for error in errors {
+                match error {
+                    Err(e @ SsdError::Address(_)) => assert_eq!(e.to_string(), expected),
+                    other => panic!("expected an address error, got {other:?}"),
+                }
+            }
+        }
         assert_eq!(counts(&s), before, "a rejected command counts nothing");
     }
 
@@ -1547,8 +1584,8 @@ mod tests {
         w(&mut s, 2, 7);
         w(&mut s, 3, 8);
         s.check_invariants().expect("consistent before corruption");
-        let shared = s.mapping.lookup(Lpn::new(0)).expect("ok").expect("mapped");
-        let single = s.mapping.lookup(Lpn::new(3)).expect("ok").expect("mapped");
+        let shared = s.mapping.lookup(Lpn::new(0)).expect("mapped");
+        let single = s.mapping.lookup(Lpn::new(3)).expect("mapped");
         assert_ne!(shared, single);
         // The single-owner page now names the shared page's list too.
         s.rmap.point_at_list(single, 0);

@@ -5,8 +5,8 @@ use std::error::Error;
 
 /// An address was outside the simulated device's range.
 ///
-/// Returned by flash/FTL APIs when a logical or physical page number
-/// does not exist in the configured geometry.
+/// Returned when a host command names a logical page beyond the
+/// drive's logical capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressError {
     kind: &'static str,

@@ -334,3 +334,40 @@ fn trimmed_pages_can_be_revived() {
     ssd.write(Lpn::new(5), ValueId::new(7), at).expect("revive");
     assert_eq!(ssd.stats().revived_writes, 1);
 }
+
+/// §IV-D: popularity-aware GC victim selection keeps popular zombies
+/// alive longer than greedy selection, so more writes find their
+/// content still in the pool — `ablation_gc`'s "revive gain" column.
+/// Home at scale 0.05 is GC-bound (about 4 500 collections under
+/// either selector) and pop-aware revives 0.7–1.6% more over seeds 1,
+/// 2, 3, 7, 8, 42 and 99 (seed 42: 13 629 → 13 834). Web gains too on
+/// average, but by at most 0.4% at this scale and not on every seed,
+/// so it is left to `ablation_gc`.
+#[test]
+fn popularity_aware_gc_revives_more_than_greedy() {
+    let p = WorkloadProfile::home().scaled(0.05);
+    let t = trace(&p, 42);
+    let run = |aware: bool| {
+        Ssd::new(
+            SsdConfig::for_footprint(p.lpn_space)
+                .with_system(SystemKind::MqDvp { entries: 10_000 })
+                .with_popularity_aware_gc(aware),
+        )
+        .expect("drive")
+        .run_trace(t.records())
+        .expect("run")
+    };
+    let (greedy, aware) = (run(false), run(true));
+    assert!(
+        greedy.gc_collections > 1000 && aware.gc_collections > 1000,
+        "the drive must be GC-bound ({} and {} collections)",
+        greedy.gc_collections,
+        aware.gc_collections
+    );
+    assert!(
+        aware.revived_writes > greedy.revived_writes,
+        "pop-aware GC must revive more than greedy ({} vs {})",
+        aware.revived_writes,
+        greedy.revived_writes
+    );
+}
