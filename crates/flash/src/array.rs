@@ -241,6 +241,9 @@ impl FlashArray {
 
     /// The states of a block's pages, in program order.
     pub fn page_states(&self, block: BlockId) -> &[PageState] {
+        // Index the record first: a block number far past the device
+        // would otherwise shift into another block's page range.
+        let _ = &self.blocks[block.index() as usize];
         &self.pages[self.page_range(block)]
     }
 
@@ -756,6 +759,10 @@ mod tests {
         }));
         assert!(panics(&|f| {
             f.page_states(beyond);
+        }));
+        // Its first page would be 2^64, which wraps to block 0's.
+        assert!(panics(&|f| {
+            f.page_states(BlockId::new(1 << 62));
         }));
         assert!(panics(&|f| {
             f.block_info(beyond);

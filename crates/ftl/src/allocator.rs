@@ -66,6 +66,10 @@ impl Allocator {
     ///
     /// Returns [`SsdError::OutOfSpace`] when the active block is full
     /// and the plane has no free blocks left.
+    // Every host program and GC move calls this. Left to itself the
+    // compiler calls it out of line, and perfbench's `setup_s` rose by
+    // 5-10%.
+    #[inline]
     pub(crate) fn take_active(
         &mut self,
         plane: u64,
