@@ -1,5 +1,7 @@
 //! Synthetic trace generation throughput, end to end and for the Zipf
-//! sampler alone.
+//! sampler alone, plus the two full-scale phases perfbench pays for:
+//! generating hadoop's nine-day trace and building a 2.1 M-rank
+//! address sampler.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
@@ -24,6 +26,29 @@ fn bench_generation(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// Full-scale generation phases. `hadoop_9days` is perfbench's
+/// hadoop-baseline trace (2.7 M records, seed 42); `zipf_build` is one
+/// of mail's two 2.1 M-rank address samplers, a `powf` per rank.
+fn bench_full_scale(c: &mut Criterion) {
+    let mut group = c.benchmark_group("trace_gen_full");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(6));
+    let hadoop = WorkloadProfile::hadoop().with_days(9);
+    let name = format!("hadoop_9days_{}req", hadoop.total_requests());
+    group.bench_function(name, |b| {
+        b.iter(|| black_box(SyntheticTrace::generate(&hadoop, 42).records().len()));
+    });
+    let mail = WorkloadProfile::mail();
+    let name = format!(
+        "zipf_build_mail_{}ranks_alpha{}",
+        mail.lpn_space, mail.lpn_alpha
+    );
+    group.bench_function(name, |b| {
+        b.iter(|| black_box(ZipfSampler::new(mail.lpn_space, mail.lpn_alpha).len()));
+    });
     group.finish();
 }
 
@@ -56,6 +81,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_generation, bench_zipf_sample
+    targets = bench_generation, bench_full_scale, bench_zipf_sample
 }
 criterion_main!(benches);
