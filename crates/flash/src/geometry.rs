@@ -95,6 +95,8 @@ pub struct Geometry {
     pages_per_block: u32,
     /// `log2(pages_per_block)`.
     page_shift: u32,
+    /// The product of the first five dimensions.
+    total_blocks: u64,
 }
 
 impl Geometry {
@@ -132,7 +134,16 @@ impl Geometry {
                 "pages_per_block must be a power of two, got {pages_per_block}"
             )));
         }
-        let geom = Geometry {
+        let total_blocks = u64::from(channels)
+            .checked_mul(u64::from(chips_per_channel))
+            .and_then(|v| v.checked_mul(u64::from(dies_per_chip)))
+            .and_then(|v| v.checked_mul(u64::from(planes_per_die)))
+            .and_then(|v| v.checked_mul(u64::from(blocks_per_plane)))
+            .ok_or_else(|| ConfigError::new("geometry block count overflows u64"))?;
+        total_blocks
+            .checked_mul(u64::from(pages_per_block))
+            .ok_or_else(|| ConfigError::new("geometry page count overflows u64"))?;
+        Ok(Geometry {
             channels,
             chips_per_channel,
             dies_per_chip,
@@ -140,17 +151,8 @@ impl Geometry {
             blocks_per_plane,
             pages_per_block,
             page_shift: pages_per_block.trailing_zeros(),
-        };
-        let blocks = u64::from(channels)
-            .checked_mul(u64::from(chips_per_channel))
-            .and_then(|v| v.checked_mul(u64::from(dies_per_chip)))
-            .and_then(|v| v.checked_mul(u64::from(planes_per_die)))
-            .and_then(|v| v.checked_mul(u64::from(blocks_per_plane)))
-            .ok_or_else(|| ConfigError::new("geometry block count overflows u64"))?;
-        blocks
-            .checked_mul(u64::from(pages_per_block))
-            .ok_or_else(|| ConfigError::new("geometry page count overflows u64"))?;
-        Ok(geom)
+            total_blocks,
+        })
     }
 
     /// Number of channels.
@@ -195,7 +197,7 @@ impl Geometry {
 
     /// Total erase blocks in the device.
     pub const fn total_blocks(&self) -> u64 {
-        self.total_planes() * self.blocks_per_plane as u64
+        self.total_blocks
     }
 
     /// Total physical pages in the device.
@@ -285,8 +287,18 @@ impl Geometry {
     }
 
     /// The first PPN of `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is outside the device (the shift would
+    /// otherwise wrap a large block number onto another block's pages).
     #[inline]
     pub fn first_ppn_of(&self, block: BlockId) -> Ppn {
+        assert!(
+            block.index() < self.total_blocks,
+            "block {block} outside device of {} blocks",
+            self.total_blocks
+        );
         Ppn::new(block.index() << self.page_shift)
     }
 
@@ -303,6 +315,10 @@ impl Geometry {
     }
 
     /// Iterates every PPN of `block` in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is outside the device.
     pub fn pages_of(&self, block: BlockId) -> impl Iterator<Item = Ppn> + '_ {
         let first = self.first_ppn_of(block).index();
         (first..first + u64::from(self.pages_per_block)).map(Ppn::new)
@@ -414,6 +430,37 @@ mod tests {
     fn decode_out_of_range_panics() {
         let g = small();
         let _ = g.decode(Ppn::new(g.total_pages()));
+    }
+
+    #[test]
+    fn last_block_has_the_last_pages() {
+        let g = small();
+        let last = BlockId::new(g.total_blocks() - 1);
+        assert_eq!(g.first_ppn_of(last).index(), g.total_pages() - 8);
+        assert_eq!(g.pages_of(last).last(), Some(Ppn::new(g.total_pages() - 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside device")]
+    fn first_ppn_of_block_past_device_panics() {
+        let g = small();
+        let _ = g.first_ppn_of(BlockId::new(g.total_blocks()));
+    }
+
+    /// `1 << 62` shifted by a 4-page block's 2 bits is 0: without the
+    /// bound it would name block 0's pages.
+    #[test]
+    #[should_panic(expected = "outside device")]
+    fn first_ppn_of_wrapping_block_panics() {
+        let g = Geometry::new(1, 1, 1, 1, 4, 4).expect("valid geometry");
+        let _ = g.first_ppn_of(BlockId::new(1 << 62));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside device")]
+    fn pages_of_wrapping_block_panics() {
+        let g = Geometry::new(1, 1, 1, 1, 4, 4).expect("valid geometry");
+        let _ = g.pages_of(BlockId::new(1 << 62));
     }
 
     #[test]
