@@ -184,15 +184,20 @@ impl ArrivalFlags {
 fn scaled_profile(args: &Args) -> Result<WorkloadProfile, Box<dyn Error>> {
     let mut profile = workload(args.required("workload")?)?;
     let scale: f64 = args.parse_or("scale", 1.0)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(Box::new(ArgError(format!(
+            "bad value for --scale: expected a positive number, got {scale}"
+        ))));
+    }
     if scale != 1.0 {
         profile = profile.scaled(scale);
     }
-    let days = match args.optional("days") {
-        Some(raw) => raw
-            .parse()
-            .map_err(|e| ArgError(format!("bad value for --days: {e}")))?,
-        None => profile.days,
-    };
+    let days: u32 = args.parse_or("days", profile.days)?;
+    if days == 0 {
+        return Err(Box::new(ArgError(
+            "bad value for --days: expected at least 1, got 0".to_owned(),
+        )));
+    }
     Ok(profile.with_days(days))
 }
 
@@ -575,6 +580,87 @@ mod tests {
             SystemKind::DvpPlusDedup { entries: 9 }
         );
         assert!(system("magic", 7).is_err());
+    }
+
+    /// The error `scaled_profile` returns for web with `flags`.
+    fn profile_error(flags: &[&str]) -> String {
+        let argv: Vec<String> = ["--workload", "web"]
+            .iter()
+            .chain(flags)
+            .map(|s| s.to_string())
+            .collect();
+        let args = Args::parse(&argv, &["workload", "scale", "days"]).expect("known flags");
+        scaled_profile(&args).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn zero_scale_is_an_argument_error() {
+        assert_eq!(
+            profile_error(&["--scale", "0"]),
+            "bad value for --scale: expected a positive number, got 0"
+        );
+    }
+
+    #[test]
+    fn nan_scale_is_an_argument_error() {
+        assert_eq!(
+            profile_error(&["--scale", "nan"]),
+            "bad value for --scale: expected a positive number, got NaN"
+        );
+    }
+
+    #[test]
+    fn negative_scale_is_an_argument_error() {
+        assert_eq!(
+            profile_error(&["--scale", "-2"]),
+            "bad value for --scale: expected a positive number, got -2"
+        );
+    }
+
+    #[test]
+    fn infinite_scale_is_an_argument_error() {
+        assert_eq!(
+            profile_error(&["--scale", "inf"]),
+            "bad value for --scale: expected a positive number, got inf"
+        );
+    }
+
+    #[test]
+    fn zero_days_is_an_argument_error() {
+        assert_eq!(
+            profile_error(&["--days", "0"]),
+            "bad value for --days: expected at least 1, got 0"
+        );
+    }
+
+    #[test]
+    fn every_profile_command_rejects_a_bad_scale() {
+        for argv in [
+            &["gen", "--workload", "web", "--out", "unused"][..],
+            &["run", "--workload", "web", "--system", "dvp"],
+            &["analyze", "--workload", "web"],
+            &[
+                "events",
+                "--workload",
+                "web",
+                "--system",
+                "dvp",
+                "--out",
+                "unused",
+            ],
+        ] {
+            let argv: Vec<String> = argv
+                .iter()
+                .chain(&["--scale", "0"])
+                .map(|s| s.to_string())
+                .collect();
+            let err = dispatch(&argv).unwrap_err().to_string();
+            assert!(
+                err.starts_with("bad value for --scale"),
+                "{}: {err}",
+                argv[0]
+            );
+        }
     }
 
     #[test]
