@@ -167,3 +167,32 @@ fn fault_event_stream_is_pinned() {
         "event stream or metrics export changed"
     );
 }
+
+#[test]
+fn fault_run_exports_all_four_phase_timers() {
+    // The fault-pinned web run again, untraced: faults make it scrub,
+    // and GC relocates, erases and stalls the host.
+    let profile = WorkloadProfile::web().scaled(0.02);
+    let trace = SyntheticTrace::generate(&profile, 42);
+    let faults = FaultConfig::from_spec("program=5e-3,erase=0.2,read=5e-3").expect("valid spec");
+    let config = SsdConfig::for_footprint(profile.lpn_space)
+        .with_system(SystemKind::MqDvp { entries: 4_000 })
+        .with_dedup_index_entries(4_000)
+        .with_faults(faults);
+    let report = Ssd::new(config)
+        .expect("drive")
+        .run_trace(trace.records())
+        .expect("run");
+    let doc = report.to_json(METRICS_WINDOW);
+    let phases = doc.get("phases").expect("phases object").to_string();
+    assert_eq!(
+        phases,
+        concat!(
+            r#"{"gc_erase":{"total_ns":551000000,"count":119},"#,
+            r#""gc_relocate":{"total_ns":198550000,"count":119},"#,
+            r#""gc_stall":{"total_ns":749550000,"count":115},"#,
+            r#""scrub":{"total_ns":19950000,"count":42}}"#,
+        ),
+        "phases export changed"
+    );
+}
