@@ -94,19 +94,15 @@ impl GridCell {
     }
 }
 
-/// The number of worker threads grid runs use: `ZSSD_THREADS` if set
-/// to a positive integer, otherwise the machine's available
-/// parallelism (1 if that cannot be determined).
+/// The number of worker threads grid runs use: `ZSSD_THREADS`, which
+/// must be a positive integer, if set, otherwise the machine's
+/// available parallelism (1 if that cannot be determined).
 pub fn grid_threads() -> usize {
-    std::env::var("ZSSD_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    crate::env_knob("ZSSD_THREADS", "a positive integer", |&n: &usize| n > 0).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `n` independent jobs on `threads` workers and returns their

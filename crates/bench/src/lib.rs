@@ -48,21 +48,45 @@ pub const PAPER_POOL_ENTRIES: usize = 200_000;
 /// up bucket-for-bucket.
 pub const METRICS_WINDOW: SimDuration = SimDuration::from_millis(250);
 
-/// Reads the experiment scale factor from `ZSSD_SCALE` (default 1.0).
-pub fn scale() -> f64 {
-    std::env::var("ZSSD_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| s.is_finite() && *s > 0.0)
-        .unwrap_or(1.0)
+/// Parses `raw`, the value of the environment knob `name` (`None` when
+/// unset). A value that does not parse, or that `valid` rejects, is an
+/// error naming the knob and what it `expected`.
+fn parse_knob<T: std::str::FromStr>(
+    name: &str,
+    raw: Option<&str>,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    raw.map(|raw| match raw.parse() {
+        Ok(value) if valid(&value) => Ok(value),
+        _ => Err(format!("invalid {name} {raw:?}: expected {expected}")),
+    })
+    .transpose()
 }
 
-/// Reads the trace seed from `ZSSD_SEED` (default 42).
+/// Reads the environment knob `name` through [`parse_knob`], panicking
+/// on a malformed value: experiments fail loudly rather than fall back
+/// to a default.
+pub(crate) fn env_knob<T: std::str::FromStr>(
+    name: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let raw = std::env::var(name).ok();
+    parse_knob(name, raw.as_deref(), expected, valid).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Reads the experiment scale factor from `ZSSD_SCALE` (default 1.0),
+/// which must be a positive number.
+pub fn scale() -> f64 {
+    let positive = |s: &f64| s.is_finite() && *s > 0.0;
+    env_knob("ZSSD_SCALE", "a positive number", positive).unwrap_or(1.0)
+}
+
+/// Reads the trace seed from `ZSSD_SEED` (default 42), which must be
+/// an unsigned 64-bit integer.
 pub fn seed() -> u64 {
-    std::env::var("ZSSD_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(42)
+    env_knob("ZSSD_SEED", "an unsigned 64-bit integer", |_: &u64| true).unwrap_or(42)
 }
 
 /// The arrival-process spec from `ZSSD_ARRIVAL` (default `constant`).
@@ -358,6 +382,28 @@ pub fn frac_pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn knobs_parse_or_name_themselves() {
+        let positive = |s: &f64| s.is_finite() && *s > 0.0;
+        assert_eq!(parse_knob("ZSSD_SCALE", None, "x", positive), Ok(None));
+        assert_eq!(
+            parse_knob("ZSSD_SCALE", Some("0.05"), "x", positive),
+            Ok(Some(0.05))
+        );
+        for bad in ["0,1", "0", "-1", "inf", "NaN", ""] {
+            assert_eq!(
+                parse_knob("ZSSD_SCALE", Some(bad), "a positive number", positive),
+                Err(format!(
+                    "invalid ZSSD_SCALE {bad:?}: expected a positive number"
+                )),
+            );
+        }
+        let any = |_: &u64| true;
+        assert_eq!(parse_knob("ZSSD_SEED", Some("7"), "x", any), Ok(Some(7)));
+        assert!(parse_knob("ZSSD_SEED", Some("-7"), "x", any).is_err());
+        assert!(parse_knob("ZSSD_SEED", Some("seven"), "x", any).is_err());
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -198,7 +198,11 @@ fn scaled_profile(args: &Args) -> Result<WorkloadProfile, Box<dyn Error>> {
             "bad value for --days: expected at least 1, got 0".to_owned(),
         )));
     }
-    Ok(profile.with_days(days))
+    let profile = profile.with_days(days);
+    profile
+        .validate()
+        .map_err(|e| ArgError(format!("bad value for --scale or --days: {e}")))?;
+    Ok(profile)
 }
 
 fn list() -> CliResult {
@@ -368,6 +372,11 @@ fn replay(argv: &[String]) -> CliResult {
         covered = covered.max(pages);
     }
     let footprint: u64 = args.parse_or("footprint", covered)?;
+    if footprint == 0 {
+        return Err(Box::new(ArgError(
+            "bad value for --footprint: expected at least 1, got 0".to_owned(),
+        )));
+    }
     let arrival = ArrivalFlags::from_args(&args)?;
     let faults = fault_flags(&args)?;
     simulate(
@@ -634,6 +643,14 @@ mod tests {
     }
 
     #[test]
+    fn oversized_scale_is_an_argument_error() {
+        assert_eq!(
+            profile_error(&["--scale", "1e300"]),
+            "bad value for --scale or --days: requests per day times days overflows a u64"
+        );
+    }
+
+    #[test]
     fn every_profile_command_rejects_a_bad_scale() {
         for argv in [
             &["gen", "--workload", "web", "--out", "unused"][..],
@@ -736,6 +753,36 @@ mod tests {
         assert!(
             arg.to_string().contains("LPN 18446744073709551615"),
             "{arg}"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn replay_rejects_a_zero_footprint() {
+        let dir = std::env::temp_dir().join(format!("zssd-cli-footprint-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("one-write.trace");
+        std::fs::write(&path, "0 W 3 7\n").expect("writable");
+        let path_str = path.to_str().expect("utf8 path").to_owned();
+        let argv: Vec<String> = [
+            "replay",
+            "--trace",
+            &path_str,
+            "--system",
+            "baseline",
+            "--footprint",
+            "0",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = dispatch(&argv).expect_err("no drive has zero pages");
+        let arg = err
+            .downcast_ref::<ArgError>()
+            .expect("a typed argument error");
+        assert_eq!(
+            arg.to_string(),
+            "bad value for --footprint: expected at least 1, got 0"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

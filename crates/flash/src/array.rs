@@ -5,7 +5,6 @@ use core::fmt;
 use core::ops::Range;
 use std::error::Error;
 
-use zssd_metrics::Counter;
 use zssd_types::{Ppn, SimTime};
 
 use crate::block::{Block, BlockInfo, PageState, Placement};
@@ -100,22 +99,22 @@ pub struct Completion {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlashStats {
     /// Page reads executed (host + GC relocation reads).
-    pub reads: Counter,
+    pub reads: u64,
     /// Page programs executed (host + GC relocation writes).
-    pub programs: Counter,
+    pub programs: u64,
     /// Block erases executed.
-    pub erases: Counter,
+    pub erases: u64,
     /// Injected program failures (the failed attempts are *not*
     /// counted in [`FlashStats::programs`]).
-    pub program_failures: Counter,
+    pub program_failures: u64,
     /// Injected erase failures (not counted in [`FlashStats::erases`]).
-    pub erase_failures: Counter,
+    pub erase_failures: u64,
     /// Reads that hit an uncorrectable-ECC event and re-sensed the
     /// page (each costs an extra read pass).
-    pub read_retries: Counter,
+    pub read_retries: u64,
     /// Blocks permanently removed from service after repeated erase
     /// failures.
-    pub retired_blocks: Counter,
+    pub retired_blocks: u64,
 }
 
 /// The simulated NAND array: per-page state, per-block wear, and the
@@ -291,14 +290,14 @@ impl FlashArray {
         let sense_done = sense_start + self.timing.read;
         let xfer_start = sense_done.max(self.channel_busy_until[channel]);
         let mut done = xfer_start + self.timing.transfer;
-        self.stats.reads.incr();
+        self.stats.reads += 1;
         let faulted = self.fault.decide(FaultKind::Read, ppn.index());
         if faulted {
             // ECC failed on the first sense: sense and transfer again.
             let retry_xfer = (done + self.timing.read).max(self.channel_busy_until[channel]);
             done = retry_xfer + self.timing.transfer;
-            self.stats.reads.incr();
-            self.stats.read_retries.incr();
+            self.stats.reads += 1;
+            self.stats.read_retries += 1;
         }
         self.chip_busy_until[chip] = done;
         self.channel_busy_until[channel] = done;
@@ -355,10 +354,10 @@ impl FlashArray {
         let (record, pages) = self.block_mut(block);
         if failed {
             record.fail_at_cursor(pages);
-            self.stats.program_failures.incr();
+            self.stats.program_failures += 1;
         } else {
             record.program_at_cursor(pages);
-            self.stats.programs.incr();
+            self.stats.programs += 1;
         }
         Ok((ppn, failed))
     }
@@ -449,7 +448,7 @@ impl FlashArray {
         let start = at.max(self.chip_busy_until[chip]);
         let done = start + self.timing.read + self.timing.program;
         self.chip_busy_until[chip] = done;
-        self.stats.reads.incr();
+        self.stats.reads += 1;
         Ok((dest, Completion { done, faulted }))
     }
 
@@ -476,11 +475,11 @@ impl FlashArray {
         let done = at.max(self.chip_busy_until[chip]) + self.timing.erase;
         self.chip_busy_until[chip] = done;
         if faulted {
-            self.stats.erase_failures.incr();
+            self.stats.erase_failures += 1;
         } else {
             let (b, pages) = self.block_mut(block);
             b.erase(pages);
-            self.stats.erases.incr();
+            self.stats.erases += 1;
         }
         Ok(Completion { done, faulted })
     }
@@ -505,7 +504,7 @@ impl FlashArray {
             });
         }
         b.retire(pages);
-        self.stats.retired_blocks.incr();
+        self.stats.retired_blocks += 1;
         Ok(())
     }
 
@@ -812,7 +811,7 @@ mod tests {
             .erase_block(BlockId::new(0), SimTime::ZERO)
             .expect("ok");
         let s = flash.stats();
-        assert_eq!((s.programs.get(), s.reads.get(), s.erases.get()), (1, 1, 1));
+        assert_eq!((s.programs, s.reads, s.erases), (1, 1, 1));
     }
 
     #[test]
@@ -937,8 +936,8 @@ mod tests {
         assert!(program.faulted);
         assert_eq!(flash.page_state(ppn), PageState::Bad);
         assert_eq!(flash.free_pages_in(block), 3);
-        assert_eq!(flash.stats().program_failures.get(), 1);
-        assert_eq!(flash.stats().programs.get(), 0, "failures are not programs");
+        assert_eq!(flash.stats().program_failures, 1);
+        assert_eq!(flash.stats().programs, 0, "failures are not programs");
         // The failed attempt still occupied the chip for a full program.
         let t = FlashTiming::paper_table1();
         assert_eq!(program.done, SimTime::ZERO + t.transfer + t.program);
@@ -983,12 +982,9 @@ mod tests {
         assert_eq!(flash.page_state(dest), PageState::Bad);
         assert_eq!(flash.page_state(src), PageState::Valid);
         let after = flash.stats();
-        assert_eq!(after.reads.get(), before.reads.get() + 1);
-        assert_eq!(
-            after.program_failures.get(),
-            before.program_failures.get() + 1
-        );
-        assert_eq!(after.programs.get(), before.programs.get());
+        assert_eq!(after.reads, before.reads + 1);
+        assert_eq!(after.program_failures, before.program_failures + 1);
+        assert_eq!(after.programs, before.programs);
         // The destination's cursor moved past the bad page.
         assert_eq!(flash.free_pages_in(BlockId::new(1)), 3);
         let (next, _) = flash.program_next(BlockId::new(1), copy.done).expect("ran");
@@ -1017,11 +1013,11 @@ mod tests {
         assert_eq!(erase.done, programmed + FlashTiming::paper_table1().erase);
         assert_eq!(flash.page_state(ppn), PageState::Invalid);
         assert_eq!(flash.erase_count(block), 0);
-        assert_eq!(flash.stats().erase_failures.get(), 1);
-        assert_eq!(flash.stats().erases.get(), 0);
+        assert_eq!(flash.stats().erase_failures, 1);
+        assert_eq!(flash.stats().erases, 0);
         // Retirement takes the block out of service for good.
         flash.retire_block(block).expect("retire");
-        assert_eq!(flash.stats().retired_blocks.get(), 1);
+        assert_eq!(flash.stats().retired_blocks, 1);
         assert!(flash.block_info(block).is_retired());
         assert_eq!(flash.free_pages_in(block), 0);
         assert!(flash.read_page(ppn, SimTime::ZERO).is_err());
@@ -1054,8 +1050,8 @@ mod tests {
             done + t.read + t.transfer + t.read + t.transfer,
             "two full sense + transfer passes"
         );
-        assert_eq!(flash.stats().read_retries.get(), 1);
-        assert_eq!(flash.stats().reads.get(), 2, "the retry re-senses");
+        assert_eq!(flash.stats().read_retries, 1);
+        assert_eq!(flash.stats().reads, 2, "the retry re-senses");
     }
 
     #[test]
@@ -1151,9 +1147,9 @@ mod tests {
             SimTime::ZERO + t.transfer,
             "controller busy-until cleared"
         );
-        assert_eq!(flash.stats().programs.get(), 1);
+        assert_eq!(flash.stats().programs, 1);
         flash.reset_stats();
-        assert_eq!(flash.stats().programs.get(), 0);
+        assert_eq!(flash.stats().programs, 0);
         // Page states survive the resets.
         assert_eq!(flash.page_state(ppn), PageState::Valid);
     }

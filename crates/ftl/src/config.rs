@@ -69,8 +69,10 @@ pub struct SsdConfig {
     /// Weight `w` of the popular-garbage penalty in the §IV-D score
     /// `255·invalid − w·Σpop`.
     pub gc_popularity_weight: f64,
-    /// MQ parameters (queue count; capacity comes from
-    /// [`SystemKind::pool_entries`]).
+    /// MQ parameters of the MQ-DVP and DVP+Dedup pools: they take the
+    /// queue count and initial hottest interval from it, and their
+    /// capacity from the [`SystemKind`] (its `capacity` goes unread).
+    /// LRU-DVP, Ideal, LX-SSD and the adaptive pool ignore it.
     pub mq: MqConfig,
     /// RAM budget of the deduplication fingerprint index, in entries
     /// (CAFTL-style bounded index; the reverse map's per-page owner
@@ -183,9 +185,6 @@ impl SsdConfig {
     /// Selects the evaluated system.
     pub fn with_system(mut self, system: SystemKind) -> Self {
         self.system = system;
-        if let Some(entries) = system.pool_entries() {
-            self.mq = self.mq.with_capacity(entries);
-        }
         self
     }
 
@@ -271,8 +270,9 @@ impl SsdConfig {
     /// Returns an error if the logical capacity is zero, exceeds
     /// physical capacity, or leaves less spare space than
     /// `min_over_provisioning`, if the drive has more than `u32::MAX`
-    /// pages (the page tables store 32-bit page numbers), or if GC
-    /// parameters are degenerate.
+    /// pages (the page tables store 32-bit page numbers), if GC
+    /// parameters are degenerate, or if a fixed-size dead-value pool
+    /// has no entries.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.logical_pages == 0 {
             return Err(ConfigError::new("logical capacity must be nonzero"));
@@ -310,6 +310,11 @@ impl SsdConfig {
         if !self.gc_popularity_weight.is_finite() || self.gc_popularity_weight < 0.0 {
             return Err(ConfigError::new("gc_popularity_weight must be >= 0"));
         }
+        if self.system.pool_entries() == Some(0) {
+            return Err(ConfigError::new(
+                "dead-value pool capacity must be at least one entry",
+            ));
+        }
         if self.dedup_index_entries == 0 && self.system.uses_dedup() {
             return Err(ConfigError::new(
                 "dedup_index_entries must be nonzero for deduplicating systems",
@@ -344,14 +349,6 @@ mod tests {
             assert!(c.over_provisioning() >= 0.15 - 1e-9, "OP for {pages}");
             c.validate().expect("valid");
         }
-    }
-
-    #[test]
-    fn with_system_sizes_the_mq_pool() {
-        let c = SsdConfig::small_test().with_system(SystemKind::MqDvp { entries: 777 });
-        assert_eq!(c.mq.capacity, 777);
-        let c = SsdConfig::small_test().with_system(SystemKind::Ideal);
-        assert_eq!(c.mq.capacity, MqConfig::paper_default().capacity);
     }
 
     #[test]
@@ -402,6 +399,26 @@ mod tests {
         let mut c = SsdConfig::small_test();
         c.gc_popularity_weight = -1.0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn zero_entry_pools_are_rejected() {
+        for system in [
+            SystemKind::MqDvp { entries: 0 },
+            SystemKind::LruDvp { entries: 0 },
+            SystemKind::DvpPlusDedup { entries: 0 },
+            SystemKind::LxSsd { entries: 0 },
+        ] {
+            let c = SsdConfig::small_test().with_system(system);
+            let err = c.validate().expect_err("an empty pool is rejected");
+            assert!(err.to_string().contains("at least one entry"), "{err}");
+            assert!(matches!(
+                crate::Ssd::new(c),
+                Err(crate::SsdError::Config(_))
+            ));
+        }
+        let c = SsdConfig::small_test().with_system(SystemKind::MqDvp { entries: 1 });
+        c.validate().expect("a one-entry pool is valid");
     }
 
     #[test]

@@ -68,4 +68,4 @@ mod stats;
 pub use config::SsdConfig;
 pub use error::SsdError;
 pub use ssd::Ssd;
-pub use stats::{RunReport, SsdStats};
+pub use stats::{PhaseTotal, Phases, RunReport, SsdStats};

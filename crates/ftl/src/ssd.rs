@@ -105,7 +105,7 @@ impl Ssd {
             pool,
             dedup,
             rmap: Rmap::new(config.geometry.total_pages()),
-            stats: SsdStats::new(),
+            stats: SsdStats::default(),
             events: config.trace_events.then(EventLog::new),
             victim_states: Vec::with_capacity(config.geometry.pages_per_block() as usize),
             config,
@@ -171,7 +171,7 @@ impl Ssd {
         }
         self.flash.reset_time();
         self.flash.reset_stats();
-        self.stats = SsdStats::new();
+        self.stats = SsdStats::default();
         if let Some(dedup) = self.dedup.as_mut() {
             dedup.reset_stats();
         }
@@ -465,27 +465,26 @@ impl Ssd {
             .take()
             .map(EventLog::into_events)
             .unwrap_or_default();
-        let phases = std::mem::take(&mut self.stats.phases);
         let flash = self.flash.stats();
         let timeline = std::mem::take(&mut self.stats.timeline);
         let mut report = RunReport {
             system: self.config.system,
             host_writes: self.stats.host_writes,
             host_reads: self.stats.host_reads,
-            flash_programs: flash.programs.get(),
+            flash_programs: flash.programs,
             host_programs: self.stats.host_programs,
             gc_programs: self.stats.gc_programs,
-            flash_reads: flash.reads.get(),
-            erases: flash.erases.get(),
+            flash_reads: flash.reads,
+            erases: flash.erases,
             revived_writes: self.stats.revived_writes,
             deduped_writes: self.stats.deduped_writes,
             gc_collections: self.stats.gc_collections,
             trims: self.stats.trims,
             read_mismatches: self.stats.read_mismatches,
-            program_failures: flash.program_failures.get(),
-            erase_failures: flash.erase_failures.get(),
-            read_retries: flash.read_retries.get(),
-            retired_blocks: flash.retired_blocks.get(),
+            program_failures: flash.program_failures,
+            erase_failures: flash.erase_failures,
+            read_retries: flash.read_retries,
+            retired_blocks: flash.retired_blocks,
             scrub_programs: self.stats.scrub_programs,
             pool: self.pool_stats(),
             dedup: self.dedup.as_ref().map(|d| d.stats()),
@@ -494,7 +493,7 @@ impl Ssd {
             write_latency: LatencySummary::default(),
             read_latency: LatencySummary::default(),
             all_latency: LatencySummary::default(),
-            phases,
+            phases: self.stats.phases,
             events,
         };
         // Digest the latencies once the drive's tables are freed, so
@@ -742,9 +741,7 @@ impl Ssd {
         }
         let scrub_done = copy.done;
         self.stats.scrub_programs += 1;
-        self.stats
-            .phases
-            .add("scrub", scrub_done.saturating_since(at));
+        self.stats.phases.scrub.add(scrub_done.saturating_since(at));
         self.emit(
             scrub_done,
             Event::Scrub {
@@ -808,7 +805,7 @@ impl Ssd {
         }
         let stalled = t.saturating_since(now);
         if stalled > SimDuration::ZERO {
-            self.stats.phases.add("gc_stall", stalled);
+            self.stats.phases.gc_stall.add(stalled);
         }
         Ok(t)
     }
@@ -888,9 +885,7 @@ impl Ssd {
             }
         }
         self.victim_states = states;
-        self.stats
-            .phases
-            .add("gc_relocate", t.saturating_since(now));
+        self.stats.phases.gc_relocate.add(t.saturating_since(now));
         let mut erase = self.flash.erase_block(victim, t)?;
         if erase.faulted {
             // The failed pulse spent a full tBERS; retry once from when
@@ -899,7 +894,7 @@ impl Ssd {
             erase = self.flash.erase_block(victim, erase.done)?;
         }
         let done = erase.done;
-        self.stats.phases.add("gc_erase", done.saturating_since(t));
+        self.stats.phases.gc_erase.add(done.saturating_since(t));
         if erase.faulted {
             self.fault(done, FaultEvent::Erase, victim.index());
             self.retire_victim(victim, done)?;
@@ -1120,7 +1115,7 @@ mod tests {
         );
         // Warm-up left no residue in the counters.
         assert_eq!(s.stats().host_writes, 0);
-        assert_eq!(s.flash().stats().programs.get(), 0);
+        assert_eq!(s.flash().stats().programs, 0);
     }
 
     #[test]
@@ -1300,7 +1295,7 @@ mod tests {
         for i in 0..600u64 {
             w(&mut s, 3 + (i % 5), 1000 + i);
         }
-        let report_erases = s.flash().stats().erases.get();
+        let report_erases = s.flash().stats().erases;
         assert!(report_erases > 0, "GC must have run");
         for lpn in 0..3u64 {
             let (v, _) = s.read(Lpn::new(lpn), SimTime::ZERO).expect("read");
@@ -1319,9 +1314,21 @@ mod tests {
         for i in 0..600u64 {
             w(&mut s, 2 + (i % 6), 1000 + i);
         }
-        assert!(s.flash().stats().erases.get() > 0);
+        assert!(s.flash().stats().erases > 0);
         let (v, _) = s.read(Lpn::new(1), SimTime::ZERO).expect("read");
         assert_eq!(v, ValueId::new(7), "revived content survives GC moves");
+    }
+
+    #[test]
+    fn dead_page_enters_the_pool_at_its_address_write_count() {
+        // §IV-C: the mapping entry's byte counts writes to the address,
+        // and a page killed there enters the pool with that degree.
+        let mut s = ssd(SystemKind::MqDvp { entries: 64 });
+        w(&mut s, 0, 7);
+        let first = s.mapping.lookup(Lpn::new(0)).expect("L0 mapped");
+        w(&mut s, 0, 8); // 7 dies at L0's second write
+        let weight = s.pool.as_ref().and_then(|pool| pool.garbage_weight(first));
+        assert_eq!(weight, Some(zssd_types::PopularityDegree::new(2)));
     }
 
     #[test]
@@ -1396,7 +1403,7 @@ mod tests {
             shadow.insert(lpn, value);
         }
         let flash = s.flash().stats();
-        assert!(flash.program_failures.get() > 0, "faults must have fired");
+        assert!(flash.program_failures > 0, "faults must have fired");
         assert!(s.flash().total_bad_pages() > 0);
         // Every host write still landed somewhere despite the retries.
         assert_eq!(s.stats().host_programs, 400);
@@ -1423,17 +1430,14 @@ mod tests {
             s.write(Lpn::new(lpn), ValueId::new(value), SimTime::ZERO)
                 .unwrap_or_else(|e| panic!("write {i} failed: {e}"));
             shadow.insert(lpn, value);
-            if s.flash().stats().retired_blocks.get() >= 1 {
+            if s.flash().stats().retired_blocks >= 1 {
                 break;
             }
         }
         let flash = s.flash().stats();
-        assert!(flash.retired_blocks.get() >= 1, "a block must have retired");
-        assert!(
-            flash.erase_failures.get() >= 2,
-            "retirement takes two failures"
-        );
-        assert_eq!(flash.erases.get(), 0, "every erase attempt failed");
+        assert!(flash.retired_blocks >= 1, "a block must have retired");
+        assert!(flash.erase_failures >= 2, "retirement takes two failures");
+        assert_eq!(flash.erases, 0, "every erase attempt failed");
         s.check_invariants()
             .unwrap_or_else(|e| panic!("invariants violated: {e}"));
         for (&lpn, &value) in &shadow {
@@ -1453,7 +1457,7 @@ mod tests {
         w(&mut s, 0, 7);
         let (v, done) = s.read(Lpn::new(0), SimTime::ZERO).expect("read");
         assert_eq!(v, ValueId::new(7));
-        assert_eq!(s.flash().stats().read_retries.get(), 1);
+        assert_eq!(s.flash().stats().read_retries, 1);
         assert_eq!(s.stats().scrub_programs, 1, "suspect page relocated");
         s.check_invariants().expect("consistent after scrubbing");
         // The content survives at its new address (where this read —
@@ -1500,8 +1504,8 @@ mod tests {
             assert_eq!(e.seq, i as u64, "gapless run-global sequence");
         }
         // Phase timers saw the same GC work the events did.
-        assert_eq!(report.phases.get("gc_erase").count, report.erases);
-        assert!(report.phases.get("gc_stall").total > SimDuration::ZERO);
+        assert_eq!(report.phases.gc_erase.count, report.erases);
+        assert!(report.phases.gc_stall.total > SimDuration::ZERO);
     }
 
     #[test]

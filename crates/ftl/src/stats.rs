@@ -6,8 +6,7 @@ use zssd_core::{PoolStats, SystemKind};
 use zssd_dedup::DedupStats;
 use zssd_flash::WearSummary;
 use zssd_metrics::{
-    events_to_json, windows_to_json, CounterRegistry, Json, LatencySummary, PhaseTimers, Timeline,
-    TracedEvent,
+    events_to_json, windows_to_json, CounterRegistry, Json, LatencySummary, Timeline, TracedEvent,
 };
 use zssd_types::SimDuration;
 
@@ -42,17 +41,53 @@ pub struct SsdStats {
     /// latencies, behind both the episode analysis and the latency
     /// digests of the report.
     pub timeline: Timeline,
-    /// Simulated time spent per internal phase (GC relocation, erase,
-    /// whole stall, scrubbing). Always accumulated — the additions are
-    /// a handful of integer ops per GC episode, far off the per-request
-    /// hot path.
-    pub phases: PhaseTimers,
+    /// Simulated time spent per internal phase. Always accumulated —
+    /// the additions are a handful of integer ops per GC episode, far
+    /// off the per-request hot path.
+    pub phases: Phases,
 }
 
-impl SsdStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        SsdStats::default()
+/// Accumulated simulated time and execution count of one phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTotal {
+    /// Total simulated time spent in the phase.
+    pub total: SimDuration,
+    /// Number of executions accumulated.
+    pub count: u64,
+}
+
+impl PhaseTotal {
+    /// Accumulates one execution lasting `elapsed`.
+    pub fn add(&mut self, elapsed: SimDuration) {
+        self.total += elapsed;
+        self.count += 1;
+    }
+}
+
+/// Simulated time per internal phase of the drive (DESIGN.md §13).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Phases {
+    /// Erasing a GC victim, a retried pulse included; one per
+    /// collection.
+    pub gc_erase: PhaseTotal,
+    /// Relocating a GC victim's valid pages; one per collection.
+    pub gc_relocate: PhaseTotal,
+    /// A write's wait for GC to bring its plane back above the
+    /// free-block watermark; one per write that waited.
+    pub gc_stall: PhaseTotal,
+    /// Copying a page that needed a read retry onto fresh flash.
+    pub scrub: PhaseTotal,
+}
+
+impl Phases {
+    /// Every phase with its export name, in name order.
+    fn named(&self) -> [(&'static str, PhaseTotal); 4] {
+        [
+            ("gc_erase", self.gc_erase),
+            ("gc_relocate", self.gc_relocate),
+            ("gc_stall", self.gc_stall),
+            ("scrub", self.scrub),
+        ]
     }
 }
 
@@ -120,9 +155,8 @@ pub struct RunReport {
     /// Combined (read + write) latency digest — the paper's headline
     /// latency numbers cover "across reads and write requests".
     pub all_latency: LatencySummary,
-    /// Simulated time spent per internal phase (GC relocation, erase,
-    /// whole stall, scrubbing).
-    pub phases: PhaseTimers,
+    /// Simulated time spent per internal phase.
+    pub phases: Phases,
     /// The run's event trace, in deterministic causal order. Empty
     /// unless the run was configured with
     /// [`SsdConfig::with_event_tracing`].
@@ -154,7 +188,7 @@ impl RunReport {
     /// Flattens every scalar counter of the run — device, pool, and
     /// dedup — into one deterministic name → value registry.
     pub fn counters(&self) -> CounterRegistry {
-        let mut reg = CounterRegistry::new();
+        let mut reg = CounterRegistry::default();
         reg.add("host_writes", self.host_writes);
         reg.add("host_reads", self.host_reads);
         reg.add("flash_programs", self.flash_programs);
@@ -215,7 +249,9 @@ impl RunReport {
             .collect();
         let phases = self
             .phases
-            .iter()
+            .named()
+            .into_iter()
+            .filter(|(_, total)| total.count > 0)
             .map(|(name, total)| {
                 (
                     name.to_string(),
@@ -341,7 +377,7 @@ mod tests {
             write_latency: summary(),
             read_latency: summary(),
             all_latency: summary(),
-            phases: PhaseTimers::new(),
+            phases: Phases::default(),
             events: Vec::new(),
         }
     }
@@ -385,9 +421,28 @@ mod tests {
     }
 
     #[test]
+    fn json_export_lists_the_phases_that_ran_in_name_order() {
+        let mut r = report();
+        let phases = |r: &RunReport| {
+            let doc = r.to_json(SimDuration::from_millis(1));
+            doc.get("phases").map(Json::to_string)
+        };
+        assert_eq!(phases(&r).as_deref(), Some("{}"));
+        r.phases.scrub.add(SimDuration::from_micros(2));
+        r.phases.gc_relocate.add(SimDuration::ZERO);
+        assert_eq!(
+            phases(&r).as_deref(),
+            Some(concat!(
+                r#"{"gc_relocate":{"total_ns":0,"count":1},"#,
+                r#""scrub":{"total_ns":2000,"count":1}}"#
+            ))
+        );
+    }
+
+    #[test]
     fn json_export_is_deterministic_and_parses() {
         let mut r = report();
-        r.phases.add("gc_erase", SimDuration::from_micros(3800));
+        r.phases.gc_erase.add(SimDuration::from_micros(3800));
         let window = SimDuration::from_millis(1);
         let text = r.to_json(window).to_string();
         assert_eq!(text, r.clone().to_json(window).to_string());

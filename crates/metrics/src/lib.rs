@@ -5,7 +5,8 @@
 //! percentile) latency, plus the CDF/share curves of the
 //! characterization section. This crate provides those primitives:
 //!
-//! * [`Counter`] — a monotone event counter,
+//! * [`reduction_pct`] — the relative reduction against Baseline that
+//!   every evaluation figure plots,
 //! * [`Timeline`] — every request's arrival and latency, windowed
 //!   over simulated time and digested into exact mean/percentile
 //!   [`LatencySummary`] values,
@@ -20,8 +21,7 @@
 //! * [`Event`] / [`EventLog`] — typed, timestamped,
 //!   zero-cost-when-disabled event tracing through the simulator's hot
 //!   paths,
-//! * [`CounterRegistry`] / [`PhaseTimers`] — deterministic name → value
-//!   counter maps and per-phase simulated-time accumulators,
+//! * [`CounterRegistry`] — a deterministic name → value counter map,
 //! * [`Json`] plus the `*_to_json` / `*_to_csv` exporters — dependency
 //!   free, byte-deterministic export of reports, windowed time series,
 //!   and event streams.
@@ -54,12 +54,12 @@ mod share;
 mod timeline;
 
 pub use cdf::Cdf;
-pub use counter::{reduction_pct, Counter};
+pub use counter::reduction_pct;
 pub use events::{Event, EventLog, FaultEvent, TracedEvent};
 pub use export::{
     events_to_csv, events_to_json, windows_to_csv, windows_to_json, Json, JsonParseError,
 };
 pub use latency::LatencySummary;
-pub use registry::{CounterRegistry, PhaseTimers, PhaseTotal};
+pub use registry::CounterRegistry;
 pub use share::{ShareCurve, SharePoint};
 pub use timeline::{Timeline, WindowStat};

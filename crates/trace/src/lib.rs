@@ -47,7 +47,7 @@ mod text;
 mod zipf;
 
 pub use arrival::{ArrivalProcess, ArrivalTimes, DEFAULT_BURST_LEN};
-pub use profile::WorkloadProfile;
+pub use profile::{ProfileError, WorkloadProfile};
 pub use record::{initial_value_of, IoOp, TraceRecord, INITIAL_VALUE_BASE};
 pub use stats::TraceStats;
 pub use synth::SyntheticTrace;

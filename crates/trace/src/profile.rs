@@ -1,6 +1,36 @@
 //! Workload profiles: the knobs of the synthetic generator plus the
 //! six paper presets (Table II).
 
+use core::fmt;
+use std::error::Error;
+
+/// A profile too large for the generator's compact tables, reported
+/// by [`WorkloadProfile::validate`] before anything is allocated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProfileError {
+    /// `requests_per_day × days` does not fit a `u64`.
+    RequestsOverflow,
+    /// The trace would hold this many writes, `u32::MAX` or more: the
+    /// generator keeps value ranks in `u32`s.
+    TooManyWrites(u64),
+    /// The footprint, in pages, is above `u32::MAX`: the generator
+    /// keeps addresses in `u32`s.
+    FootprintTooLarge(u64),
+}
+
+impl fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let max = u32::MAX;
+        match self {
+            Self::RequestsOverflow => f.write_str("requests per day times days overflows a u64"),
+            Self::TooManyWrites(n) => write!(f, "{n} writes: the generator takes fewer than {max}"),
+            Self::FootprintTooLarge(n) => write!(f, "{n} pages: the generator takes at most {max}"),
+        }
+    }
+}
+
+impl Error for ProfileError {}
+
 /// Parameters of a synthetic content workload.
 ///
 /// The three quantities Table II reports — write ratio, % unique write
@@ -256,6 +286,33 @@ impl WorkloadProfile {
     pub fn total_requests(&self) -> u64 {
         self.requests_per_day * u64::from(self.days)
     }
+
+    /// Writes among `total` requests: `write_ratio` of them, rounded.
+    pub(crate) fn write_count(&self, total: u64) -> u64 {
+        (((total as f64) * self.write_ratio).round() as u64).min(total)
+    }
+
+    /// Checks that the generator can produce this profile: the request
+    /// count fits a `u64`, the writes stay below `u32::MAX`, and the
+    /// footprint is at most `u32::MAX` pages.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first limit the profile breaks.
+    pub fn validate(&self) -> Result<(), ProfileError> {
+        let total = self
+            .requests_per_day
+            .checked_mul(u64::from(self.days))
+            .ok_or(ProfileError::RequestsOverflow)?;
+        let writes = self.write_count(total);
+        if writes >= u64::from(u32::MAX) {
+            return Err(ProfileError::TooManyWrites(writes));
+        }
+        if self.lpn_space > u64::from(u32::MAX) {
+            return Err(ProfileError::FootprintTooLarge(self.lpn_space));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -312,6 +369,30 @@ mod tests {
     #[should_panic(expected = "trim ratio")]
     fn bad_trim_ratio_rejected() {
         let _ = WorkloadProfile::web().with_trim_ratio(1.5);
+    }
+
+    #[test]
+    fn validate_rejects_what_the_generator_cannot_hold() {
+        for p in WorkloadProfile::paper_set() {
+            assert_eq!(p.validate(), Ok(()), "{}", p.name);
+        }
+        // Saturated by the scale: the request count overflows.
+        let huge = WorkloadProfile::web().scaled(1e300);
+        assert_eq!(huge.validate(), Err(ProfileError::RequestsOverflow));
+        let mut p = WorkloadProfile::web();
+        p.write_ratio = 1.0;
+        p.days = 1;
+        p.requests_per_day = u64::from(u32::MAX) - 1;
+        assert_eq!(p.validate(), Ok(()), "the largest write count fits");
+        p.requests_per_day += 1;
+        let err = p.validate().expect_err("one write too many");
+        assert_eq!(err, ProfileError::TooManyWrites(u64::from(u32::MAX)));
+        assert!(err.to_string().contains("4294967295 writes"), "{err}");
+        let mut p = WorkloadProfile::web();
+        p.lpn_space = u64::from(u32::MAX);
+        assert_eq!(p.validate(), Ok(()), "the largest footprint fits");
+        p.lpn_space += 1;
+        assert_eq!(p.validate(), Err(ProfileError::FootprintTooLarge(1 << 32)));
     }
 
     #[test]

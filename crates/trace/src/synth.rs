@@ -83,9 +83,10 @@ fn burstify<R: rand::Rng + ?Sized>(
 ///    8-byte slot. The table is built in LPN order and shuffled with
 ///    the same call a permutation of plain LPNs would use; Fisher–Yates
 ///    draws depend only on the length, so the permutation is the same.
-///    Both halves are `u32`: [`ZipfSampler::new`] keeps the footprint
-///    within `u32::MAX` pages, and generation asserts that the write
-///    count, hence every value rank, stays below `u32::MAX`.
+///    Both halves are `u32`: [`WorkloadProfile::validate`], which
+///    generation checks first, keeps the footprint within `u32::MAX`
+///    pages and the write count, hence every value rank, below
+///    `u32::MAX`.
 /// 5. When `trim_ratio > 0`, that fraction of requests are TRIMs
 ///    aimed at the write-hot region; a trimmed address reads as
 ///    initial content afterwards. At the default ratio of zero the
@@ -112,11 +113,17 @@ pub struct SyntheticTrace {
 
 impl SyntheticTrace {
     /// Generates a trace from a profile, deterministically in `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`WorkloadProfile::validate`] rejects the profile.
     pub fn generate(profile: &WorkloadProfile, seed: u64) -> Self {
+        if let Err(e) = profile.validate() {
+            panic!("cannot generate profile {}: {e}", profile.name);
+        }
         let mut rng = SmallRng::seed_from_u64(seed);
         let total = profile.total_requests() as usize;
-        let writes = ((total as f64) * profile.write_ratio).round() as usize;
-        let writes = writes.min(total);
+        let writes = profile.write_count(total as u64) as usize;
         let trims = (((total as f64) * profile.trim_ratio).round() as usize).min(total - writes);
         let reads = total - writes - trims;
 
@@ -132,11 +139,8 @@ impl SyntheticTrace {
 
         // 2. Write contents: creations + Zipf-ranked repetitions.
         // The slot table and the burst counts hold value ranks and
-        // per-value write counts as `u32`s, with `UNWRITTEN` kept free.
-        assert!(
-            writes < UNWRITTEN as usize,
-            "{writes} writes: value ranks must stay below u32::MAX"
-        );
+        // per-value write counts as `u32`s, with `UNWRITTEN` kept free
+        // (`validate` keeps the write count below it).
         let unique = (((writes as f64) * profile.unique_write_frac).round() as usize)
             .clamp(1.min(writes), writes.max(1));
         let mut values: Vec<u64> = Vec::with_capacity(writes);
@@ -150,8 +154,8 @@ impl SyntheticTrace {
         // and the value fully dies between bursts.
         let values = burstify(values, unique, profile.burst_len, &mut rng);
 
-        // 3/4. Address selection through the shuffled slot table. The
-        // samplers bound `lpn_space` by `u32::MAX`.
+        // 3/4. Address selection through the shuffled slot table.
+        // `validate` bounds `lpn_space` by `u32::MAX`.
         let write_addr = ZipfSampler::new(profile.lpn_space, profile.lpn_alpha);
         let read_addr = ZipfSampler::new(profile.lpn_space, profile.read_alpha);
         let mut slots: Vec<(u32, u32)> = (0..profile.lpn_space as u32)
@@ -188,7 +192,7 @@ impl SyntheticTrace {
                         write_addr.sample(&mut rng) as usize
                     };
                     let slot = &mut slots[rank];
-                    // Below `u32::MAX`: asserted with the write count.
+                    // Below `u32::MAX`: checked with the write count.
                     slot.1 = value as u32;
                     let lpn = Lpn::new(u64::from(slot.0));
                     records.push(TraceRecord::write(seq, lpn, ValueId::new(value)));

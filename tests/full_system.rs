@@ -330,14 +330,14 @@ fn trimmed_page_on_a_retired_block_stays_coherent() {
     // Churn fresh, never-repeated content until GC pressure forces
     // two blocks through the double-erase-failure retirement path.
     let mut i = 0u64;
-    while ssd.flash().stats().retired_blocks.get() < 2 {
+    while ssd.flash().stats().retired_blocks < 2 {
         ssd.write(Lpn::new(32 + (i % 64)), ValueId::new(10_000 + i), at)
             .expect("churn");
         i += 1;
         assert!(i < 10_000, "erase failures never retired a block");
     }
     assert!(
-        ssd.flash().stats().erase_failures.get() >= 2,
+        ssd.flash().stats().erase_failures >= 2,
         "retirement takes two failures"
     );
     ssd.check_invariants()
