@@ -79,6 +79,53 @@ fn bench_gc(c: &mut Criterion) {
     group.finish();
 }
 
+/// Logical pages of the popularity-aware GC case's drive: web's
+/// footprint, so each plane holds web's 184 blocks.
+const WEB_FOOTPRINT: u64 = 160_000;
+
+/// Skewed overwrites of a preconditioned MQ-DVP drive at web's
+/// footprint and pool size, one and a half times its logical capacity:
+/// the product of three uniform fractions of the footprint picks the
+/// address, so low addresses are hot, and 58% of writes reuse one of
+/// 8 192 values, so the pool revives pages and GC purges the pooled
+/// pages it erases (6 556 collections, 60 K revivals, 154 K purges,
+/// 266 K moves). Every collection takes the popularity-aware path
+/// (weight 0.5, the default), so victim selection, pool purges and
+/// relocation all count.
+fn bench_popularity_gc(c: &mut Criterion) {
+    let system = SystemKind::MqDvp { entries: 200_000 };
+    let mut group = c.benchmark_group("ftl_write_path");
+    group.sample_size(10);
+    group.bench_function(format!("gc/240k_skewed_overwrites/{system}"), |b| {
+        b.iter_batched_ref(
+            || {
+                let config = SsdConfig::for_footprint(WEB_FOOTPRINT)
+                    .with_system(system)
+                    .with_faults(FaultConfig::none());
+                Ssd::new(config).expect("valid drive")
+            },
+            |ssd| {
+                for i in 0..3 * WEB_FOOTPRINT / 2 {
+                    let r = splitmix64(i);
+                    let lpn = (r % WEB_FOOTPRINT) * (splitmix64(r) % WEB_FOOTPRINT) / WEB_FOOTPRINT
+                        * (splitmix64(r ^ 1) % WEB_FOOTPRINT)
+                        / WEB_FOOTPRINT;
+                    let value = if r >> 56 < 107 {
+                        ValueId::new(1 << 40 | i)
+                    } else {
+                        ValueId::new((r >> 8) % 8_192)
+                    };
+                    ssd.write(Lpn::new(lpn), value, SimTime::ZERO)
+                        .expect("write");
+                }
+                black_box(ssd.stats().gc_collections)
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     // Keep `cargo bench --workspace` to a few minutes: fewer
@@ -87,6 +134,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_write_path, bench_gc
+    targets = bench_write_path, bench_gc, bench_popularity_gc
 }
 criterion_main!(benches);
