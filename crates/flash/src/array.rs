@@ -261,6 +261,19 @@ impl FlashArray {
         self.blocks[block.index() as usize].free_count()
     }
 
+    /// What each block of `plane` offers GC, in block order: the
+    /// invalid page count of a full block (no free page), 0 for any
+    /// other block. A plane's blocks are contiguous, so this reads one
+    /// run of block records and no page. Nonzero marks the blocks GC
+    /// reclaims in the normal course; the count ranks them.
+    pub fn reclaimable_pages(&self, plane: u64) -> impl Iterator<Item = u32> + Clone + '_ {
+        let per_plane = self.geometry.blocks_per_plane() as usize;
+        let first = plane as usize * per_plane;
+        self.blocks[first..first + per_plane]
+            .iter()
+            .map(Block::reclaimable)
+    }
+
     /// Reads a page. The page must hold data (valid or invalid — GC
     /// may read garbage pages).
     ///
@@ -799,6 +812,36 @@ mod tests {
         assert!(panics(&|f| {
             let _ = f.retire_block(beyond);
         }));
+    }
+
+    #[test]
+    fn reclaimable_pages_count_the_garbage_of_full_blocks_only() {
+        let mut flash = tiny();
+        let plane = |flash: &FlashArray| flash.reclaimable_pages(0).collect::<Vec<_>>();
+        assert_eq!(flash.reclaimable_pages(1).count(), 2, "two blocks a plane");
+        let (first, _) = program(&mut flash, 0, SimTime::ZERO);
+        flash.invalidate_page(first).expect("invalidate");
+        assert_eq!(plane(&flash), [0, 0], "garbage in a block with free pages");
+        for _ in 0..3 {
+            program(&mut flash, 0, SimTime::ZERO);
+        }
+        assert_eq!(plane(&flash), [1, 0], "the block filled");
+        flash.invalidate_page(Ppn::new(1)).expect("invalidate");
+        flash.revive_page(first).expect("revive");
+        assert_eq!(plane(&flash), [1, 0]);
+        let _ = flash
+            .erase_block(BlockId::new(1), SimTime::ZERO)
+            .expect("erase");
+        assert_eq!(plane(&flash), [1, 0], "the neighbour is untouched");
+        for ppn in [0, 2, 3].map(Ppn::new) {
+            flash.invalidate_page(ppn).expect("invalidate");
+        }
+        assert_eq!(plane(&flash), [4, 0]);
+        assert_eq!(flash.reclaimable_pages(1).collect::<Vec<_>>(), [0, 0]);
+        let _ = flash
+            .erase_block(BlockId::new(0), SimTime::ZERO)
+            .expect("erase");
+        assert_eq!(plane(&flash), [0, 0], "an erased block has free pages");
     }
 
     #[test]

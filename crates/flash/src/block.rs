@@ -148,6 +148,19 @@ impl Block {
         self.free_count = 0;
     }
 
+    /// The invalid pages of a full block (no free page), 0 for any
+    /// other block: see [`FlashArray::reclaimable_pages`].
+    ///
+    /// [`FlashArray::reclaimable_pages`]: crate::FlashArray::reclaimable_pages
+    #[inline]
+    pub(crate) fn reclaimable(&self) -> u32 {
+        if self.free_count == 0 {
+            self.invalid_count
+        } else {
+            0
+        }
+    }
+
     pub(crate) fn info(&self) -> BlockInfo {
         BlockInfo {
             valid_pages: self.valid_count,
@@ -295,6 +308,22 @@ mod tests {
         b.erase(&mut pages);
         assert_eq!(b.free_count(), 0);
         assert!(b.info().is_retired());
+    }
+
+    #[test]
+    fn only_a_full_block_has_reclaimable_pages() {
+        let (mut b, mut pages) = fresh(4);
+        b.program_at_cursor(&mut pages);
+        pages[0] = PageState::Invalid;
+        b.valid_count = 0;
+        b.invalid_count = 1;
+        b.fail_at_cursor(&mut pages);
+        b.program_at_cursor(&mut pages);
+        assert_eq!(b.reclaimable(), 0, "one free page is left");
+        b.program_at_cursor(&mut pages);
+        assert_eq!(b.reclaimable(), 1, "full, bad page included");
+        b.retire(&mut pages);
+        assert_eq!(b.reclaimable(), 0, "full, but no garbage");
     }
 
     #[test]
