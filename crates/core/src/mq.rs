@@ -69,12 +69,103 @@ impl Default for MqConfig {
     }
 }
 
+/// The garbage pages of one pool entry, in the order a `Vec` would
+/// keep them. Most entries track one page, so the first is held
+/// inline and a heap list is made only for a second: a death of a new
+/// value, the pool's most common insertion, allocates nothing. Pages
+/// are stored as `u32`, so the type is no larger than a `Vec`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Pages {
+    /// Exactly one page.
+    One(u32),
+    /// Any number of pages; an entry that once held two keeps its list
+    /// until it leaves the pool.
+    Many(Vec<u32>),
+}
+
+impl Pages {
+    /// A list of one page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` does not fit in 32 bits.
+    fn one(ppn: Ppn) -> Self {
+        Pages::One(Self::pack(ppn))
+    }
+
+    fn pack(ppn: Ppn) -> u32 {
+        u32::try_from(ppn.index()).expect("pool page numbers fit in 32 bits")
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Pages::One(page) => std::slice::from_ref(page),
+            Pages::Many(pages) => pages,
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Ppn> + '_ {
+        self.as_slice().iter().map(|&page| Ppn::new(page.into()))
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Appends `ppn`, as `Vec::push`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` does not fit in 32 bits.
+    fn push(&mut self, ppn: Ppn) {
+        let page = Self::pack(ppn);
+        match self {
+            Pages::One(first) => *self = Pages::Many(vec![*first, page]),
+            Pages::Many(pages) => pages.push(page),
+        }
+    }
+
+    /// Removes and returns the last page, as `Vec::pop`.
+    fn pop(&mut self) -> Option<Ppn> {
+        let page = match self {
+            Pages::One(page) => {
+                let page = *page;
+                *self = Pages::Many(Vec::new());
+                Some(page)
+            }
+            Pages::Many(pages) => pages.pop(),
+        };
+        page.map(|page| Ppn::new(page.into()))
+    }
+
+    /// Removes `ppn`, moving the last page into its place, as
+    /// `Vec::swap_remove` at its position. Returns whether it was
+    /// present.
+    fn swap_remove(&mut self, ppn: Ppn) -> bool {
+        let Some(at) = self.iter().position(|page| page == ppn) else {
+            return false;
+        };
+        match self {
+            Pages::One(_) => *self = Pages::Many(Vec::new()),
+            Pages::Many(pages) => {
+                pages.swap_remove(at);
+            }
+        }
+        true
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
     value: ValueId,
     /// Garbage pages currently holding this value, most recent death
     /// last. A hit surrenders the most recently dead copy.
-    ppns: Vec<Ppn>,
+    ppns: Pages,
     pop: PopularityDegree,
     expire: WriteClock,
     last_access: WriteClock,
@@ -243,7 +334,7 @@ impl MqDeadValuePool {
     fn evict_one(&mut self) {
         if let Some(id) = self.queues.iter().find_map(ListHandle::head) {
             let entry = self.unlink_entry(id);
-            for ppn in entry.ppns {
+            for ppn in entry.ppns.iter() {
                 self.by_ppn.remove(ppn, entry.pop);
             }
             self.stats.evictions += 1;
@@ -254,7 +345,7 @@ impl MqDeadValuePool {
     /// to `to` in the per-block sums.
     fn reweigh_entry(&mut self, id: SlotId, from: PopularityDegree, to: PopularityDegree) {
         if from != to {
-            for &ppn in &self.slab.get(id).ppns {
+            for ppn in self.slab.get(id).ppns.iter() {
                 self.by_ppn.reweigh(ppn, from, to);
             }
         }
@@ -313,6 +404,11 @@ impl MqDeadValuePool {
     }
 
     /// Offers a freshly dead page to the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` does not fit in 32 bits, the width of every
+    /// drive's page numbers.
     pub fn insert_dead(
         &mut self,
         value: ValueId,
@@ -338,7 +434,7 @@ impl MqDeadValuePool {
         } else {
             let entry = Entry {
                 value,
-                ppns: vec![ppn],
+                ppns: Pages::one(ppn),
                 pop,
                 expire: now.plus(self.hottest_interval),
                 last_access: now,
@@ -364,12 +460,8 @@ impl MqDeadValuePool {
         self.stats.gc_removals += 1;
         let emptied = {
             let entry = self.slab.get_mut(id);
-            let pos = entry
-                .ppns
-                .iter()
-                .position(|&p| p == ppn)
-                .expect("ppn index consistent with entry");
-            entry.ppns.swap_remove(pos);
+            let found = entry.ppns.swap_remove(ppn);
+            assert!(found, "ppn index consistent with entry");
             entry.ppns.is_empty()
         };
         if emptied {
@@ -417,6 +509,63 @@ impl MqDeadValuePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The inline list behaves as a `Vec` under any sequence of
+        /// pushes, pops and swap-removes (of a present page, a page
+        /// chosen by index, or an absent one), from its first page on.
+        #[test]
+        fn pages_behave_as_a_vec(
+            first in 0u64..8,
+            ops in prop::collection::vec((0u8..4, 0u64..8), 0..40),
+        ) {
+            let mut pages = Pages::one(Ppn::new(first));
+            let mut model = vec![Ppn::new(first)];
+            for (op, arg) in ops {
+                match op {
+                    0 | 1 => {
+                        pages.push(Ppn::new(arg));
+                        model.push(Ppn::new(arg));
+                    }
+                    2 => prop_assert_eq!(pages.pop(), model.pop()),
+                    _ => {
+                        // A page at some index of the model, or absent
+                        // when the model is empty.
+                        let ppn = model
+                            .get(arg as usize % model.len().max(1))
+                            .copied()
+                            .unwrap_or(Ppn::new(arg));
+                        let at = model.iter().position(|&p| p == ppn);
+                        if let Some(at) = at {
+                            model.swap_remove(at);
+                        }
+                        prop_assert_eq!(pages.swap_remove(ppn), at.is_some());
+                    }
+                }
+                prop_assert_eq!(pages.iter().collect::<Vec<_>>(), model.clone());
+                prop_assert_eq!(pages.len(), model.len());
+                prop_assert_eq!(pages.is_empty(), model.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn a_page_list_is_no_larger_than_a_vec() {
+        assert_eq!(
+            std::mem::size_of::<Pages>(),
+            std::mem::size_of::<Vec<Ppn>>()
+        );
+        assert!(matches!(Pages::one(Ppn::new(7)), Pages::One(7)));
+    }
+
+    #[test]
+    #[should_panic(expected = "32 bits")]
+    fn pages_beyond_32_bits_are_rejected() {
+        let _ = Pages::one(Ppn::new(1 << 32));
+    }
 
     fn pool(capacity: usize) -> MqDeadValuePool {
         MqDeadValuePool::new(MqConfig::default().with_capacity(capacity), 4)
