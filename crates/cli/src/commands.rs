@@ -268,26 +268,34 @@ fn fault_flags(args: &Args) -> Result<FaultConfig, Box<dyn Error>> {
     Ok(faults)
 }
 
-fn simulate(
-    records: &[TraceRecord],
+/// The scaled drive for `footprint` logical pages running `system`,
+/// with the arrival and fault flags applied, validated. A footprint too
+/// large for any drive is an error in the value of `--flag`, the flag
+/// it came from. The commands build it before they generate or replay
+/// a trace, so a rejected drive costs no generation.
+fn drive_config(
     footprint: u64,
+    flag: &str,
     system: SystemKind,
-    arrival: &ArrivalFlags,
-    faults: FaultConfig,
-    metrics_out: Option<&str>,
-) -> CliResult {
-    let config = arrival.apply(
-        SsdConfig::for_footprint(footprint)
-            .with_system(system)
-            .with_faults(faults),
-    )?;
-    if !faults.is_none() {
-        eprintln!("fault injection: {faults}");
+    args: &Args,
+) -> Result<SsdConfig, Box<dyn Error>> {
+    let config = SsdConfig::try_for_footprint(footprint)
+        .map_err(|e| ArgError(format!("bad value for --{flag}: {}", e.message())))?
+        .with_system(system)
+        .with_faults(fault_flags(args)?);
+    let config = ArrivalFlags::from_args(args)?.apply(config)?;
+    config.validate()?;
+    Ok(config)
+}
+
+fn simulate(records: &[TraceRecord], config: SsdConfig, metrics_out: Option<&str>) -> CliResult {
+    if !config.faults.is_none() {
+        eprintln!("fault injection: {}", config.faults);
     }
     eprintln!(
         "simulating {} requests on {} ({} physical pages, OP {:.1}%)...",
         records.len(),
-        system,
+        config.system,
         config.geometry.total_pages(),
         config.over_provisioning() * 100.0
     );
@@ -326,17 +334,9 @@ fn run(argv: &[String]) -> CliResult {
     let entries: usize = args.parse_or("entries", 200_000)?;
     let system = system(args.required("system")?, entries)?;
     let seed: u64 = args.parse_or("seed", 42)?;
+    let config = drive_config(profile.lpn_space, "scale", system, &args)?;
     let trace = SyntheticTrace::generate(&profile, seed);
-    let arrival = ArrivalFlags::from_args(&args)?;
-    let faults = fault_flags(&args)?;
-    simulate(
-        trace.records(),
-        profile.lpn_space,
-        system,
-        &arrival,
-        faults,
-        args.optional("metrics-out"),
-    )
+    simulate(trace.records(), config, args.optional("metrics-out"))
 }
 
 fn replay(argv: &[String]) -> CliResult {
@@ -377,16 +377,8 @@ fn replay(argv: &[String]) -> CliResult {
             "bad value for --footprint: expected at least 1, got 0".to_owned(),
         )));
     }
-    let arrival = ArrivalFlags::from_args(&args)?;
-    let faults = fault_flags(&args)?;
-    simulate(
-        &records,
-        footprint,
-        system,
-        &arrival,
-        faults,
-        args.optional("metrics-out"),
-    )
+    let config = drive_config(footprint, "footprint", system, &args)?;
+    simulate(&records, config, args.optional("metrics-out"))
 }
 
 /// `zssd events` — run a workload with event tracing enabled, print
@@ -404,10 +396,10 @@ fn events(argv: &[String]) -> CliResult {
     let system = system(args.required("system")?, entries)?;
     let seed: u64 = args.parse_or("seed", 42)?;
     let tail: usize = args.parse_or("tail", 20)?;
+    // `events` takes no arrival or fault flags, so those stay at the
+    // drive's defaults (`ZSSD_FAULTS` included).
+    let config = drive_config(profile.lpn_space, "scale", system, &args)?.with_event_tracing(true);
     let trace = SyntheticTrace::generate(&profile, seed);
-    let config = SsdConfig::for_footprint(profile.lpn_space)
-        .with_system(system)
-        .with_event_tracing(true);
     eprintln!(
         "tracing {} requests on {} ({} physical pages)...",
         trace.records().len(),
@@ -785,6 +777,61 @@ mod tests {
             "bad value for --footprint: expected at least 1, got 0"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn replay_rejects_a_footprint_no_plane_can_hold() {
+        let dir = std::env::temp_dir().join(format!("zssd-cli-huge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("one-write.trace");
+        std::fs::write(&path, "0 W 3 7\n").expect("writable");
+        let path_str = path.to_str().expect("utf8 path").to_owned();
+        let argv: Vec<String> = [
+            "replay",
+            "--trace",
+            &path_str,
+            "--system",
+            "baseline",
+            "--footprint",
+            "18446744073709551615",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = dispatch(&argv).expect_err("no drive has 2^64 - 1 pages");
+        let arg = err
+            .downcast_ref::<ArgError>()
+            .expect("a typed argument error");
+        assert_eq!(
+            arg.to_string(),
+            "bad value for --footprint: a footprint of 18446744073709551615 pages needs \
+             18014398509481984 blocks per plane, more than 4294967295 fit"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn run_and_events_reject_a_drive_before_generating_its_trace() {
+        // At full scale mail generates 3 M records; a rejected drive
+        // must fail before that, on the configuration alone.
+        for command in ["run", "events"] {
+            let argv: Vec<String> = [command, "--workload", "mail", "--system", "dvp"]
+                .iter()
+                .chain(&["--entries", "0"])
+                .map(|s| s.to_string())
+                .collect();
+            let started = std::time::Instant::now();
+            let err = dispatch(&argv).expect_err("an empty pool is rejected");
+            assert_eq!(
+                err.to_string(),
+                "invalid configuration: dead-value pool capacity must be at least one entry"
+            );
+            assert!(
+                started.elapsed() < std::time::Duration::from_millis(500),
+                "{command} took {:?} to reject the drive",
+                started.elapsed()
+            );
+        }
     }
 
     #[test]

@@ -146,9 +146,26 @@ impl SsdConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `logical_pages` is zero.
+    /// Panics if `logical_pages` is zero or the drive would need more
+    /// than `u32::MAX` blocks per plane; see
+    /// [`try_for_footprint`](SsdConfig::try_for_footprint).
     pub fn for_footprint(logical_pages: u64) -> Self {
-        assert!(logical_pages > 0, "logical capacity must be nonzero");
+        SsdConfig::try_for_footprint(logical_pages).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`for_footprint`](SsdConfig::for_footprint) for a footprint that
+    /// comes from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `logical_pages` is zero or the drive would
+    /// need more than `u32::MAX` blocks per plane. A drive it builds
+    /// may still fail [`validate`](SsdConfig::validate): one of more
+    /// than `u32::MAX` pages is built but not valid.
+    pub fn try_for_footprint(logical_pages: u64) -> Result<Self, ConfigError> {
+        if logical_pages == 0 {
+            return Err(ConfigError::new("logical capacity must be nonzero"));
+        }
         let channels = 4u32;
         let chips = 2u32;
         let dies = 1u32;
@@ -156,9 +173,16 @@ impl SsdConfig {
         let pages_per_block = 64u32;
         let plane_count = u64::from(channels * chips * dies * planes);
         let physical_target = (logical_pages as f64 / 0.85).ceil() as u64;
-        let blocks_per_plane = physical_target
+        let blocks = physical_target
             .div_ceil(plane_count * u64::from(pages_per_block))
-            .max(16) as u32;
+            .max(16);
+        let blocks_per_plane = u32::try_from(blocks).map_err(|_| {
+            ConfigError::new(format!(
+                "a footprint of {logical_pages} pages needs {blocks} blocks per plane, \
+                 more than {} fit",
+                u32::MAX
+            ))
+        })?;
         let geometry = Geometry::new(
             channels,
             chips,
@@ -170,7 +194,7 @@ impl SsdConfig {
         .expect("scaled geometry is valid");
         let mut config = SsdConfig::new(geometry);
         config.logical_pages = logical_pages;
-        config
+        Ok(config)
     }
 
     /// A tiny single-channel drive for unit tests: 2 planes × 8 blocks
@@ -349,6 +373,33 @@ mod tests {
             assert!(c.over_provisioning() >= 0.15 - 1e-9, "OP for {pages}");
             c.validate().expect("valid");
         }
+    }
+
+    #[test]
+    fn footprints_beyond_u32_blocks_per_plane_are_errors() {
+        let err = SsdConfig::try_for_footprint(u64::MAX).expect_err("wraps no block count");
+        assert!(err.to_string().contains("blocks per plane"), "{err}");
+        assert!(SsdConfig::try_for_footprint(0).is_err());
+        // The largest footprint whose plane fits u32::MAX blocks builds,
+        // and fails validation on its page count instead.
+        let limit = u64::from(u32::MAX) * 16 * 64 * 85 / 100;
+        let c = SsdConfig::try_for_footprint(limit).expect("fits u32 blocks per plane");
+        assert_eq!(c.geometry.blocks_per_plane(), u32::MAX);
+        let err = c.validate().expect_err("too many pages");
+        assert!(err.to_string().contains("32-bit page numbers"), "{err}");
+        assert!(SsdConfig::try_for_footprint(limit * 2).is_err());
+        assert_eq!(
+            SsdConfig::try_for_footprint(10_000)
+                .expect("small")
+                .geometry,
+            SsdConfig::for_footprint(10_000).geometry
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero")]
+    fn a_zero_footprint_panics() {
+        let _ = SsdConfig::for_footprint(0);
     }
 
     #[test]

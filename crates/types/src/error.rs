@@ -60,6 +60,12 @@ impl ConfigError {
             message: message.into(),
         }
     }
+
+    /// The message, without the "invalid configuration" prefix that
+    /// `Display` adds.
+    pub fn message(&self) -> &str {
+        &self.message
+    }
 }
 
 impl fmt::Display for ConfigError {
@@ -86,6 +92,7 @@ mod tests {
     fn config_error_displays_message() {
         let err = ConfigError::new("pages per block must be nonzero");
         assert!(err.to_string().contains("pages per block"));
+        assert_eq!(err.message(), "pages per block must be nonzero");
     }
 
     #[test]
