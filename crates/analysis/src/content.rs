@@ -117,7 +117,7 @@ mod tests {
     use super::*;
 
     fn w(lpn: u64, value: u64) -> TraceRecord {
-        TraceRecord::write(0, Lpn::new(lpn), ValueId::new(value))
+        TraceRecord::write(Lpn::new(lpn), ValueId::new(value))
     }
 
     fn steps(rule: Rule, records: &[TraceRecord]) -> Vec<(Found, Option<(ValueId, u64)>)> {
@@ -160,7 +160,7 @@ mod tests {
             let mut replay = Replay::new(rule);
             replay.step(&w(0, 7));
             replay.step(&w(1, 8));
-            let trim = TraceRecord::trim(0, Lpn::new(0));
+            let trim = TraceRecord::trim(Lpn::new(0));
             assert_eq!(replay.step(&trim), (Found::Nothing, Some((v(7), 1))));
             // A second trim of the unmapped page kills nothing.
             assert_eq!(replay.step(&trim), (Found::Nothing, None));
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn reads_change_nothing() {
-        let read = TraceRecord::read(0, Lpn::new(0), ValueId::new(9));
+        let read = TraceRecord::read(Lpn::new(0), ValueId::new(9));
         for rule in [Rule::EveryKill, Rule::LastReference] {
             let mut plain = Replay::new(rule);
             let mut with_reads = Replay::new(rule);

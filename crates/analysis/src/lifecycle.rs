@@ -36,26 +36,6 @@ pub struct ValueStats {
     pub dead_time_samples: u64,
 }
 
-impl ValueStats {
-    /// Mean number of writes between a copy's birth and its death.
-    pub fn mean_lifetime(&self) -> f64 {
-        if self.lifetime_samples == 0 {
-            0.0
-        } else {
-            self.lifetime_sum as f64 / self.lifetime_samples as f64
-        }
-    }
-
-    /// Mean number of writes a value spends dead before rebirth.
-    pub fn mean_dead_time(&self) -> f64 {
-        if self.dead_time_samples == 0 {
-            0.0
-        } else {
-            self.dead_time_sum as f64 / self.dead_time_samples as f64
-        }
-    }
-}
-
 /// One popularity band of Figs 4 and 6: values bucketed by
 /// `floor(log2(writes))`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,9 +85,9 @@ pub(crate) fn popularity_bins(values: impl Iterator<Item = (u64, f64, u64)>) -> 
 ///
 /// // Value 7 is created, dies, and is reborn.
 /// let records = [
-///     TraceRecord::write(0, Lpn::new(0), ValueId::new(7)),
-///     TraceRecord::write(1, Lpn::new(0), ValueId::new(8)), // kills 7
-///     TraceRecord::write(2, Lpn::new(1), ValueId::new(7)), // rebirth
+///     TraceRecord::write(Lpn::new(0), ValueId::new(7)),
+///     TraceRecord::write(Lpn::new(0), ValueId::new(8)), // kills 7
+///     TraceRecord::write(Lpn::new(1), ValueId::new(7)), // rebirth
 /// ];
 /// let lc = ValueLifecycles::analyze(&records);
 /// let stats = lc.value(ValueId::new(7)).expect("tracked");
@@ -157,11 +137,6 @@ impl ValueLifecycles {
     /// Number of distinct values written.
     pub fn unique_values(&self) -> u64 {
         self.values.len() as u64
-    }
-
-    /// Total writes scanned.
-    pub fn total_writes(&self) -> u64 {
-        self.values.values().map(|s| s.writes).sum()
     }
 
     /// Total rebirths across all values: the reusable-write count of
@@ -235,8 +210,8 @@ mod tests {
     use super::*;
     use zssd_types::Lpn;
 
-    fn w(seq: u64, lpn: u64, value: u64) -> TraceRecord {
-        TraceRecord::write(seq, Lpn::new(lpn), ValueId::new(value))
+    fn w(lpn: u64, value: u64) -> TraceRecord {
+        TraceRecord::write(Lpn::new(lpn), ValueId::new(value))
     }
 
     #[test]
@@ -244,25 +219,24 @@ mod tests {
         // 7 written twice at different addresses, both copies die,
         // then 7 returns twice (two rebirths).
         let records = [
-            w(0, 0, 7),
-            w(1, 1, 7),
-            w(2, 0, 1), // death of copy @0
-            w(3, 1, 2), // death of copy @1
-            w(4, 2, 7), // rebirth 1
-            w(5, 3, 7), // rebirth 2
+            w(0, 7),
+            w(1, 7),
+            w(0, 1), // death of copy @0
+            w(1, 2), // death of copy @1
+            w(2, 7), // rebirth 1
+            w(3, 7), // rebirth 2
         ];
         let lc = ValueLifecycles::analyze(&records);
         let s = lc.value(ValueId::new(7)).expect("tracked");
         assert_eq!(s.writes, 4);
         assert_eq!(s.deaths, 2);
         assert_eq!(s.rebirths, 2);
-        assert_eq!(lc.total_writes(), 6);
         assert_eq!(lc.unique_values(), 3);
     }
 
     #[test]
     fn rebirth_requires_a_dead_copy() {
-        let records = [w(0, 0, 7), w(1, 1, 7)]; // two live copies, no death
+        let records = [w(0, 7), w(1, 7)]; // two live copies, no death
         let lc = ValueLifecycles::analyze(&records);
         let s = lc.value(ValueId::new(7)).expect("tracked");
         assert_eq!(s.rebirths, 0);
@@ -272,35 +246,35 @@ mod tests {
     #[test]
     fn lifetime_interval_measured_in_writes() {
         let records = [
-            w(0, 0, 7), // clock 1: birth
-            w(1, 5, 9), // clock 2
-            w(2, 0, 8), // clock 3: death of 7 -> lifetime 2
-            w(3, 1, 7), // clock 4: rebirth -> dead time 1
+            w(0, 7), // clock 1: birth
+            w(5, 9), // clock 2
+            w(0, 8), // clock 3: death of 7 -> lifetime 2
+            w(1, 7), // clock 4: rebirth -> dead time 1
         ];
         let lc = ValueLifecycles::analyze(&records);
         let s = lc.value(ValueId::new(7)).expect("tracked");
         assert_eq!(s.lifetime_sum, 2);
         assert_eq!(s.lifetime_samples, 1);
-        assert_eq!(s.mean_lifetime(), 2.0);
         assert_eq!(s.dead_time_sum, 1);
-        assert_eq!(s.mean_dead_time(), 1.0);
+        assert_eq!(s.dead_time_samples, 1);
     }
 
     #[test]
     fn reads_are_ignored() {
         let records = [
-            w(0, 0, 7),
-            TraceRecord::read(1, Lpn::new(0), ValueId::new(7)),
-            w(2, 0, 8),
+            w(0, 7),
+            TraceRecord::read(Lpn::new(0), ValueId::new(7)),
+            w(0, 8),
         ];
         let lc = ValueLifecycles::analyze(&records);
-        assert_eq!(lc.total_writes(), 2);
+        let writes = |v: u64| lc.value(ValueId::new(v)).expect("tracked").writes;
+        assert_eq!(writes(7) + writes(8), 2);
         assert_eq!(lc.value(ValueId::new(7)).expect("tracked").deaths, 1);
     }
 
     #[test]
     fn invalidation_cdf_counts_values() {
-        let records = [w(0, 0, 1), w(1, 0, 2), w(2, 0, 3)];
+        let records = [w(0, 1), w(0, 2), w(0, 3)];
         // value 1 died, value 2 died, value 3 live
         let cdf = ValueLifecycles::analyze(&records).invalidation_cdf();
         assert_eq!(cdf.len(), 3);
@@ -313,12 +287,12 @@ mod tests {
         // Value 9 written 9 times (dying each time at the same lpn),
         // values 1..=3 written once each.
         let mut records = Vec::new();
-        for i in 0..9 {
-            records.push(w(i, 0, 9));
+        for _ in 0..9 {
+            records.push(w(0, 9));
         }
-        records.push(w(9, 1, 1));
-        records.push(w(10, 2, 2));
-        records.push(w(11, 3, 3));
+        records.push(w(1, 1));
+        records.push(w(2, 2));
+        records.push(w(3, 3));
         let lc = ValueLifecycles::analyze(&records);
         let writes = lc.writes_share();
         assert_eq!(writes.share_of_top(0.25), 0.75); // 9 of 12 writes
@@ -331,13 +305,11 @@ mod tests {
     #[test]
     fn popularity_bins_are_log2_bands() {
         let mut records = Vec::new();
-        let mut seq = 0;
         // value 1: 1 write -> band 0; value 2: 2 writes -> band 1;
         // value 3: 5 writes -> band 2.
         for (value, count) in [(1u64, 1u64), (2, 2), (3, 5)] {
             for _ in 0..count {
-                records.push(w(seq, 100 + value, value));
-                seq += 1;
+                records.push(w(100 + value, value));
             }
         }
         let lc = ValueLifecycles::analyze(&records);

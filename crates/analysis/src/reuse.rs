@@ -63,9 +63,9 @@ impl InfiniteReuse {
 /// use zssd_types::{Lpn, ValueId};
 ///
 /// let records = [
-///     TraceRecord::write(0, Lpn::new(0), ValueId::new(7)),
-///     TraceRecord::write(1, Lpn::new(0), ValueId::new(8)), // 7 dies
-///     TraceRecord::write(2, Lpn::new(1), ValueId::new(7)), // reusable
+///     TraceRecord::write(Lpn::new(0), ValueId::new(7)),
+///     TraceRecord::write(Lpn::new(0), ValueId::new(8)), // 7 dies
+///     TraceRecord::write(Lpn::new(1), ValueId::new(7)), // reusable
 /// ];
 /// let reuse = infinite_reuse(&records, false);
 /// assert_eq!(reuse.reused, 1);
@@ -200,13 +200,13 @@ mod tests {
     use super::*;
     use zssd_trace::{SyntheticTrace, WorkloadProfile};
 
-    fn w(seq: u64, lpn: u64, value: u64) -> TraceRecord {
-        TraceRecord::write(seq, Lpn::new(lpn), ValueId::new(value))
+    fn w(lpn: u64, value: u64) -> TraceRecord {
+        TraceRecord::write(Lpn::new(lpn), ValueId::new(value))
     }
 
     #[test]
     fn infinite_reuse_counts_simple_rebirth() {
-        let records = [w(0, 0, 7), w(1, 0, 8), w(2, 1, 7), w(3, 2, 7)];
+        let records = [w(0, 7), w(0, 8), w(1, 7), w(2, 7)];
         let r = infinite_reuse(&records, false);
         // Only one dead copy of 7 existed; the second rewrite programs.
         assert_eq!(r.reused, 1);
@@ -218,7 +218,7 @@ mod tests {
     fn dedup_mode_splits_wins() {
         // 7 written twice while live (dedup win), then dies, then
         // returns (pool win).
-        let records = [w(0, 0, 7), w(1, 1, 7), w(2, 0, 8), w(3, 1, 9), w(4, 2, 7)];
+        let records = [w(0, 7), w(1, 7), w(0, 8), w(1, 9), w(2, 7)];
         let r = infinite_reuse(&records, true);
         assert_eq!(r.dedup_eliminated, 1);
         assert_eq!(r.reused, 1);
@@ -233,7 +233,7 @@ mod tests {
         // order resolves the pool lookup *before* this write's own
         // death, so the second rewrite misses (no dead copy yet) and
         // the third hits the copy killed by the second.
-        let records = [w(0, 0, 7), w(1, 0, 7), w(2, 0, 7)];
+        let records = [w(0, 7), w(0, 7), w(0, 7)];
         let r = infinite_reuse(&records, false);
         assert_eq!(r.reused, 1);
     }

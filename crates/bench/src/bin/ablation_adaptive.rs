@@ -20,10 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Splice: mail records then trans records remapped into the mail
     // footprint.
     let mut records = t1.records().to_vec();
-    let base = records.len() as u64;
     records.extend(t2.records().iter().map(|r| {
         let mut r = *r;
-        r.seq += base;
         r.lpn = zssd_types::Lpn::new(r.lpn.index() % mail.lpn_space);
         r
     }));

@@ -105,7 +105,7 @@ pub fn arrival_spec() -> String {
 /// Panics with a descriptive message when `ZSSD_ARRIVAL` holds an
 /// unknown spec — experiments should fail loudly, not silently fall
 /// back to uniform arrivals.
-pub fn arrival_for(mean: zssd_types::SimDuration) -> ArrivalProcess {
+fn arrival_for(mean: zssd_types::SimDuration) -> ArrivalProcess {
     let spec = arrival_spec();
     ArrivalProcess::from_spec(&spec, mean, seed()).unwrap_or_else(|e| panic!("ZSSD_ARRIVAL: {e}"))
 }

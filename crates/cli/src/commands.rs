@@ -138,9 +138,16 @@ impl ArrivalFlags {
         let interval = match args.optional("interval-us") {
             None => None,
             Some(raw) => {
-                Some(SimDuration::from_micros(raw.parse().map_err(|e| {
-                    ArgError(format!("bad value for --interval-us: {e}"))
-                })?))
+                let us: u64 = raw
+                    .parse()
+                    .map_err(|e| ArgError(format!("bad value for --interval-us: {e}")))?;
+                let ns = us.checked_mul(1_000).ok_or_else(|| {
+                    ArgError(format!(
+                        "bad value for --interval-us: expected at most {} microseconds, got {us}",
+                        u64::MAX / 1_000
+                    ))
+                })?;
+                Some(SimDuration::from_nanos(ns))
             }
         };
         Ok(ArrivalFlags {
@@ -238,9 +245,10 @@ fn gen(argv: &[String]) -> CliResult {
     let profile = scaled_profile(&args)?;
     let out = args.required("out")?;
     let seed: u64 = args.parse_or("seed", 42)?;
+    let arrivals = ArrivalFlags::from_args(&args)?.process()?;
     let trace = SyntheticTrace::generate(&profile, seed);
     let mut records = trace.records().to_vec();
-    if let Some(process) = ArrivalFlags::from_args(&args)?.process()? {
+    if let Some(process) = arrivals {
         process.stamp(&mut records);
         println!("stamped arrivals: {process}");
     }
@@ -419,8 +427,8 @@ fn events(argv: &[String]) -> CliResult {
     if start > 0 {
         println!("  ... {start} earlier events (--tail N shows more, --out F exports all)");
     }
-    for event in &report.events[start..] {
-        println!("{event}");
+    for (index, event) in report.events.iter().enumerate().skip(start) {
+        println!("{index:>8}  {event}");
     }
     if let Some(path) = args.optional("out") {
         std::fs::write(path, zssd_metrics::events_to_csv(&report.events))?;
@@ -777,6 +785,31 @@ mod tests {
             "bad value for --footprint: expected at least 1, got 0"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn an_interval_too_long_for_the_clock_is_rejected() {
+        let out = std::env::temp_dir().join(format!("zssd-cli-interval-{}", std::process::id()));
+        let out_str = out.to_str().expect("utf8 path").to_owned();
+        let expected = "bad value for --interval-us: expected at most 18446744073709551 \
+                        microseconds, got 18446744073709551615";
+        for command in [
+            &["gen", "--out", &out_str][..],
+            &["run", "--system", "dvp"][..],
+        ] {
+            let argv: Vec<String> = command
+                .iter()
+                .chain(&["--workload", "web", "--scale", "0.001"])
+                .chain(&["--interval-us", "18446744073709551615"])
+                .map(|s| s.to_string())
+                .collect();
+            let err = dispatch(&argv).expect_err("the gap overflows nanoseconds");
+            let arg = err
+                .downcast_ref::<ArgError>()
+                .expect("a typed argument error");
+            assert_eq!(arg.to_string(), expected, "{}", command[0]);
+        }
+        assert!(!out.exists(), "no trace is written");
     }
 
     #[test]

@@ -238,11 +238,6 @@ impl MqDeadValuePool {
         &self.cfg
     }
 
-    /// Entry count per queue, lowest queue first (diagnostics/tests).
-    pub fn queue_lens(&self) -> Vec<usize> {
-        self.queues.iter().map(|q| q.len()).collect()
-    }
-
     /// Queue index currently holding the entry for `value`, if present.
     pub fn queue_of(&self, value: ValueId) -> Option<usize> {
         self.by_value
@@ -797,17 +792,6 @@ mod tests {
             p.garbage_weight(Ppn::new(2)),
             Some(PopularityDegree::new(9))
         );
-    }
-
-    #[test]
-    fn queue_lens_sum_to_len() {
-        let mut p = pool(32);
-        for v in 0..10u64 {
-            insert(&mut p, v, v, (v % 5) as u8, v + 1);
-        }
-        let lens = p.queue_lens();
-        assert_eq!(lens.iter().sum::<usize>(), p.len());
-        assert_eq!(lens.len(), p.config().num_queues);
     }
 
     #[test]

@@ -302,12 +302,6 @@ impl Geometry {
         Ppn::new(block.index() << self.page_shift)
     }
 
-    /// The page offset of `ppn` within its block.
-    #[inline]
-    pub fn page_in_block(&self, ppn: Ppn) -> u32 {
-        (ppn.index() & u64::from(self.pages_per_block - 1)) as u32
-    }
-
     /// Flat plane index that owns `block` — the unit of block
     /// allocation.
     pub fn plane_of_block(&self, block: BlockId) -> u64 {
@@ -368,11 +362,7 @@ mod tests {
         let g = small();
         let ppn = g.ppn_at(1, 1, 0, 1, 3, 5);
         let block = g.block_of(ppn);
-        assert_eq!(g.page_in_block(ppn), 5);
-        assert_eq!(
-            g.first_ppn_of(block).index() + u64::from(g.page_in_block(ppn)),
-            ppn.index()
-        );
+        assert_eq!(g.first_ppn_of(block).index() + 5, ppn.index());
         let pages: Vec<Ppn> = g.pages_of(block).collect();
         assert_eq!(pages.len(), 8);
         assert!(pages.contains(&ppn));
@@ -386,7 +376,6 @@ mod tests {
         for idx in 0..g.total_pages() {
             let ppn = Ppn::new(idx);
             let addr = g.decode(ppn);
-            assert_eq!(g.page_in_block(ppn), addr.page);
             let block = g.block_of(ppn);
             assert_eq!(block.index(), idx / 8);
             assert_eq!(g.first_ppn_of(block).index(), idx - u64::from(addr.page));

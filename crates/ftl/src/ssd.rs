@@ -3,7 +3,7 @@
 use zssd_core::{DeadValuePool, PoolStats};
 use zssd_dedup::DedupStore;
 use zssd_flash::{BlockId, Completion, FlashArray, PageState};
-use zssd_metrics::{Event, EventLog, FaultEvent, LatencySummary};
+use zssd_metrics::{Event, FaultEvent, LatencySummary, TracedEvent};
 use zssd_trace::{initial_value_of, IoOp, TraceRecord};
 use zssd_types::{AddressError, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 
@@ -69,8 +69,9 @@ pub struct Ssd {
     /// The run-wide event log (`None` unless the config asked for
     /// tracing). The drive is its only writer: flash faults and block
     /// retirements are emitted here from the results the flash array
-    /// returns, so one log holds the whole drive's total order.
-    events: Option<EventLog>,
+    /// returns, so one log holds the whole drive's total order: an
+    /// event's index is its place in it.
+    events: Option<Vec<TracedEvent>>,
     /// Scratch copy of a GC victim's page states, reused across
     /// collections.
     victim_states: Vec<PageState>,
@@ -106,7 +107,7 @@ impl Ssd {
             dedup,
             rmap: Rmap::new(config.geometry.total_pages()),
             stats: SsdStats::default(),
-            events: config.trace_events.then(EventLog::new),
+            events: config.trace_events.then(Vec::new),
             victim_states: Vec::with_capacity(config.geometry.pages_per_block() as usize),
             config,
         };
@@ -176,7 +177,7 @@ impl Ssd {
             dedup.reset_stats();
         }
         // The warm-up fill is not part of the measured run: drop any
-        // events it recorded and restart sequence numbering.
+        // events it recorded.
         if let Some(log) = self.events.as_mut() {
             log.clear();
         }
@@ -187,7 +188,7 @@ impl Ssd {
     /// disabled.
     fn emit(&mut self, at: SimTime, event: Event) {
         if let Some(log) = self.events.as_mut() {
-            log.emit(at, event);
+            log.push(TracedEvent { at, event });
         }
     }
 
@@ -231,8 +232,8 @@ impl Ssd {
 
     /// The event trace recorded so far (empty unless the config enabled
     /// [`SsdConfig::with_event_tracing`]).
-    pub fn events(&self) -> &[zssd_metrics::TracedEvent] {
-        self.events.as_ref().map_or(&[], |log| log.events())
+    pub fn events(&self) -> &[TracedEvent] {
+        self.events.as_deref().unwrap_or_default()
     }
 
     /// Services one host write of `value` to `lpn` arriving at
@@ -427,7 +428,7 @@ impl Ssd {
     /// Returns an error on the first failed request.
     pub fn replay(&mut self, records: &[TraceRecord]) -> Result<(), SsdError> {
         let mut arrivals = self.config.arrival.times();
-        for record in records {
+        for (index, record) in records.iter().enumerate() {
             // The generator is consumed only for unstamped records, so
             // mixed traces keep generated instants contiguous.
             let arrival = record.arrival.unwrap_or_else(|| arrivals.next_time());
@@ -441,8 +442,8 @@ impl Ssd {
                         self.stats.read_mismatches += 1;
                         debug_assert!(
                             !self.config.verify_reads,
-                            "read at seq {} returned {value}, trace recorded {}",
-                            record.seq, record.value
+                            "read of record {index} returned {value}, trace recorded {}",
+                            record.value
                         );
                     }
                 }
@@ -460,11 +461,7 @@ impl Ssd {
     /// of being cloned — at experiment scale it holds millions of
     /// samples per run.
     pub fn into_report(mut self) -> RunReport {
-        let events = self
-            .events
-            .take()
-            .map(EventLog::into_events)
-            .unwrap_or_default();
+        let events = self.events.take().unwrap_or_default();
         let flash = self.flash.stats();
         let timeline = std::mem::take(&mut self.stats.timeline);
         let mut report = RunReport {
@@ -1136,10 +1133,10 @@ mod tests {
     #[test]
     fn run_trace_produces_report() {
         let records = vec![
-            TraceRecord::write(0, Lpn::new(0), ValueId::new(1)),
-            TraceRecord::write(1, Lpn::new(0), ValueId::new(2)),
-            TraceRecord::read(2, Lpn::new(0), ValueId::new(2)),
-            TraceRecord::write(3, Lpn::new(1), ValueId::new(1)),
+            TraceRecord::write(Lpn::new(0), ValueId::new(1)),
+            TraceRecord::write(Lpn::new(0), ValueId::new(2)),
+            TraceRecord::read(Lpn::new(0), ValueId::new(2)),
+            TraceRecord::write(Lpn::new(1), ValueId::new(1)),
         ];
         let report = Ssd::new(
             SsdConfig::small_test()
@@ -1161,8 +1158,8 @@ mod tests {
         // drive must contend; under the default 1 ms constant process
         // they would not.
         let records = vec![
-            TraceRecord::write(0, Lpn::new(0), ValueId::new(1)).with_arrival(SimTime::ZERO),
-            TraceRecord::write(1, Lpn::new(1), ValueId::new(2)).with_arrival(SimTime::ZERO),
+            TraceRecord::write(Lpn::new(0), ValueId::new(1)).with_arrival(SimTime::ZERO),
+            TraceRecord::write(Lpn::new(1), ValueId::new(2)).with_arrival(SimTime::ZERO),
         ];
         let report = Ssd::new(SsdConfig::small_test().without_precondition())
             .expect("drive")
@@ -1175,8 +1172,8 @@ mod tests {
         );
         // The same trace unstamped, 1 ms apart, sees no queueing.
         let relaxed = vec![
-            TraceRecord::write(0, Lpn::new(0), ValueId::new(1)),
-            TraceRecord::write(1, Lpn::new(1), ValueId::new(2)),
+            TraceRecord::write(Lpn::new(0), ValueId::new(1)),
+            TraceRecord::write(Lpn::new(1), ValueId::new(2)),
         ];
         let relaxed_report = Ssd::new(SsdConfig::small_test().without_precondition())
             .expect("drive")
@@ -1188,9 +1185,9 @@ mod tests {
     #[test]
     fn run_trace_services_trims() {
         let records = vec![
-            TraceRecord::write(0, Lpn::new(0), ValueId::new(1)),
-            TraceRecord::trim(1, Lpn::new(0)),
-            TraceRecord::read(2, Lpn::new(0), initial_value_of(Lpn::new(0))),
+            TraceRecord::write(Lpn::new(0), ValueId::new(1)),
+            TraceRecord::trim(Lpn::new(0)),
+            TraceRecord::read(Lpn::new(0), initial_value_of(Lpn::new(0))),
         ];
         let report = Ssd::new(SsdConfig::small_test().without_precondition())
             .expect("drive")
@@ -1205,8 +1202,8 @@ mod tests {
     #[test]
     fn read_mismatches_are_counted() {
         let records = vec![
-            TraceRecord::write(0, Lpn::new(0), ValueId::new(1)),
-            TraceRecord::read(1, Lpn::new(0), ValueId::new(999)), // wrong
+            TraceRecord::write(Lpn::new(0), ValueId::new(1)),
+            TraceRecord::read(Lpn::new(0), ValueId::new(999)), // wrong
         ];
         let report = Ssd::new(
             SsdConfig::small_test()
@@ -1500,9 +1497,6 @@ mod tests {
         assert!(count("gc_start") >= report.gc_collections);
         assert_eq!(count("gc_victim"), count("gc_start"));
         assert_eq!(count("fault"), 0, "faults pinned off");
-        for (i, e) in report.events.iter().enumerate() {
-            assert_eq!(e.seq, i as u64, "gapless run-global sequence");
-        }
         // Phase timers saw the same GC work the events did.
         assert_eq!(report.phases.gc_erase.count, report.erases);
         assert!(report.phases.gc_stall.total > SimDuration::ZERO);
@@ -1568,16 +1562,27 @@ mod tests {
 
     #[test]
     fn preconditioning_leaves_no_events_in_the_trace() {
+        // Program failures make the warm-up fill emit fault events, so
+        // a leak would put them ahead of the measured run's first read.
         let config = SsdConfig::small_test()
             .with_system(SystemKind::MqDvp { entries: 64 })
-            .with_faults(zssd_flash::FaultConfig::none())
+            .with_faults(
+                zssd_flash::FaultConfig::none()
+                    .with_program_fail(0.05)
+                    .with_seed(3),
+            )
             .with_event_tracing(true);
         let mut s = Ssd::new(config).expect("drive");
         assert!(s.events().is_empty(), "warm-up fill is not traced");
+        s.read(Lpn::new(0), SimTime::ZERO).expect("read");
         w(&mut s, 0, 7);
         let events = s.events();
+        assert!(
+            matches!(events[0].event, Event::HostRead { lpn, .. } if lpn == Lpn::new(0)),
+            "the first event is the measured read, not {}",
+            events[0]
+        );
         assert_eq!(events.last().map(|e| e.event.kind()), Some("host_write"));
-        assert_eq!(events[0].seq, 0, "sequencing restarts after warm-up");
     }
 
     #[test]

@@ -176,15 +176,6 @@ impl RunReport {
         self.all_latency.p99
     }
 
-    /// Fraction of host writes that hit NAND (lower is better).
-    pub fn program_fraction(&self) -> f64 {
-        if self.host_writes == 0 {
-            0.0
-        } else {
-            self.host_programs as f64 / self.host_writes as f64
-        }
-    }
-
     /// Flattens every scalar counter of the run — device, pool, and
     /// dedup — into one deterministic name → value registry.
     pub fn counters(&self) -> CounterRegistry {
@@ -385,7 +376,6 @@ mod tests {
     #[test]
     fn derived_quantities() {
         let r = report();
-        assert_eq!(r.program_fraction(), 0.8);
         assert_eq!(r.mean_latency(), SimDuration::from_micros(10));
         assert_eq!(r.tail_latency(), SimDuration::from_micros(10));
     }
@@ -396,13 +386,6 @@ mod tests {
         assert!(text.contains("programs=90"));
         assert!(text.contains("revived=20"));
         assert!(text.contains("Baseline"));
-    }
-
-    #[test]
-    fn zero_writes_fraction_is_zero() {
-        let mut r = report();
-        r.host_writes = 0;
-        assert_eq!(r.program_fraction(), 0.0);
     }
 
     #[test]

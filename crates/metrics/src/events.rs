@@ -1,13 +1,15 @@
-//! Typed simulator events and the log that records them.
+//! Typed simulator events.
 //!
 //! The observability layer (DESIGN.md §13) keeps an
-//! `Option<`[`EventLog`]`>` beside the simulator's hot paths. When
-//! tracing is off the log is `None` and every emission site reduces to
-//! a single branch on it — no allocation, no formatting, no clock
-//! reads.
-//! When tracing is on, each site records a small `Copy` payload tagged
-//! with its simulated timestamp and a global sequence number, so the
-//! full causal order of a run can be replayed, filtered, or exported.
+//! `Option<Vec<`[`TracedEvent`]`>>` beside the simulator's hot paths.
+//! When tracing is off the log is `None` and every emission site
+//! reduces to a single branch on it — no allocation, no formatting, no
+//! clock reads.
+//! When tracing is on, each site appends a small `Copy` payload tagged
+//! with its simulated timestamp. An event's position in the list is its
+//! place in the run's total order (even among same-instant events), so
+//! the full causal order of a run can be replayed, filtered, or
+//! exported.
 //!
 //! Determinism: events carry only simulated time and typed payloads —
 //! never wall-clock time or addresses of host memory — so the event
@@ -174,12 +176,28 @@ impl Event {
     }
 }
 
-/// An [`Event`] tagged with its simulated timestamp and a run-global
-/// sequence number (total order, even among same-instant events).
+/// An [`Event`] tagged with its simulated timestamp. Its order in the
+/// run is its index in the event list.
+///
+/// # Examples
+///
+/// ```
+/// use zssd_metrics::{Event, TracedEvent};
+/// use zssd_types::{Lpn, SimDuration, SimTime};
+///
+/// let mut log = Vec::new();
+/// log.push(TracedEvent {
+///     at: SimTime::from_nanos(5),
+///     event: Event::HostWrite {
+///         lpn: Lpn::new(1),
+///         latency: SimDuration::from_micros(100),
+///     },
+/// });
+/// assert_eq!(log[0].event.kind(), "host_write");
+/// assert!(log[0].to_string().ends_with("lpn=1  latency_ns=100000"));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TracedEvent {
-    /// Position in the run's total event order, starting at 0.
-    pub seq: u64,
     /// Simulated time the event occurred.
     pub at: SimTime,
     /// The typed payload.
@@ -188,13 +206,7 @@ pub struct TracedEvent {
 
 impl fmt::Display for TracedEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:>8}  {:>14}  {:<11}",
-            self.seq,
-            self.at,
-            self.event.kind()
-        )?;
+        write!(f, "{:>14}  {:<11}", self.at, self.event.kind())?;
         for (name, value) in self.event.fields() {
             write!(f, "  {name}={value}")?;
         }
@@ -202,90 +214,9 @@ impl fmt::Display for TracedEvent {
     }
 }
 
-/// An in-memory, sequence-numbered event recorder.
-///
-/// # Examples
-///
-/// ```
-/// use zssd_metrics::{Event, EventLog};
-/// use zssd_types::{Lpn, SimDuration, SimTime};
-///
-/// let mut log = EventLog::new();
-/// log.emit(SimTime::from_nanos(5), Event::HostWrite {
-///     lpn: Lpn::new(1),
-///     latency: SimDuration::from_micros(100),
-/// });
-/// assert_eq!(log.len(), 1);
-/// assert_eq!(log.events()[0].seq, 0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EventLog {
-    events: Vec<TracedEvent>,
-    next_seq: u64,
-}
-
-impl EventLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        EventLog::default()
-    }
-
-    /// Records one event at simulated time `at`, numbering it after
-    /// the previous one.
-    pub fn emit(&mut self, at: SimTime, event: Event) {
-        self.events.push(TracedEvent {
-            seq: self.next_seq,
-            at,
-            event,
-        });
-        self.next_seq += 1;
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// All recorded events in emission order.
-    pub fn events(&self) -> &[TracedEvent] {
-        &self.events
-    }
-
-    /// Consumes the log, returning its events.
-    pub fn into_events(self) -> Vec<TracedEvent> {
-        self.events
-    }
-
-    /// Clears all events and resets the sequence counter (used when a
-    /// preconditioning phase should not appear in the measured trace).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.next_seq = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_numbers_events_in_order() {
-        let mut log = EventLog::new();
-        log.emit(SimTime::from_nanos(1), Event::GcErase { block: 3 });
-        log.emit(SimTime::from_nanos(1), Event::Retire { block: 3 });
-        let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1]);
-        assert_eq!(log.events()[1].event, Event::Retire { block: 3 });
-        log.clear();
-        assert!(log.is_empty());
-        log.emit(SimTime::ZERO, Event::GcErase { block: 0 });
-        assert_eq!(log.events()[0].seq, 0, "clear resets sequencing");
-    }
 
     #[test]
     fn kinds_and_fields_cover_every_variant() {
@@ -343,7 +274,6 @@ mod tests {
     #[test]
     fn traced_event_display_lists_fields() {
         let traced = TracedEvent {
-            seq: 7,
             at: SimTime::from_nanos(1000),
             event: Event::GcVictim {
                 block: 2,
@@ -355,5 +285,10 @@ mod tests {
         assert!(text.contains("gc_victim"));
         assert!(text.contains("block=2"));
         assert!(text.contains("invalid=3"));
+    }
+
+    #[test]
+    fn a_traced_event_is_32_bytes() {
+        assert_eq!(core::mem::size_of::<TracedEvent>(), 32);
     }
 }

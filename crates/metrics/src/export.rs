@@ -63,15 +63,6 @@ impl Json {
         }
     }
 
-    /// The value as an `f64` (integers widen), if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::F64(v) => Some(*v),
-            Json::U64(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -410,16 +401,16 @@ pub fn windows_to_csv(windows: &[WindowStat]) -> String {
     out
 }
 
-/// Serializes an event stream: one object per event with `seq`,
-/// `at_ns`, `kind`, and the payload fields of
+/// Serializes an event stream: one object per event with `seq` (its
+/// index in `events`), `at_ns`, `kind`, and the payload fields of
 /// [`Event::fields`](crate::Event::fields).
 pub fn events_to_json(events: &[TracedEvent]) -> Json {
     Json::Arr(
-        events
-            .iter()
-            .map(|e| {
+        (0u64..)
+            .zip(events)
+            .map(|(seq, e)| {
                 let mut pairs = vec![
-                    ("seq".into(), Json::U64(e.seq)),
+                    ("seq".into(), Json::U64(seq)),
                     ("at_ns".into(), Json::U64(e.at.as_nanos())),
                     ("kind".into(), Json::Str(e.event.kind().into())),
                 ];
@@ -435,12 +426,12 @@ pub fn events_to_json(events: &[TracedEvent]) -> Json {
     )
 }
 
-/// Renders an event stream as CSV (`seq,at_ns,kind,fields`), packing
-/// the per-kind payload into a `;`-joined `name=value` list so all
-/// kinds share one header.
+/// Renders an event stream as CSV (`seq,at_ns,kind,fields`, with each
+/// event's index as its `seq`), packing the per-kind payload into a
+/// `;`-joined `name=value` list so all kinds share one header.
 pub fn events_to_csv(events: &[TracedEvent]) -> String {
     let mut out = String::from("seq,at_ns,kind,fields\n");
-    for e in events {
+    for (seq, e) in events.iter().enumerate() {
         let mut fields: Vec<String> = Vec::new();
         if let crate::Event::Fault { kind, .. } = e.event {
             fields.push(format!("fault={}", kind.name()));
@@ -453,7 +444,7 @@ pub fn events_to_csv(events: &[TracedEvent]) -> String {
         );
         out.push_str(&format!(
             "{},{},{},{}\n",
-            e.seq,
+            seq,
             e.at.as_nanos(),
             e.event.kind(),
             fields.join(";")
@@ -495,8 +486,6 @@ mod tests {
             Json::F64(-2.5)
         );
         assert_eq!(value.get("b").unwrap().as_str(), Some("A\n"));
-        assert_eq!(value.get("b").unwrap().as_f64(), None);
-        assert_eq!(Json::U64(3).as_f64(), Some(3.0));
     }
 
     #[test]
@@ -543,7 +532,6 @@ mod tests {
     fn events_export_includes_kind_and_fields() {
         let events = vec![
             TracedEvent {
-                seq: 0,
                 at: SimTime::from_nanos(10),
                 event: Event::HostWrite {
                     lpn: Lpn::new(7),
@@ -551,7 +539,6 @@ mod tests {
                 },
             },
             TracedEvent {
-                seq: 1,
                 at: SimTime::from_nanos(20),
                 event: Event::Fault {
                     kind: FaultEvent::Erase,
@@ -563,6 +550,8 @@ mod tests {
         let text = json.to_string();
         let parsed = Json::parse(&text).expect("parses");
         let arr = parsed.as_arr().expect("array");
+        assert_eq!(arr[0].get("seq").unwrap().as_u64(), Some(0));
+        assert_eq!(arr[1].get("seq").unwrap().as_u64(), Some(1));
         assert_eq!(arr[0].get("kind").unwrap().as_str(), Some("host_write"));
         assert_eq!(arr[0].get("lpn").unwrap().as_u64(), Some(7));
         assert_eq!(arr[0].get("latency_ns").unwrap().as_u64(), Some(99));

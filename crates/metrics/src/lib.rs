@@ -18,7 +18,7 @@
 //! On top of those sits the run-wide observability layer (DESIGN.md
 //! §13):
 //!
-//! * [`Event`] / [`EventLog`] — typed, timestamped,
+//! * [`Event`] / [`TracedEvent`] — typed, timestamped,
 //!   zero-cost-when-disabled event tracing through the simulator's hot
 //!   paths,
 //! * [`CounterRegistry`] — a deterministic name → value counter map,
@@ -55,7 +55,7 @@ mod timeline;
 
 pub use cdf::Cdf;
 pub use counter::reduction_pct;
-pub use events::{Event, EventLog, FaultEvent, TracedEvent};
+pub use events::{Event, FaultEvent, TracedEvent};
 pub use export::{
     events_to_csv, events_to_json, windows_to_csv, windows_to_json, Json, JsonParseError,
 };

@@ -19,10 +19,10 @@ use crate::spec::OracleDrive;
 /// Arrival gap stamped onto corpus traces that lack timestamps.
 const CORPUS_GAP: SimDuration = SimDuration::from_micros(25);
 
-/// Rewrites `records` into corpus hygiene: sequence numbers renumbered
-/// from zero, every read's recorded value replaced with the oracle's
-/// expectation at that point (shrinking leaves stale read values
-/// behind), and missing arrival stamps filled from a constant process.
+/// Rewrites `records` into corpus hygiene: every read's recorded value
+/// replaced with the oracle's expectation at that point (shrinking
+/// leaves stale read values behind), and missing arrival stamps filled
+/// from a constant process.
 /// `logical_pages`/`preconditioned` describe the drive the trace is
 /// meant for (see [`crate::FUZZ_LOGICAL_PAGES`]).
 pub fn normalize(
@@ -32,9 +32,8 @@ pub fn normalize(
 ) -> Vec<TraceRecord> {
     let mut oracle = OracleDrive::new(logical_pages, preconditioned);
     let mut out = Vec::with_capacity(records.len());
-    for (i, record) in records.iter().enumerate() {
+    for record in records {
         let mut record = *record;
-        record.seq = i as u64;
         if record.op == IoOp::Write {
             // write_exact: normalization must stay correct even in
             // builds where the public write path is deliberately
@@ -119,7 +118,7 @@ mod tests {
     use super::*;
     use crate::gen::{generate, GenConfig};
     use crate::FUZZ_LOGICAL_PAGES;
-    use zssd_types::{Lpn, ValueId};
+    use zssd_types::ValueId;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("zssd-corpus-{tag}-{}", std::process::id()));
@@ -129,16 +128,22 @@ mod tests {
 
     #[test]
     fn normalize_renumbers_stamps_and_fixes_reads() {
-        // A hand-built shrunk-style fragment with a stale read value.
-        let records = vec![
-            TraceRecord::write(17, Lpn::new(3), ValueId::new(9)),
-            TraceRecord::read(403, Lpn::new(3), ValueId::new(777)),
-        ];
+        // A hand-built shrunk-style fragment, numbered by its place in
+        // the input it came from, with a stale read value.
+        let records = parse_text("17 W 3 9\n403 R 3 777\n").expect("parse");
         let normal = normalize(&records, FUZZ_LOGICAL_PAGES, true);
-        assert_eq!(normal[0].seq, 0);
-        assert_eq!(normal[1].seq, 1);
         assert_eq!(normal[1].value, ValueId::new(9), "read expectation fixed");
         assert!(normal.iter().all(|r| r.arrival.is_some()), "stamped");
+        // Written back, the fragment's lines are numbered from zero.
+        let mut buf = Vec::new();
+        write_text(&normal, &mut buf).expect("write");
+        let text = String::from_utf8(buf).expect("utf8");
+        let seqs: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        assert_eq!(seqs, ["0", "1"]);
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn generate(seed: u64, config: &GenConfig) -> Vec<TraceRecord> {
                 for _ in 0..len {
                     let lpn = Lpn::new(rng.below(pages));
                     live[lpn.index() as usize] = None;
-                    out.push(TraceRecord::trim(out.len() as u64, lpn));
+                    out.push(TraceRecord::trim(lpn));
                 }
             }
             // Read sweep: verification points.
@@ -143,7 +143,7 @@ pub fn generate(seed: u64, config: &GenConfig) -> Vec<TraceRecord> {
                     let lpn = Lpn::new(rng.below(pages));
                     let expected =
                         live[lpn.index() as usize].unwrap_or_else(|| initial_value_of(lpn));
-                    out.push(TraceRecord::read(out.len() as u64, lpn, expected));
+                    out.push(TraceRecord::read(lpn, expected));
                 }
             }
             // Dedup burst: one value sprayed across many LPNs;
@@ -172,7 +172,7 @@ pub fn generate(seed: u64, config: &GenConfig) -> Vec<TraceRecord> {
                         fresh += 1;
                     } else {
                         live[a.index() as usize] = None;
-                        out.push(TraceRecord::trim(out.len() as u64, a));
+                        out.push(TraceRecord::trim(a));
                     }
                     push_write(&mut out, &mut live, b, value);
                 }
@@ -185,7 +185,7 @@ pub fn generate(seed: u64, config: &GenConfig) -> Vec<TraceRecord> {
 
 fn push_write(out: &mut Vec<TraceRecord>, live: &mut [Option<ValueId>], lpn: Lpn, value: ValueId) {
     live[lpn.index() as usize] = Some(value);
-    out.push(TraceRecord::write(out.len() as u64, lpn, value));
+    out.push(TraceRecord::write(lpn, value));
 }
 
 #[cfg(test)]
@@ -206,7 +206,6 @@ mod tests {
         let records = generate(3, &config);
         assert_eq!(records.len(), 500);
         assert!(records.iter().all(|r| r.lpn.index() < config.logical_pages));
-        assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));
         let writes = records.iter().filter(|r| r.is_write()).count();
         let trims = records.iter().filter(|r| r.is_trim()).count();
         let reads = records.len() - writes - trims;
@@ -217,9 +216,9 @@ mod tests {
     fn read_records_carry_oracle_expected_content() {
         let records = generate(11, &GenConfig::standard(2_000));
         let mut oracle = OracleDrive::new(crate::diff::FUZZ_LOGICAL_PAGES, true);
-        for record in &records {
+        for (i, record) in records.iter().enumerate() {
             if let Some(expected) = oracle.step(record).expect("in range") {
-                assert_eq!(expected, record.value, "read at seq {}", record.seq);
+                assert_eq!(expected, record.value, "read at record {i}");
             }
         }
     }

@@ -17,8 +17,6 @@
 //! The predicate is called `O(n + evals)` times, capped by
 //! `max_evals`; on budget exhaustion the best trace found so far is
 //! returned (still failing — every intermediate accepted trace fails).
-//! Record `seq` numbers are preserved so a shrunk command can be traced
-//! back to its position in the original input.
 
 use zssd_trace::TraceRecord;
 
@@ -111,7 +109,7 @@ mod tests {
         values
             .iter()
             .enumerate()
-            .map(|(i, &v)| TraceRecord::write(i as u64, Lpn::new(i as u64 % 8), ValueId::new(v)))
+            .map(|(i, &v)| TraceRecord::write(Lpn::new(i as u64 % 8), ValueId::new(v)))
             .collect()
     }
 
@@ -125,7 +123,6 @@ mod tests {
         });
         assert_eq!(result.records.len(), 1);
         assert_eq!(result.records[0].value, ValueId::new(13));
-        assert_eq!(result.records[0].seq, 137, "original seq preserved");
     }
 
     #[test]

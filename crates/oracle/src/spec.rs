@@ -363,9 +363,9 @@ mod tests {
     #[test]
     fn step_applies_records_and_reports_read_expectations() {
         let mut o = OracleDrive::new(8, false);
-        let w = TraceRecord::write(0, Lpn::new(1), ValueId::new(3));
-        let r = TraceRecord::read(1, Lpn::new(1), ValueId::new(999)); // stale
-        let t = TraceRecord::trim(2, Lpn::new(1));
+        let w = TraceRecord::write(Lpn::new(1), ValueId::new(3));
+        let r = TraceRecord::read(Lpn::new(1), ValueId::new(999)); // stale
+        let t = TraceRecord::trim(Lpn::new(1));
         assert_eq!(o.step(&w).expect("write"), None);
         assert_eq!(o.step(&r).expect("read"), Some(ValueId::new(3)));
         assert_eq!(o.step(&t).expect("trim"), None);

@@ -456,9 +456,9 @@ mod tests {
     #[test]
     fn stamp_fills_every_record() {
         let mut records = vec![
-            TraceRecord::write(0, Lpn::new(0), ValueId::new(1)),
-            TraceRecord::read(1, Lpn::new(0), ValueId::new(1)),
-            TraceRecord::trim(2, Lpn::new(0)),
+            TraceRecord::write(Lpn::new(0), ValueId::new(1)),
+            TraceRecord::read(Lpn::new(0), ValueId::new(1)),
+            TraceRecord::trim(Lpn::new(0)),
         ];
         ArrivalProcess::constant(MEAN).stamp(&mut records);
         assert_eq!(records[0].arrival, Some(SimTime::ZERO));

@@ -52,11 +52,10 @@ impl fmt::Display for IoOp {
 /// content moved ([`ValueId`], standing in for the trace's MD5 digest).
 /// For reads, `value` is the content the address held at that point of
 /// the trace (generated traces track this; it lets trace-only analyses
-/// reason about read redundancy).
+/// reason about read redundancy). A record's ordinal is its position
+/// in the trace: nothing stores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
-    /// Request ordinal within the trace (0-based).
-    pub seq: u64,
     /// Read or write.
     pub op: IoOp,
     /// The 4 KB logical page addressed.
@@ -72,9 +71,8 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Creates a write record.
-    pub fn write(seq: u64, lpn: Lpn, value: ValueId) -> Self {
+    pub fn write(lpn: Lpn, value: ValueId) -> Self {
         TraceRecord {
-            seq,
             op: IoOp::Write,
             lpn,
             value,
@@ -83,9 +81,8 @@ impl TraceRecord {
     }
 
     /// Creates a read record.
-    pub fn read(seq: u64, lpn: Lpn, value: ValueId) -> Self {
+    pub fn read(lpn: Lpn, value: ValueId) -> Self {
         TraceRecord {
-            seq,
             op: IoOp::Read,
             lpn,
             value,
@@ -94,9 +91,8 @@ impl TraceRecord {
     }
 
     /// Creates a TRIM record (no content moves; `value` is zero).
-    pub fn trim(seq: u64, lpn: Lpn) -> Self {
+    pub fn trim(lpn: Lpn) -> Self {
         TraceRecord {
-            seq,
             op: IoOp::Trim,
             lpn,
             value: ValueId::new(0),
@@ -124,7 +120,7 @@ impl TraceRecord {
 
 impl fmt::Display for TraceRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {} {}", self.seq, self.op, self.lpn, self.value)?;
+        write!(f, "{} {} {}", self.op, self.lpn, self.value)?;
         if let Some(at) = self.arrival {
             write!(f, " @{}", at.as_nanos())?;
         }
@@ -138,8 +134,8 @@ mod tests {
 
     #[test]
     fn constructors_set_direction() {
-        let w = TraceRecord::write(0, Lpn::new(1), ValueId::new(2));
-        let r = TraceRecord::read(1, Lpn::new(1), ValueId::new(2));
+        let w = TraceRecord::write(Lpn::new(1), ValueId::new(2));
+        let r = TraceRecord::read(Lpn::new(1), ValueId::new(2));
         assert!(w.is_write());
         assert!(!r.is_write());
     }
@@ -153,13 +149,18 @@ mod tests {
 
     #[test]
     fn display_round_trips_visually() {
-        let rec = TraceRecord::write(5, Lpn::new(9), ValueId::new(3));
-        assert_eq!(rec.to_string(), "5 W L9 V3");
+        let rec = TraceRecord::write(Lpn::new(9), ValueId::new(3));
+        assert_eq!(rec.to_string(), "W L9 V3");
         let stamped = rec.with_arrival(SimTime::from_nanos(1_500));
-        assert_eq!(stamped.to_string(), "5 W L9 V3 @1500");
-        let trim = TraceRecord::trim(6, Lpn::new(9));
-        assert_eq!(trim.to_string(), "6 T L9 V0");
+        assert_eq!(stamped.to_string(), "W L9 V3 @1500");
+        let trim = TraceRecord::trim(Lpn::new(9));
+        assert_eq!(trim.to_string(), "T L9 V0");
         assert!(trim.is_trim());
         assert!(!trim.is_write());
+    }
+
+    #[test]
+    fn a_record_is_40_bytes() {
+        assert_eq!(core::mem::size_of::<TraceRecord>(), 40);
     }
 }

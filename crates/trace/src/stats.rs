@@ -121,11 +121,11 @@ mod tests {
     #[test]
     fn measures_hand_built_trace() {
         let records = vec![
-            TraceRecord::write(0, Lpn::new(1), ValueId::new(10)),
-            TraceRecord::write(1, Lpn::new(2), ValueId::new(10)),
-            TraceRecord::write(2, Lpn::new(1), ValueId::new(11)),
-            TraceRecord::read(3, Lpn::new(2), ValueId::new(10)),
-            TraceRecord::trim(4, Lpn::new(1)),
+            TraceRecord::write(Lpn::new(1), ValueId::new(10)),
+            TraceRecord::write(Lpn::new(2), ValueId::new(10)),
+            TraceRecord::write(Lpn::new(1), ValueId::new(11)),
+            TraceRecord::read(Lpn::new(2), ValueId::new(10)),
+            TraceRecord::trim(Lpn::new(1)),
         ];
         let s = TraceStats::measure(&records);
         assert_eq!(s.requests, 5);
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn display_has_percentages() {
-        let records = vec![TraceRecord::write(0, Lpn::new(1), ValueId::new(1))];
+        let records = vec![TraceRecord::write(Lpn::new(1), ValueId::new(1))];
         let text = TraceStats::measure(&records).to_string();
         assert!(text.contains("WR=100.0%"));
     }

@@ -182,7 +182,7 @@ impl SyntheticTrace {
             (h % home_region) as usize
         };
         let mut values = values.into_iter();
-        for (seq, op) in (0u64..).zip(ops) {
+        for op in ops {
             match op {
                 IoOp::Write => {
                     let value = values.next().expect("one value per write");
@@ -195,7 +195,7 @@ impl SyntheticTrace {
                     // Below `u32::MAX`: checked with the write count.
                     slot.1 = value as u32;
                     let lpn = Lpn::new(u64::from(slot.0));
-                    records.push(TraceRecord::write(seq, lpn, ValueId::new(value)));
+                    records.push(TraceRecord::write(lpn, ValueId::new(value)));
                 }
                 IoOp::Read => {
                     let (lpn, value) = slots[read_addr.sample(&mut rng) as usize];
@@ -205,7 +205,7 @@ impl SyntheticTrace {
                     } else {
                         ValueId::new(u64::from(value))
                     };
-                    records.push(TraceRecord::read(seq, lpn, value));
+                    records.push(TraceRecord::read(lpn, value));
                 }
                 IoOp::Trim => {
                     // Trims target the write-hot region (hosts discard
@@ -213,7 +213,7 @@ impl SyntheticTrace {
                     // content is there.
                     let slot = &mut slots[write_addr.sample(&mut rng) as usize];
                     slot.1 = UNWRITTEN;
-                    records.push(TraceRecord::trim(seq, Lpn::new(u64::from(slot.0))));
+                    records.push(TraceRecord::trim(Lpn::new(u64::from(slot.0))));
                 }
             }
         }
@@ -223,18 +223,6 @@ impl SyntheticTrace {
             records,
             requests_per_day: profile.requests_per_day as usize,
             days: profile.days,
-        }
-    }
-
-    /// Wraps externally produced records as a single-day trace (e.g.
-    /// records parsed from a text file).
-    pub fn from_records(name: impl Into<String>, records: Vec<TraceRecord>) -> Self {
-        let len = records.len().max(1);
-        SyntheticTrace {
-            name: name.into(),
-            records,
-            requests_per_day: len,
-            days: 1,
         }
     }
 
@@ -367,8 +355,7 @@ mod tests {
         let mut content: FxHashMap<Lpn, ValueId> = FxHashMap::default();
         let mut records = Vec::with_capacity(total);
         let mut next_value = 0;
-        for (seq, op) in ops.into_iter().enumerate() {
-            let seq = seq as u64;
+        for op in ops {
             match op {
                 IoOp::Write => {
                     let value = ValueId::new(values[next_value]);
@@ -379,7 +366,7 @@ mod tests {
                         perm[write_addr.sample(&mut rng) as usize]
                     });
                     content.insert(lpn, value);
-                    records.push(TraceRecord::write(seq, lpn, value));
+                    records.push(TraceRecord::write(lpn, value));
                 }
                 IoOp::Read => {
                     let lpn = Lpn::new(perm[read_addr.sample(&mut rng) as usize]);
@@ -387,12 +374,12 @@ mod tests {
                         .get(&lpn)
                         .copied()
                         .unwrap_or_else(|| initial_value_of(lpn));
-                    records.push(TraceRecord::read(seq, lpn, value));
+                    records.push(TraceRecord::read(lpn, value));
                 }
                 IoOp::Trim => {
                     let lpn = Lpn::new(perm[write_addr.sample(&mut rng) as usize]);
                     content.remove(&lpn);
-                    records.push(TraceRecord::trim(seq, lpn));
+                    records.push(TraceRecord::trim(lpn));
                 }
             }
         }
@@ -475,14 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn sequence_numbers_are_dense() {
-        let t = small(WorkloadProfile::trans());
-        for (i, r) in t.records().iter().enumerate() {
-            assert_eq!(r.seq, i as u64);
-        }
-    }
-
-    #[test]
     fn unique_write_fraction_is_exact() {
         let p = WorkloadProfile::mail().scaled(0.05);
         let t = SyntheticTrace::generate(&p, 11);
@@ -499,7 +478,7 @@ mod tests {
     fn reads_observe_last_written_content() {
         let t = small(WorkloadProfile::web());
         let mut content: FxHashMap<Lpn, ValueId> = FxHashMap::default();
-        for r in t.records() {
+        for (i, r) in t.records().iter().enumerate() {
             match r.op {
                 IoOp::Write => {
                     content.insert(r.lpn, r.value);
@@ -509,7 +488,7 @@ mod tests {
                         .get(&r.lpn)
                         .copied()
                         .unwrap_or_else(|| initial_value_of(r.lpn));
-                    assert_eq!(r.value, expect, "read at seq {}", r.seq);
+                    assert_eq!(r.value, expect, "read at record {i}");
                 }
                 IoOp::Trim => {
                     content.remove(&r.lpn);
@@ -528,7 +507,7 @@ mod tests {
         assert!(trims > 0);
         // Reads still observe the shadow content even across trims.
         let mut content: FxHashMap<Lpn, ValueId> = FxHashMap::default();
-        for r in t.records() {
+        for (i, r) in t.records().iter().enumerate() {
             match r.op {
                 IoOp::Write => {
                     content.insert(r.lpn, r.value);
@@ -538,7 +517,7 @@ mod tests {
                         .get(&r.lpn)
                         .copied()
                         .unwrap_or_else(|| initial_value_of(r.lpn));
-                    assert_eq!(r.value, expect, "read at seq {}", r.seq);
+                    assert_eq!(r.value, expect, "read at record {i}");
                 }
                 IoOp::Trim => {
                     content.remove(&r.lpn);
@@ -585,15 +564,6 @@ mod tests {
         let p = WorkloadProfile::desktop().scaled(0.02);
         let t = SyntheticTrace::generate(&p, 5);
         assert!(t.records().iter().all(|r| r.lpn.index() < p.lpn_space));
-    }
-
-    #[test]
-    fn from_records_wraps_single_day() {
-        let recs = vec![TraceRecord::write(0, Lpn::new(1), ValueId::new(2))];
-        let t = SyntheticTrace::from_records("custom", recs.clone());
-        assert_eq!(t.name(), "custom");
-        assert_eq!(t.num_days(), 1);
-        assert_eq!(t.day(0), &recs[..]);
     }
 
     #[test]

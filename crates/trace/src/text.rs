@@ -2,12 +2,14 @@
 //!
 //! One request per line:
 //! `<seq> <R|W|T> <lpn> <value> <fingerprint-hex> [@<arrival-nanos>]`.
-//! Lines starting with `#` are comments. The fingerprint column is
-//! redundant (derivable from the value id) but kept because the real
-//! FIU traces ship digests, and it makes files self-describing. The
-//! optional trailing `@<nanos>` token records the request's arrival
-//! timestamp; unstamped lines parse to records replayed under the
-//! drive's configured arrival process.
+//! The writer numbers the `seq` column with the record's index; the
+//! reader checks that it is a number and otherwise ignores it, since a
+//! record's order is its line order. Lines starting with `#` are
+//! comments. The fingerprint column is redundant (derivable from the
+//! value id) but kept because the real FIU traces ship digests, and it
+//! makes files self-describing. The optional trailing `@<nanos>` token
+//! records the request's arrival timestamp; unstamped lines parse to
+//! records replayed under the drive's configured arrival process.
 
 use core::fmt;
 use std::error::Error;
@@ -69,11 +71,11 @@ pub fn write_text<W: Write>(records: &[TraceRecord], mut out: W) -> io::Result<(
         out,
         "# zombie-ssd trace: seq op lpn value fingerprint [@arrival-ns]"
     )?;
-    for r in records {
+    for (index, r) in records.iter().enumerate() {
         write!(
             out,
             "{} {} {} {} {}",
-            r.seq,
+            index,
             r.op,
             r.lpn.index(),
             r.value.raw(),
@@ -126,10 +128,10 @@ pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
             continue;
         }
         let mut fields = line.split_ascii_whitespace();
-        let seq: u64 = fields
+        fields
             .next()
             .ok_or_else(|| TraceParseError::new(lineno, "missing seq"))?
-            .parse()
+            .parse::<u64>()
             .map_err(|e| TraceParseError::new(lineno, format!("bad seq: {e}")))?;
         let op = match fields.next() {
             Some("R") => IoOp::Read,
@@ -170,7 +172,6 @@ pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
             }
         }
         records.push(TraceRecord {
-            seq,
             op,
             lpn: Lpn::new(lpn),
             value: ValueId::new(value),
@@ -185,6 +186,7 @@ mod tests {
     use super::*;
     use crate::profile::WorkloadProfile;
     use crate::synth::SyntheticTrace;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_a_generated_trace() {
@@ -207,10 +209,10 @@ mod tests {
     #[test]
     fn trims_and_arrival_stamps_round_trip() {
         let records = vec![
-            TraceRecord::write(0, Lpn::new(3), ValueId::new(7))
+            TraceRecord::write(Lpn::new(3), ValueId::new(7))
                 .with_arrival(SimTime::from_nanos(1_000)),
-            TraceRecord::trim(1, Lpn::new(3)).with_arrival(SimTime::from_nanos(2_500)),
-            TraceRecord::read(2, Lpn::new(3), ValueId::new(7)),
+            TraceRecord::trim(Lpn::new(3)).with_arrival(SimTime::from_nanos(2_500)),
+            TraceRecord::read(Lpn::new(3), ValueId::new(7)),
         ];
         let mut buf = Vec::new();
         write_text(&records, &mut buf).expect("write");
@@ -221,7 +223,7 @@ mod tests {
         let parsed = parse_text("0 T 5 0 @42").expect("parse");
         assert_eq!(
             parsed[0],
-            TraceRecord::trim(0, Lpn::new(5)).with_arrival(SimTime::from_nanos(42))
+            TraceRecord::trim(Lpn::new(5)).with_arrival(SimTime::from_nanos(42))
         );
         assert!(parse_text("0 W 1 2 @nope")
             .unwrap_err()
@@ -290,5 +292,99 @@ mod tests {
             .to_string()
             .contains("value"));
         assert_eq!(parse_text("# only comments").expect("ok").len(), 0);
+    }
+
+    #[test]
+    fn the_first_column_is_checked_but_not_kept() {
+        let parsed = parse_text("9 W 1 2\n3 R 1 2\n").expect("parse");
+        assert_eq!(
+            parsed,
+            vec![
+                TraceRecord::write(Lpn::new(1), ValueId::new(2)),
+                TraceRecord::read(Lpn::new(1), ValueId::new(2)),
+            ]
+        );
+        let mut buf = Vec::new();
+        write_text(&parsed, &mut buf).expect("write");
+        let text = String::from_utf8(buf).expect("utf8");
+        let seqs: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        assert_eq!(seqs, ["0", "1"], "written with each record's index");
+    }
+
+    /// Any record: all three ops, any LPN and value, stamped or not.
+    fn any_record() -> impl Strategy<Value = TraceRecord> {
+        (
+            0u8..3,
+            any::<u64>(),
+            any::<u64>(),
+            any::<bool>(),
+            any::<u64>(),
+        )
+            .prop_map(|(op, lpn, value, stamped, at)| TraceRecord {
+                op: [IoOp::Read, IoOp::Write, IoOp::Trim][usize::from(op)],
+                lpn: Lpn::new(lpn),
+                value: ValueId::new(value),
+                arrival: stamped.then(|| SimTime::from_nanos(at)),
+            })
+    }
+
+    /// 2^64, one past every column's `u64` range.
+    const TOO_BIG: &str = "18446744073709551616";
+
+    /// Breaks one whitespace-separated line of the text format: `kind`
+    /// picks the fault, `pick` the token or length it uses.
+    fn corrupt(line: &str, kind: u8, pick: usize) -> String {
+        let mut tokens: Vec<String> = line.split(' ').map(str::to_string).collect();
+        let bad_number = ["x1", TOO_BIG][pick % 2];
+        match kind {
+            // A missing field: keep 1 to 3 of the four required ones.
+            0 => tokens.truncate(1 + pick % 3),
+            1 => tokens[1] = ["Q", "w", "RW", "r", "WRITE"][pick % 5].to_string(),
+            2 => {
+                let value: u64 = tokens[3].parse().expect("written value");
+                tokens[4] = digest(ValueId::new(value ^ 1));
+            }
+            // A non-numeric or out-of-range seq, LPN or value column.
+            3 => tokens[[0, 2, 3][pick % 3]] = bad_number.to_string(),
+            _ => {
+                tokens.truncate(5);
+                tokens.push(format!("@{bad_number}"));
+            }
+        }
+        tokens.join(" ")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn any_records_round_trip(records in prop::collection::vec(any_record(), 0..40)) {
+            let mut buf = Vec::new();
+            write_text(&records, &mut buf).expect("write");
+            let text = String::from_utf8(buf).expect("utf8");
+            prop_assert_eq!(parse_text(&text).expect("parse"), records);
+        }
+
+        #[test]
+        fn a_malformed_line_is_an_error_naming_its_line(
+            records in prop::collection::vec(any_record(), 1..20),
+            at in any::<usize>(),
+            kind in 0u8..5,
+            pick in any::<usize>(),
+        ) {
+            let mut buf = Vec::new();
+            write_text(&records, &mut buf).expect("write");
+            let text = String::from_utf8(buf).expect("utf8");
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            // Line 1 is the header, so record `i` sits on line `i + 2`.
+            let index = 1 + at % records.len();
+            lines[index] = corrupt(&lines[index], kind, pick);
+            let err = parse_text(&lines.join("\n")).expect_err("corrupt line rejected");
+            prop_assert_eq!(err.line(), index + 1, "{}", err);
+        }
     }
 }

@@ -22,13 +22,13 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 fn hash_records(records: &[TraceRecord]) -> u64 {
-    records.iter().fold(FNV_OFFSET, |h, r| {
+    (0u64..).zip(records).fold(FNV_OFFSET, |h, (index, r)| {
         let op: u8 = match r.op {
             IoOp::Read => 0,
             IoOp::Write => 1,
             IoOp::Trim => 2,
         };
-        let h = fnv1a(h, &r.seq.to_le_bytes());
+        let h = fnv1a(h, &index.to_le_bytes());
         let h = fnv1a(h, &[op]);
         let h = fnv1a(h, &r.lpn.index().to_le_bytes());
         let h = fnv1a(h, &r.value.raw().to_le_bytes());

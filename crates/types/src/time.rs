@@ -56,12 +56,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the duration in (possibly fractional) microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Saturating subtraction of another duration.
     #[inline]
     pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
@@ -243,7 +237,6 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
-        assert_eq!(SimDuration::from_millis(3).as_micros_f64(), 3_000.0);
     }
 
     #[test]

@@ -16,10 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // that always appends fresh content.
     let (a, b) = (ValueId::new(100), ValueId::new(200));
     let mut records = Vec::new();
-    let mut seq = 0u64;
     let mut write = |lpn: u64, value: ValueId| {
-        records.push(TraceRecord::write(seq, Lpn::new(lpn), value));
-        seq += 1;
+        records.push(TraceRecord::write(Lpn::new(lpn), value));
     };
     for round in 0..200u64 {
         let config = if round % 2 == 0 { a } else { b };

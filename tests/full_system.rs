@@ -411,3 +411,86 @@ fn faulty_drives_stay_consistent_across_systems() {
         );
     }
 }
+
+/// ROADMAP item 2(a): a pool that can hold every garbage page never
+/// evicts. MQ, LRU and the unbounded pool then differ only in the
+/// order of their queues, which matters only when the pool evicts, so
+/// on a trace without trims DVP, LRU-DVP and Ideal do the same flash
+/// work at the same simulated times. LX-SSD is left out: it revives a
+/// different page of a value and weighs reads.
+#[test]
+fn pools_that_never_evict_make_dvp_lru_dvp_and_ideal_identical() {
+    let profile = WorkloadProfile::web().scaled(0.02);
+    let trace = SyntheticTrace::generate(&profile, 7);
+    assert!(!trace.records().iter().any(|r| r.is_trim()));
+    let config = SsdConfig::for_footprint(profile.lpn_space);
+    let spare = (config.geometry.total_pages() - config.logical_pages) as usize;
+    let reports = [
+        SystemKind::MqDvp { entries: spare },
+        SystemKind::LruDvp { entries: spare },
+        SystemKind::Ideal,
+    ]
+    .map(|system| run(&profile, &trace, system));
+    let work = |r: &RunReport| {
+        (
+            r.flash_programs,
+            r.erases,
+            r.gc_collections,
+            r.revived_writes,
+            r.write_latency,
+            r.read_latency,
+            r.all_latency,
+        )
+    };
+    assert!(
+        reports[0].gc_collections > 0 && reports[0].revived_writes > 0,
+        "the trace exercises GC and revival"
+    );
+    for r in &reports {
+        assert_eq!(r.pool.evictions, 0, "{}: the pool never fills", r.system);
+        assert_eq!(work(r), work(&reports[0]), "{} differs from DVP", r.system);
+    }
+}
+
+/// ROADMAP item 4: on a trace whose every write carries new content,
+/// nothing can be revived or deduplicated, and with popularity-aware
+/// GC off every system collects by the same greedy rule, triggered by
+/// free-block counts rather than by time. So every system does
+/// Baseline's flash work.
+#[test]
+fn an_all_unique_trace_gives_every_system_baselines_flash_work() {
+    let mut profile = WorkloadProfile::web().scaled(0.02);
+    profile.unique_write_frac = 1.0;
+    let trace = SyntheticTrace::generate(&profile, 7);
+    let writes: Vec<ValueId> = trace
+        .records()
+        .iter()
+        .filter(|r| r.is_write())
+        .map(|r| r.value)
+        .collect();
+    let distinct: std::collections::HashSet<ValueId> = writes.iter().copied().collect();
+    assert_eq!(distinct.len(), writes.len(), "every write is new content");
+    let run_greedy = |system: SystemKind| {
+        let config = SsdConfig::for_footprint(profile.lpn_space)
+            .with_system(system)
+            .with_popularity_aware_gc(false);
+        let report = Ssd::new(config)
+            .and_then(|ssd| ssd.run_trace(trace.records()))
+            .unwrap_or_else(|e| panic!("{system}: run failed: {e}"));
+        assert_eq!(report.revived_writes + report.deduped_writes, 0, "{system}");
+        (report.flash_programs, report.erases, report.gc_collections)
+    };
+    let baseline = run_greedy(SystemKind::Baseline);
+    assert!(baseline.2 > 0, "the trace exercises GC");
+    let adaptive = SystemKind::AdaptiveDvp {
+        min_entries: 64,
+        max_entries: 512,
+    };
+    for system in ALL_SYSTEMS.into_iter().chain([adaptive]) {
+        assert_eq!(
+            run_greedy(system),
+            baseline,
+            "{system} differs from Baseline"
+        );
+    }
+}
