@@ -33,7 +33,6 @@ use zssd_core::SystemKind;
 use zssd_ftl::{RunReport, SsdConfig};
 use zssd_metrics::Json;
 use zssd_trace::{ArrivalProcess, SyntheticTrace, WorkloadProfile};
-use zssd_types::SimDuration;
 
 pub use grid::{
     grid_for, grid_threads, run_grid, run_grid_with_threads, run_jobs, run_jobs_with_threads,
@@ -46,7 +45,7 @@ pub const PAPER_POOL_ENTRIES: usize = 200_000;
 /// The timeline bucket width every experiment export uses (250 ms of
 /// simulated time), so GC-episode series from different binaries line
 /// up bucket-for-bucket.
-pub const METRICS_WINDOW: SimDuration = SimDuration::from_millis(250);
+pub use zssd_metrics::METRICS_WINDOW;
 
 /// Parses `raw`, the value of the environment knob `name` (`None` when
 /// unset). A value that does not parse, or that `valid` rejects, is an

@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use std::error::Error;
+use std::io::Write;
 
 use zssd_core::SystemKind;
 use zssd_flash::FaultConfig;
@@ -13,6 +14,14 @@ use zssd_types::SimDuration;
 use crate::args::{ArgError, Args};
 
 type CliResult = Result<(), Box<dyn Error>>;
+
+/// `println!` that hands a failed write to stdout (a reader that closed
+/// the pipe, say) back to the caller instead of panicking.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*)?
+    };
+}
 
 const HELP: &str = "\
 zssd — the zombie-ssd simulator (Reviving Zombie Pages on SSDs, IISWC'18)
@@ -78,12 +87,12 @@ FUZZ:
 /// Routes a command line to its implementation.
 pub fn dispatch(argv: &[String]) -> CliResult {
     let Some((command, rest)) = argv.split_first() else {
-        println!("{HELP}");
+        say!("{HELP}");
         return Ok(());
     };
     match command.as_str() {
         "help" | "--help" | "-h" => {
-            println!("{HELP}");
+            say!("{HELP}");
             Ok(())
         }
         "list" => list(),
@@ -188,6 +197,25 @@ impl ArrivalFlags {
     }
 }
 
+/// Rejects a constant arrival gap at which the last of `requests`
+/// unstamped requests would arrive past the end of the simulated clock,
+/// where the instants would wrap back to zero.
+fn check_clock_span(arrival: &ArrivalProcess, requests: usize) -> Result<(), ArgError> {
+    let ArrivalProcess::Constant { interval } = *arrival else {
+        return Ok(());
+    };
+    let gaps = (requests as u64).saturating_sub(1);
+    match interval.as_nanos().checked_mul(gaps) {
+        Some(_) => Ok(()),
+        None => Err(ArgError(format!(
+            "bad value for --interval-us: {requests} requests {} microseconds apart \
+             overrun the simulated clock (at most {} microseconds)",
+            interval.as_nanos() / 1_000,
+            u64::MAX / gaps / 1_000
+        ))),
+    }
+}
+
 fn scaled_profile(args: &Args) -> Result<WorkloadProfile, Box<dyn Error>> {
     let mut profile = workload(args.required("workload")?)?;
     let scale: f64 = args.parse_or("scale", 1.0)?;
@@ -213,9 +241,9 @@ fn scaled_profile(args: &Args) -> Result<WorkloadProfile, Box<dyn Error>> {
 }
 
 fn list() -> CliResult {
-    println!("workloads (Table II profiles):");
+    say!("workloads (Table II profiles):");
     for p in WorkloadProfile::paper_set() {
-        println!(
+        say!(
             "  {:8} WR {:>4.0}%  unique writes {:>4.1}%  {} req/day x {} days, footprint {} pages",
             p.name,
             p.write_ratio * 100.0,
@@ -225,7 +253,7 @@ fn list() -> CliResult {
             p.lpn_space
         );
     }
-    println!("\nsystems: baseline dvp lru-dvp ideal lxssd dedup dvp-dedup");
+    say!("\nsystems: baseline dvp lru-dvp ideal lxssd dedup dvp-dedup");
     Ok(())
 }
 
@@ -249,13 +277,14 @@ fn gen(argv: &[String]) -> CliResult {
     let trace = SyntheticTrace::generate(&profile, seed);
     let mut records = trace.records().to_vec();
     if let Some(process) = arrivals {
+        check_clock_span(&process, records.len())?;
         process.stamp(&mut records);
-        println!("stamped arrivals: {process}");
+        say!("stamped arrivals: {process}");
     }
     write_file(&records, out)?;
     let stats = TraceStats::measure(&records);
-    println!("wrote {} records to {out}", records.len());
-    println!("{stats}");
+    say!("wrote {} records to {out}", records.len());
+    say!("{stats}");
     Ok(())
 }
 
@@ -308,10 +337,12 @@ fn simulate(records: &[TraceRecord], config: SsdConfig, metrics_out: Option<&str
         config.over_provisioning() * 100.0
     );
     let report = Ssd::new(config)?.run_trace(records)?;
-    println!("{report}");
-    println!(
+    say!("{report}");
+    say!(
         "  wear: min {} / mean {:.1} / max {} erases per block",
-        report.wear.min_erases, report.wear.mean_erases, report.wear.max_erases
+        report.wear.min_erases,
+        report.wear.mean_erases,
+        report.wear.max_erases
     );
     if let Some(path) = metrics_out {
         let doc = report.to_json(zssd_bench::METRICS_WINDOW);
@@ -344,6 +375,7 @@ fn run(argv: &[String]) -> CliResult {
     let seed: u64 = args.parse_or("seed", 42)?;
     let config = drive_config(profile.lpn_space, "scale", system, &args)?;
     let trace = SyntheticTrace::generate(&profile, seed);
+    check_clock_span(&config.arrival, trace.records().len())?;
     simulate(trace.records(), config, args.optional("metrics-out"))
 }
 
@@ -386,6 +418,8 @@ fn replay(argv: &[String]) -> CliResult {
         )));
     }
     let config = drive_config(footprint, "footprint", system, &args)?;
+    let unstamped = records.iter().filter(|r| r.arrival.is_none()).count();
+    check_clock_span(&config.arrival, unstamped)?;
     simulate(&records, config, args.optional("metrics-out"))
 }
 
@@ -415,7 +449,7 @@ fn events(argv: &[String]) -> CliResult {
         config.geometry.total_pages()
     );
     let report = Ssd::new(config)?.run_trace(trace.records())?;
-    println!(
+    say!(
         "{} events recorded ({} writes, {} reads, {} revives, {} GC erases)",
         report.events.len(),
         report.host_writes,
@@ -425,10 +459,10 @@ fn events(argv: &[String]) -> CliResult {
     );
     let start = report.events.len().saturating_sub(tail);
     if start > 0 {
-        println!("  ... {start} earlier events (--tail N shows more, --out F exports all)");
+        say!("  ... {start} earlier events (--tail N shows more, --out F exports all)");
     }
     for (index, event) in report.events.iter().enumerate().skip(start) {
-        println!("{index:>8}  {event}");
+        say!("{index:>8}  {event}");
     }
     if let Some(path) = args.optional("out") {
         std::fs::write(path, zssd_metrics::events_to_csv(&report.events))?;
@@ -444,23 +478,23 @@ fn analyze(argv: &[String]) -> CliResult {
     let seed: u64 = args.parse_or("seed", 42)?;
     let trace = SyntheticTrace::generate(&profile, seed);
     let stats = TraceStats::measure(trace.records());
-    println!("{} — {stats}", profile.name);
+    say!("{} — {stats}", profile.name);
 
     let lc = ValueLifecycles::analyze(trace.records());
-    println!(
+    say!(
         "values: {} unique, {:.1}% died at least once, {} rebirths total",
         lc.unique_values(),
         lc.fraction_with_deaths() * 100.0,
         lc.total_rebirths()
     );
-    println!(
+    say!(
         "popularity: top 20% of values carry {:.1}% of writes, {:.1}% of rebirths",
         lc.writes_share().share_of_top(0.2) * 100.0,
         lc.rebirths_share().share_of_top(0.2) * 100.0
     );
     let plain = infinite_reuse(trace.records(), false);
     let dedup = infinite_reuse(trace.records(), true);
-    println!(
+    say!(
         "reuse bound: {:.1}% of writes revivable (infinite pool); after dedup {:.1}% \
          (+{:.1}% removed by dedup itself)",
         plain.reuse_fraction() * 100.0,
@@ -504,7 +538,7 @@ fn fuzz(argv: &[String]) -> CliResult {
             .iter()
             .filter(|(_, s)| s.capacity_death_at.is_some())
             .count();
-        println!(
+        say!(
             "seed {:>6}: {} commands x {} cells | reads {} | revived {} | \
              deduped {} | erases {} | faults {}p/{}e/{}r | retired {}{}{}",
             outcome.seed,
@@ -548,7 +582,7 @@ fn fuzz(argv: &[String]) -> CliResult {
              minimized traces written to {corpus}/"
         ))));
     }
-    println!("fuzz: {seeds} seeds x {cells} cells clean — no divergences, no invariant violations");
+    say!("fuzz: {seeds} seeds x {cells} cells clean — no divergences, no invariant violations");
     Ok(())
 }
 
@@ -810,6 +844,75 @@ mod tests {
             assert_eq!(arg.to_string(), expected, "{}", command[0]);
         }
         assert!(!out.exists(), "no trace is written");
+    }
+
+    #[test]
+    fn a_constant_interval_that_wraps_the_clock_is_rejected() {
+        // 1 800 requests 18 446 744 073 709 551 us apart would stamp
+        // the third at an instant past 2^64 - 1 ns.
+        let dir = std::env::temp_dir().join(format!("zssd-cli-wrap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let out = dir.join("web.trace");
+        let out_str = out.to_str().expect("utf8 path").to_owned();
+        let wrap = "18446744073709551";
+        let expected = "bad value for --interval-us: 1800 requests 18446744073709551 \
+                        microseconds apart overrun the simulated clock (at most \
+                        10253887756369 microseconds)";
+        for command in [
+            &["gen", "--out", &out_str][..],
+            &["run", "--system", "dvp"][..],
+        ] {
+            let argv: Vec<String> = command
+                .iter()
+                .chain(&[
+                    "--workload",
+                    "web",
+                    "--scale",
+                    "0.001",
+                    "--interval-us",
+                    wrap,
+                ])
+                .map(|s| s.to_string())
+                .collect();
+            let err = dispatch(&argv).expect_err("the last arrival wraps");
+            let arg = err
+                .downcast_ref::<ArgError>()
+                .expect("a typed argument error");
+            assert_eq!(arg.to_string(), expected, "{}", command[0]);
+        }
+        assert!(!out.exists(), "no trace is written");
+        // One gap fits the clock and the last one does not: the limit
+        // is exact.
+        let at_limit = |us: &str| {
+            let argv: Vec<String> = ["gen", "--out", &out_str, "--workload", "web"]
+                .iter()
+                .chain(&["--scale", "0.001", "--interval-us", us])
+                .map(|s| s.to_string())
+                .collect();
+            dispatch(&argv)
+        };
+        at_limit("10253887756369").expect("the last arrival fits");
+        at_limit("10253887756370").expect_err("the last arrival wraps");
+
+        // Replay counts only the records the arrival process stamps:
+        // 10^19 ns apart, two of them fit the clock and three do not.
+        let trace = dir.join("three.trace");
+        let trace_str = trace.to_str().expect("utf8 path").to_owned();
+        let replay = |text: &str| {
+            std::fs::write(&trace, text).expect("writable");
+            let argv: Vec<String> = ["replay", "--trace", &trace_str, "--system", "baseline"]
+                .iter()
+                .chain(&["--interval-us", "10000000000000000"])
+                .map(|s| s.to_string())
+                .collect();
+            dispatch(&argv)
+        };
+        replay("0 W 3 7\n1 W 4 8 @5\n2 W 5 9\n").expect("two unstamped records fit");
+        let err = replay("0 W 3 7\n1 W 4 8\n2 W 5 9\n").expect_err("three do not");
+        assert!(err
+            .to_string()
+            .starts_with("bad value for --interval-us: 3 requests"));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

@@ -345,6 +345,47 @@ impl FlashArray {
         Ok((ppn, Completion { done, faulted }))
     }
 
+    /// Programs the next `count` pages of `block` in one step, leaving
+    /// the pages, the block and the fault decision stream as `count`
+    /// calls of [`program_next`](FlashArray::program_next) would when
+    /// no program can fail, but charging no time: for the warm-up fill
+    /// of a drive without injected program failures, whose clock is
+    /// reset afterwards ([`FlashArray::reset_time`]). Returns the first
+    /// page of the run.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error, changing nothing, unless the block's next
+    /// `count` pages are all free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault configuration injects program failures: a
+    /// run cannot fail part-way.
+    pub fn program_run_untimed(&mut self, block: BlockId, count: u32) -> Result<Ppn, FlashOpError> {
+        assert!(
+            !self.fault.programs_can_fail(),
+            "a program run cannot meet injected program failures"
+        );
+        let start = self.blocks[block.index() as usize].write_cursor as usize;
+        let first = self.geometry.first_ppn_of(block).index() + start as u64;
+        let (record, pages) = self.block_mut(block);
+        pages
+            .get_mut(start..start + count as usize)
+            .filter(|run| run.iter().all(|&page| page == PageState::Free))
+            .ok_or(FlashOpError::BlockFull { block })?
+            .fill(PageState::Valid);
+        record.write_cursor += count;
+        record.valid_count += count;
+        record.free_count -= count;
+        record.skip_bad(pages);
+        self.stats.programs += u64::from(count);
+        for ppn in first..first + u64::from(count) {
+            self.fault.decide(FaultKind::Program, ppn);
+        }
+        Ok(Ppn::new(first))
+    }
+
     /// The page-state half of every program, shared by
     /// [`program_next`](FlashArray::program_next) and
     /// [`copyback_page`](FlashArray::copyback_page): checks that `block`
@@ -1171,6 +1212,43 @@ mod tests {
             .all(|&p| p == PageState::Bad));
         assert_eq!(neighbours(&flash), before, "retire touched a neighbour");
         assert_eq!(flash.total_valid_pages(), 8);
+    }
+
+    #[test]
+    fn a_program_run_leaves_what_single_programs_leave() {
+        let (mut single, mut run) = (tiny(), tiny());
+        for _ in 0..3 {
+            program(&mut single, 1, SimTime::ZERO);
+        }
+        let first = run.program_run_untimed(BlockId::new(1), 3).expect("run");
+        assert_eq!(first, single.geometry().first_ppn_of(BlockId::new(1)));
+        assert_eq!(
+            run.page_states(BlockId::new(1)),
+            single.page_states(BlockId::new(1))
+        );
+        assert_eq!(
+            run.block_info(BlockId::new(1)),
+            single.block_info(BlockId::new(1))
+        );
+        assert_eq!(run.stats().programs, 3);
+        // Two more pages do not fit the block's last free one.
+        assert!(run.program_run_untimed(BlockId::new(1), 2).is_err());
+        assert_eq!(run.free_pages_in(BlockId::new(1)), 1);
+        // No time was charged.
+        let read = run.read_page(first, SimTime::ZERO).expect("read");
+        assert_eq!(
+            read.done,
+            SimTime::ZERO + run.timing().read + run.timing().transfer
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "injected program failures")]
+    fn a_program_run_refuses_failing_programs() {
+        let geom = Geometry::new(2, 1, 1, 1, 2, 4).expect("valid geometry");
+        let faults = FaultConfig::none().with_program_fail(0.5);
+        let mut flash = FlashArray::with_faults(geom, FlashTiming::paper_table1(), faults);
+        let _ = flash.program_run_untimed(BlockId::new(0), 2);
     }
 
     #[test]

@@ -260,6 +260,11 @@ impl FaultPlan {
         FaultPlan { config, ops: 0 }
     }
 
+    /// Whether a program can be decided to fail.
+    pub(crate) fn programs_can_fail(&self) -> bool {
+        self.config.program_fail > 0.0
+    }
+
     /// Decides whether the next operation of `kind` on `target` (a
     /// page or block index) fails. Each call consumes one slot of the
     /// decision stream.

@@ -59,6 +59,12 @@ impl Allocator {
         plane
     }
 
+    /// Moves the round-robin cursor on as `writes` calls of
+    /// [`Allocator::next_plane`] would.
+    pub(crate) fn advance(&mut self, writes: u64) {
+        self.cursor = (self.cursor + writes % self.plane_count()) % self.plane_count();
+    }
+
     /// Returns a block in `plane` with at least one programmable page,
     /// opening a fresh free block when the active one is full.
     ///

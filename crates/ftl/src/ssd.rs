@@ -3,7 +3,7 @@
 use zssd_core::{DeadValuePool, PoolStats};
 use zssd_dedup::DedupStore;
 use zssd_flash::{BlockId, Completion, FlashArray, PageState};
-use zssd_metrics::{Event, FaultEvent, LatencySummary, TracedEvent};
+use zssd_metrics::{Event, FaultEvent, TracedEvent};
 use zssd_trace::{initial_value_of, IoOp, TraceRecord};
 use zssd_types::{AddressError, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 
@@ -149,25 +149,25 @@ impl Ssd {
         WriteClock::from_count(self.stats.host_writes)
     }
 
-    /// Fills every logical page with unique pre-trace content, then
+    /// Fills every logical page with unique pre-trace content, placed
+    /// where host writes striped over the planes would put it, then
     /// resets timing and counters so the measured run starts on a warm,
     /// quiet drive.
     fn precondition(&mut self) -> Result<(), SsdError> {
+        if self.config.faults.program_fail > 0.0 {
+            self.fill_page_by_page()?;
+        } else {
+            self.fill_block_by_block()?;
+        }
         // Every page holds distinct content, so registering them all
         // would leave exactly the last `dedup_index_entries` in the LRU
         // index, oldest first; register only those.
-        let first_indexed = self
-            .config
-            .logical_pages
-            .saturating_sub(self.config.dedup_index_entries as u64);
-        for index in 0..self.config.logical_pages {
-            let lpn = Lpn::new(index);
-            let value = initial_value_of(lpn);
-            let (ppn, _, _) = self.program_host_page(SimTime::ZERO)?;
-            self.rmap.insert(ppn, value, lpn);
-            self.mapping.update(lpn, ppn);
-            if let Some(dedup) = self.dedup.as_mut().filter(|_| index >= first_indexed) {
-                dedup.register(value, ppn);
+        if let Some(dedup) = self.dedup.as_mut() {
+            let pages = self.config.logical_pages;
+            for index in pages.saturating_sub(self.config.dedup_index_entries as u64)..pages {
+                let lpn = Lpn::new(index);
+                let ppn = self.mapping.lookup(lpn).expect("the fill maps every page");
+                dedup.register(initial_value_of(lpn), ppn);
             }
         }
         self.flash.reset_time();
@@ -182,6 +182,48 @@ impl Ssd {
             log.clear();
         }
         Ok(())
+    }
+
+    /// The fill under injected program failures: one host-style program
+    /// at a time, in logical page order, each failed one retried on the
+    /// plane's next page.
+    fn fill_page_by_page(&mut self) -> Result<(), SsdError> {
+        for index in 0..self.config.logical_pages {
+            let (ppn, _, _) = self.program_host_page(SimTime::ZERO)?;
+            self.place_initial(Lpn::new(index), ppn);
+        }
+        Ok(())
+    }
+
+    /// The fill when no program can fail. Plane `p` of `P` then receives
+    /// logical pages `p`, `p + P`, `p + 2P`, ... on consecutive pages of
+    /// its blocks, so each block is programmed in one untimed run (the
+    /// clock is reset afterwards); the drive ends exactly as
+    /// [`Ssd::fill_page_by_page`] leaves it, in a fraction of the time.
+    fn fill_block_by_block(&mut self) -> Result<(), SsdError> {
+        let pages = self.config.logical_pages;
+        let planes = self.allocator.plane_count();
+        for plane in 0..planes {
+            let mut index = plane;
+            while index < pages {
+                let block = self.allocator.take_active(plane, &self.flash)?;
+                let run = u64::from(self.flash.free_pages_in(block))
+                    .min((pages - index).div_ceil(planes));
+                let first = self.flash.program_run_untimed(block, run as u32)?.index();
+                for ppn in first..first + run {
+                    self.place_initial(Lpn::new(index), Ppn::new(ppn));
+                    index += planes;
+                }
+            }
+        }
+        self.allocator.advance(pages);
+        Ok(())
+    }
+
+    /// Records `ppn` as holding `lpn`'s initial content.
+    fn place_initial(&mut self, lpn: Lpn, ppn: Ppn) {
+        self.rmap.insert(ppn, initial_value_of(lpn), lpn);
+        self.mapping.update(lpn, ppn);
     }
 
     /// Appends one event to the log. A single branch when tracing is
@@ -457,14 +499,14 @@ impl Ssd {
 
     /// Finalizes this drive into a [`RunReport`].
     ///
-    /// Consumes the drive so the timeline moves into the report instead
-    /// of being cloned — at experiment scale it holds millions of
-    /// samples per run.
+    /// Consumes the drive so the timeline and the event trace move into
+    /// the report instead of being cloned.
     pub fn into_report(mut self) -> RunReport {
         let events = self.events.take().unwrap_or_default();
         let flash = self.flash.stats();
         let timeline = std::mem::take(&mut self.stats.timeline);
-        let mut report = RunReport {
+        let (write_latency, read_latency, all_latency) = timeline.summaries();
+        RunReport {
             system: self.config.system,
             host_writes: self.stats.host_writes,
             host_reads: self.stats.host_reads,
@@ -487,23 +529,12 @@ impl Ssd {
             dedup: self.dedup.as_ref().map(|d| d.stats()),
             wear: self.flash.wear_summary(),
             timeline,
-            write_latency: LatencySummary::default(),
-            read_latency: LatencySummary::default(),
-            all_latency: LatencySummary::default(),
+            write_latency,
+            read_latency,
+            all_latency,
             phases: self.stats.phases,
             events,
-        };
-        // Digest the latencies once the drive's tables are freed, so
-        // the digests' scratch space does not raise the run's peak
-        // memory.
-        drop(self);
-        let digests = report.timeline.summaries();
-        (
-            report.write_latency,
-            report.read_latency,
-            report.all_latency,
-        ) = digests;
-        report
+        }
     }
 
     /// Checks the cross-structure consistency invariants that must
@@ -1351,6 +1382,87 @@ mod tests {
         s.read(Lpn::new(0), SimTime::ZERO).expect("read");
         let after = weight(&s, old_ppn).expect("still tracked");
         assert!(after > before, "a read must bump LX-SSD popularity");
+    }
+
+    #[test]
+    fn block_runs_fill_the_drive_as_page_by_page_programs_do() {
+        // A program failure chance too small ever to fire selects the
+        // page-by-page fill without changing where any page lands. The
+        // last drive's erase and read faults keep firing, so the fills
+        // must also leave the fault decision stream at the same place.
+        let geometry = zssd_flash::Geometry::new(1, 1, 1, 2, 32, 16).expect("geometry");
+        let mut dedup = SsdConfig::new(geometry)
+            .with_system(SystemKind::DvpPlusDedup { entries: 64 })
+            .with_dedup_index_entries(200);
+        dedup.logical_pages = 701;
+        let faults = zssd_flash::FaultConfig::from_spec("erase=0.02,read=0.01").expect("spec");
+        for (base, faults) in [
+            (SsdConfig::small_test(), zssd_flash::FaultConfig::none()),
+            (dedup.clone(), zssd_flash::FaultConfig::none()),
+            (dedup, faults),
+        ] {
+            let by_page = faults.with_program_fail(f64::MIN_POSITIVE);
+            let mut a = Ssd::new(base.clone().with_faults(faults)).expect("drive");
+            let mut b = Ssd::new(base.with_faults(by_page)).expect("drive");
+            a.check_invariants().expect("block-run fill is consistent");
+            let pages = a.config.logical_pages;
+            for lpn in (0..pages).map(Lpn::new) {
+                assert_eq!(a.mapping.lookup(lpn), b.mapping.lookup(lpn), "{lpn}");
+            }
+            for ppn in (0..a.flash.geometry().total_pages()).map(Ppn::new) {
+                assert_eq!(a.flash.page_state(ppn), b.flash.page_state(ppn), "{ppn}");
+            }
+            // A replay with GC, revivals and dedup hits then runs
+            // identically.
+            for i in 0..6 * pages {
+                let at = SimTime::from_nanos(i * 50_000);
+                let lpn = Lpn::new(i * 7_919 % pages);
+                if i % 3 == 0 {
+                    let read = a.read(lpn, at).expect("read");
+                    assert_eq!(read, b.read(lpn, at).expect("read"));
+                } else {
+                    // Mostly new content, with a hot set that dies and
+                    // returns.
+                    let value = ValueId::new(if i % 5 == 1 { i % 40 } else { 1_000 + i });
+                    let done = a.write(lpn, value, at).expect("write");
+                    assert_eq!(done, b.write(lpn, value, at).expect("write"));
+                }
+            }
+            let report = a.into_report();
+            assert!(report.erases > 0, "the replay collects garbage");
+            assert_eq!(report, b.into_report());
+        }
+    }
+
+    #[test]
+    fn host_writes_count_into_the_popularity_byte() {
+        use zssd_types::PopularityDegree;
+        // Baseline has no pool, so nothing but the write path itself
+        // can raise a page's degree.
+        let mut s = ssd(SystemKind::Baseline);
+        let degree = |s: &Ssd, lpn: u64| s.mapping.popularity(Lpn::new(lpn));
+        for k in 1..=5 {
+            w(&mut s, 3, k);
+            assert_eq!(degree(&s, 3), PopularityDegree::new(k as u8));
+        }
+        assert_eq!(
+            degree(&s, 4),
+            PopularityDegree::ZERO,
+            "other pages untouched"
+        );
+        // The count outlives the mapping: a trim keeps it, and the
+        // next write counts on from it.
+        s.trim(Lpn::new(3)).expect("trim");
+        assert_eq!(degree(&s, 3), PopularityDegree::new(5));
+        w(&mut s, 3, 6);
+        assert_eq!(degree(&s, 3), PopularityDegree::new(6));
+        // The byte saturates at 255 writes.
+        for k in 0..300 {
+            w(&mut s, 4, 1_000 + k);
+        }
+        assert_eq!(degree(&s, 4), PopularityDegree::MAX);
+        s.trim(Lpn::new(4)).expect("trim");
+        assert_eq!(degree(&s, 4), PopularityDegree::MAX);
     }
 
     #[test]

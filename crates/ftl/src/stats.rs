@@ -37,9 +37,10 @@ pub struct SsdStats {
     /// NAND programs issued to relocate data off a page that needed a
     /// read retry (background scrubbing, only under fault injection).
     pub scrub_programs: u64,
-    /// Every request's arrival and latency: the run's one record of
-    /// latencies, behind both the episode analysis and the latency
-    /// digests of the report.
+    /// Request latencies, counted per distinct value and aggregated per
+    /// 250 ms window of arrival: the run's one record of latencies,
+    /// behind both the episode analysis and the latency digests of the
+    /// report.
     pub timeline: Timeline,
     /// Simulated time spent per internal phase. Always accumulated —
     /// the additions are a handful of integer ops per GC episode, far
@@ -146,7 +147,7 @@ pub struct RunReport {
     pub dedup: Option<DedupStats>,
     /// Block-wear distribution at the end of the run.
     pub wear: WearSummary,
-    /// Per-request latency over simulated time (episode analysis).
+    /// Request latencies over simulated time (episode analysis).
     pub timeline: Timeline,
     /// Write-latency digest.
     pub write_latency: LatencySummary,
@@ -222,7 +223,8 @@ impl RunReport {
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero (see [`Timeline::windows`]).
+    /// Panics unless `window` is a nonzero multiple of
+    /// [`zssd_metrics::METRICS_WINDOW`] (see [`Timeline::windows`]).
     pub fn to_json(&self, window: SimDuration) -> Json {
         fn latency(summary: &LatencySummary) -> Json {
             Json::Obj(vec![
@@ -407,7 +409,7 @@ mod tests {
     fn json_export_lists_the_phases_that_ran_in_name_order() {
         let mut r = report();
         let phases = |r: &RunReport| {
-            let doc = r.to_json(SimDuration::from_millis(1));
+            let doc = r.to_json(zssd_metrics::METRICS_WINDOW);
             doc.get("phases").map(Json::to_string)
         };
         assert_eq!(phases(&r).as_deref(), Some("{}"));
@@ -426,7 +428,7 @@ mod tests {
     fn json_export_is_deterministic_and_parses() {
         let mut r = report();
         r.phases.gc_erase.add(SimDuration::from_micros(3800));
-        let window = SimDuration::from_millis(1);
+        let window = zssd_metrics::METRICS_WINDOW;
         let text = r.to_json(window).to_string();
         assert_eq!(text, r.clone().to_json(window).to_string());
         let parsed = Json::parse(&text).expect("exporter emits valid JSON");

@@ -7,9 +7,9 @@
 //!
 //! * [`reduction_pct`] — the relative reduction against Baseline that
 //!   every evaluation figure plots,
-//! * [`Timeline`] — every request's arrival and latency, windowed
-//!   over simulated time and digested into exact mean/percentile
-//!   [`LatencySummary`] values,
+//! * [`Timeline`] — request latencies counted per distinct value and
+//!   aggregated online into [`METRICS_WINDOW`]s of simulated time,
+//!   digested into exact mean/percentile [`LatencySummary`] values,
 //! * [`Cdf`] — empirical cumulative distribution over integer samples
 //!   (Fig 2-style "fraction of values with ≤ k invalidations"),
 //! * [`ShareCurve`] — Lorenz-style "top x% of values account for y% of
@@ -62,4 +62,4 @@ pub use export::{
 pub use latency::LatencySummary;
 pub use registry::CounterRegistry;
 pub use share::{ShareCurve, SharePoint};
-pub use timeline::{Timeline, WindowStat};
+pub use timeline::{Timeline, WindowStat, METRICS_WINDOW};

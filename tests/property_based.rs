@@ -13,7 +13,7 @@ use zombie_ssd::core::{
 };
 use zombie_ssd::flash::FaultConfig;
 use zombie_ssd::ftl::{Ssd, SsdConfig};
-use zombie_ssd::metrics::{Cdf, LatencySummary, ShareCurve, Timeline};
+use zombie_ssd::metrics::{Cdf, LatencySummary, ShareCurve, Timeline, WindowStat, METRICS_WINDOW};
 use zombie_ssd::trace::{ArrivalProcess, SyntheticTrace, TraceRecord, WorkloadProfile};
 use zombie_ssd::types::{Lpn, PopularityDegree, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 use zssd_bench::{run_grid_with_threads, GridCell};
@@ -35,6 +35,37 @@ fn sorted_digest(mut ns: Vec<u64>) -> LatencySummary {
         p99: SimDuration::from_nanos(rank(0.99)),
         max: SimDuration::from_nanos(ns[n - 1]),
     }
+}
+
+/// The windows of `width` ns over raw `(arrival ns, latency ns)`
+/// samples, computed the plain way: one slot per window from zero to
+/// the last arrival, filled by a walk over every sample.
+fn sample_windows(samples: &[(u64, u64)], width: u64) -> Vec<WindowStat> {
+    let Some(last) = samples.iter().map(|&(at, _)| at).max() else {
+        return Vec::new();
+    };
+    let n = (last / width + 1) as usize;
+    let mut slots = vec![(0u64, 0u128, 0u64); n];
+    for &(at, ns) in samples {
+        let slot = &mut slots[(at / width) as usize];
+        slot.0 += 1;
+        slot.1 += u128::from(ns);
+        slot.2 = slot.2.max(ns);
+    }
+    slots
+        .iter()
+        .enumerate()
+        .map(|(i, &(count, sum, max))| WindowStat {
+            start: SimTime::from_nanos(i as u64 * width),
+            count,
+            mean: SimDuration::from_nanos(if count == 0 {
+                0
+            } else {
+                (sum / u128::from(count)) as u64
+            }),
+            max: SimDuration::from_nanos(max),
+        })
+        .collect()
 }
 
 /// The block size the pool-model exercise's pools are built with.
@@ -294,6 +325,47 @@ proptest! {
             prop_assert!(summary.mean <= summary.max);
         }
         prop_assert_eq!(all.count, samples.len() as u64);
+    }
+
+    #[test]
+    fn timeline_counts_match_the_raw_samples(
+        samples in prop::collection::vec(
+            (0u64..4_000_000_000, 0u64..40, 0u64..3_000, any::<bool>()),
+            0..300,
+        ),
+    ) {
+        // Arrivals in random order over 16 base windows; latencies
+        // drawn from 40 coarse values plus a fine offset, so some
+        // repeat and some do not.
+        let samples: Vec<(u64, u64, bool)> = samples
+            .iter()
+            .map(|&(at, coarse, fine, is_read)| {
+                (at, coarse * 250_000 + if fine < 1_000 { 0 } else { fine }, is_read)
+            })
+            .collect();
+        let mut timeline = Timeline::new();
+        for &(at, ns, is_read) in &samples {
+            let (at, ns) = (SimTime::from_nanos(at), SimDuration::from_nanos(ns));
+            if is_read {
+                timeline.record_read(at, ns);
+            } else {
+                timeline.record_write(at, ns);
+            }
+        }
+        let side = |read: bool| samples.iter().filter(|s| s.2 == read).map(|s| s.1).collect();
+        prop_assert_eq!(
+            timeline.summaries(),
+            (
+                sorted_digest(side(false)),
+                sorted_digest(side(true)),
+                sorted_digest(samples.iter().map(|s| s.1).collect()),
+            )
+        );
+        let raw: Vec<(u64, u64)> = samples.iter().map(|&(at, ns, _)| (at, ns)).collect();
+        for k in 1..4 {
+            let width = METRICS_WINDOW.mul(k);
+            prop_assert_eq!(timeline.windows(width), sample_windows(&raw, width.as_nanos()));
+        }
     }
 
     #[test]
