@@ -9,7 +9,7 @@ use zssd_ftl::{Ssd, SsdConfig};
 use zssd_trace::{
     read_file, write_file, ArrivalProcess, SyntheticTrace, TraceRecord, TraceStats, WorkloadProfile,
 };
-use zssd_types::SimDuration;
+use zssd_types::{SimDuration, SimTime};
 
 use crate::args::{ArgError, Args};
 
@@ -199,19 +199,20 @@ impl ArrivalFlags {
 
 /// Rejects a constant arrival gap at which the last of `requests`
 /// unstamped requests would arrive past the end of the simulated clock,
-/// where the instants would wrap back to zero.
+/// [`SimTime::MAX`].
 fn check_clock_span(arrival: &ArrivalProcess, requests: usize) -> Result<(), ArgError> {
     let ArrivalProcess::Constant { interval } = *arrival else {
         return Ok(());
     };
     let gaps = (requests as u64).saturating_sub(1);
+    let last = SimTime::MAX.as_nanos();
     match interval.as_nanos().checked_mul(gaps) {
-        Some(_) => Ok(()),
-        None => Err(ArgError(format!(
+        Some(span) if span <= last => Ok(()),
+        _ => Err(ArgError(format!(
             "bad value for --interval-us: {requests} requests {} microseconds apart \
              overrun the simulated clock (at most {} microseconds)",
             interval.as_nanos() / 1_000,
-            u64::MAX / gaps / 1_000
+            last / gaps / 1_000
         ))),
     }
 }
@@ -399,18 +400,8 @@ fn replay(argv: &[String]) -> CliResult {
     let entries: usize = args.parse_or("entries", 200_000)?;
     let system = system(args.required("system")?, entries)?;
     // The default footprint covers the highest LPN, and at least 64
-    // pages. LPN u64::MAX fits no footprint, so it is rejected here
-    // rather than overflowing `lpn + 1`.
-    let mut covered = 64;
-    for r in &records {
-        let pages = r.lpn.index().checked_add(1).ok_or_else(|| {
-            ArgError(format!(
-                "trace LPN {} is out of range: the drive would need LPN + 1 logical pages",
-                r.lpn.index()
-            ))
-        })?;
-        covered = covered.max(pages);
-    }
+    // pages. An `Lpn` is 32 bits, so `index() + 1` cannot overflow.
+    let covered = records.iter().map(|r| r.lpn.index() + 1).fold(64, u64::max);
     let footprint: u64 = args.parse_or("footprint", covered)?;
     if footprint == 0 {
         return Err(Box::new(ArgError(
@@ -604,6 +595,7 @@ fn slug(label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zssd_trace::TraceParseError;
 
     #[test]
     fn workload_lookup() {
@@ -781,12 +773,15 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         let err = dispatch(&argv).expect_err("LPN u64::MAX fits no drive");
-        let arg = err
-            .downcast_ref::<ArgError>()
-            .expect("a typed argument error");
-        assert!(
-            arg.to_string().contains("LPN 18446744073709551615"),
-            "{arg}"
+        let parse = err
+            .downcast_ref::<std::io::Error>()
+            .and_then(|e| e.get_ref())
+            .and_then(|e| e.downcast_ref::<TraceParseError>())
+            .expect("a typed parse error");
+        assert_eq!(parse.line(), 2);
+        assert_eq!(
+            parse.to_string(),
+            "trace line 2: lpn 18446744073709551615 out of range: at most 4294967295"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -844,6 +839,21 @@ mod tests {
             assert_eq!(arg.to_string(), expected, "{}", command[0]);
         }
         assert!(!out.exists(), "no trace is written");
+    }
+
+    #[test]
+    fn the_clock_span_ends_at_the_last_instant() {
+        let gap = |ns| ArrivalProcess::constant(SimDuration::from_nanos(ns));
+        let last = SimTime::MAX.as_nanos();
+        check_clock_span(&gap(last), 2).expect("the second request arrives at SimTime::MAX");
+        let err = check_clock_span(&gap(u64::MAX), 2).expect_err("one past SimTime::MAX");
+        assert!(
+            err.to_string().contains("overrun the simulated clock"),
+            "{err}"
+        );
+        check_clock_span(&gap(last / 2), 3).expect("an exact fit");
+        check_clock_span(&gap(last / 2 + 1), 3).expect_err("two gaps past the last instant");
+        check_clock_span(&gap(u64::MAX), 1).expect("one request needs no gap");
     }
 
     #[test]

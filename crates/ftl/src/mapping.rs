@@ -20,13 +20,14 @@ pub(crate) struct MappingTable {
     entries: Vec<Entry>,
 }
 
-/// The most pages either page table can number. Both store page
-/// numbers as `u32` and keep `u32::MAX` as a sentinel (an unmapped
-/// entry here, an owner-less record in the reverse map), so a drive
-/// holds at most `u32::MAX` physical and logical pages, numbered
-/// `0..u32::MAX`. [`SsdConfig::validate`](crate::SsdConfig::validate)
-/// rejects larger drives.
-pub(crate) const MAX_PAGES: u64 = u32::MAX as u64;
+/// The most pages either page table can number: the range of [`Lpn`].
+/// Both tables store page numbers as `u32` and keep `u32::MAX`
+/// ([`Lpn::MAX`]) as a sentinel (an unmapped entry here, an owner-less
+/// record in the reverse map), so a drive holds at most `u32::MAX`
+/// physical and logical pages, numbered `0..u32::MAX`.
+/// [`SsdConfig::validate`](crate::SsdConfig::validate) rejects larger
+/// drives.
+pub(crate) const MAX_PAGES: u64 = Lpn::MAX.index();
 
 /// The `ppn` of an entry that maps nowhere.
 const UNMAPPED: u32 = u32::MAX;

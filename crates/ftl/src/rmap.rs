@@ -61,7 +61,7 @@ fn pack(lpn: Lpn) -> u32 {
 }
 
 fn unpack(owner: u32) -> Lpn {
-    Lpn::new(u64::from(owner))
+    Lpn::from(owner)
 }
 
 /// Reverse mapping from physical page numbers to their records, one

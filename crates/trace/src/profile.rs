@@ -4,6 +4,8 @@
 use core::fmt;
 use std::error::Error;
 
+use zssd_types::Lpn;
+
 /// A profile too large for the generator's compact tables, reported
 /// by [`WorkloadProfile::validate`] before anything is allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,18 +15,22 @@ pub enum ProfileError {
     /// The trace would hold this many writes, `u32::MAX` or more: the
     /// generator keeps value ranks in `u32`s.
     TooManyWrites(u64),
-    /// The footprint, in pages, is above `u32::MAX`: the generator
-    /// keeps addresses in `u32`s.
+    /// The footprint, in pages, is above `u32::MAX` ([`Lpn::MAX`]): the
+    /// generator keeps addresses in `u32`s, as [`Lpn`] does.
     FootprintTooLarge(u64),
 }
 
 impl fmt::Display for ProfileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let max = u32::MAX;
         match self {
             Self::RequestsOverflow => f.write_str("requests per day times days overflows a u64"),
-            Self::TooManyWrites(n) => write!(f, "{n} writes: the generator takes fewer than {max}"),
-            Self::FootprintTooLarge(n) => write!(f, "{n} pages: the generator takes at most {max}"),
+            Self::TooManyWrites(n) => {
+                write!(f, "{n} writes: the generator takes fewer than {}", u32::MAX)
+            }
+            Self::FootprintTooLarge(n) => {
+                let max = Lpn::MAX.index();
+                write!(f, "{n} pages: the generator takes at most {max}")
+            }
         }
     }
 }
@@ -294,7 +300,7 @@ impl WorkloadProfile {
 
     /// Checks that the generator can produce this profile: the request
     /// count fits a `u64`, the writes stay below `u32::MAX`, and the
-    /// footprint is at most `u32::MAX` pages.
+    /// footprint is at most `u32::MAX` pages, the range of [`Lpn`].
     ///
     /// # Errors
     ///
@@ -308,7 +314,7 @@ impl WorkloadProfile {
         if writes >= u64::from(u32::MAX) {
             return Err(ProfileError::TooManyWrites(writes));
         }
-        if self.lpn_space > u64::from(u32::MAX) {
+        if self.lpn_space > Lpn::MAX.index() {
             return Err(ProfileError::FootprintTooLarge(self.lpn_space));
         }
         Ok(())

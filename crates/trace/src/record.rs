@@ -54,6 +54,17 @@ impl fmt::Display for IoOp {
 /// the trace (generated traces track this; it lets trace-only analyses
 /// reason about read redundancy). A record's ordinal is its position
 /// in the trace: nothing stores it.
+///
+/// A record is 24 bytes, because a trace is held whole in memory while
+/// it replays (3 M records for mail). [`Lpn`] holds a 32-bit index,
+/// `0..=Lpn::MAX`, which is safe because no drive the simulator builds
+/// has more pages than that (Table I's drive has 2^28 and
+/// `SsdConfig::validate` rejects more than `u32::MAX`); the generator's
+/// footprint is bounded the same way. [`SimTime`] reaches
+/// `SimTime::MAX`, `u64::MAX - 1` ns (about 584 years), and has a niche,
+/// so `Option<SimTime>` is 8 bytes. The text reader rejects an LPN or
+/// a stamp past either limit with a [`TraceParseError`](crate::TraceParseError),
+/// so every input that reaches a record is representable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Read or write.
@@ -160,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn a_record_is_40_bytes() {
-        assert_eq!(core::mem::size_of::<TraceRecord>(), 40);
+    fn a_record_is_24_bytes() {
+        assert_eq!(core::mem::size_of::<TraceRecord>(), 24);
     }
 }

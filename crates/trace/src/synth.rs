@@ -155,9 +155,13 @@ impl SyntheticTrace {
         let values = burstify(values, unique, profile.burst_len, &mut rng);
 
         // 3/4. Address selection through the shuffled slot table.
-        // `validate` bounds `lpn_space` by `u32::MAX`.
+        // `validate` bounds `lpn_space` by `Lpn::MAX`. Sampling leaves
+        // a sampler unchanged, so when reads and writes share an
+        // exponent (home) they share one table.
         let write_addr = ZipfSampler::new(profile.lpn_space, profile.lpn_alpha);
-        let read_addr = ZipfSampler::new(profile.lpn_space, profile.read_alpha);
+        let read_table = (profile.read_alpha != profile.lpn_alpha)
+            .then(|| ZipfSampler::new(profile.lpn_space, profile.read_alpha));
+        let read_addr = read_table.as_ref().unwrap_or(&write_addr);
         let mut slots: Vec<(u32, u32)> = (0..profile.lpn_space as u32)
             .map(|lpn| (lpn, UNWRITTEN))
             .collect();
@@ -194,12 +198,12 @@ impl SyntheticTrace {
                     let slot = &mut slots[rank];
                     // Below `u32::MAX`: checked with the write count.
                     slot.1 = value as u32;
-                    let lpn = Lpn::new(u64::from(slot.0));
+                    let lpn = Lpn::from(slot.0);
                     records.push(TraceRecord::write(lpn, ValueId::new(value)));
                 }
                 IoOp::Read => {
                     let (lpn, value) = slots[read_addr.sample(&mut rng) as usize];
-                    let lpn = Lpn::new(u64::from(lpn));
+                    let lpn = Lpn::from(lpn);
                     let value = if value == UNWRITTEN {
                         initial_value_of(lpn)
                     } else {
@@ -213,7 +217,7 @@ impl SyntheticTrace {
                     // content is there.
                     let slot = &mut slots[write_addr.sample(&mut rng) as usize];
                     slot.1 = UNWRITTEN;
-                    records.push(TraceRecord::trim(Lpn::new(u64::from(slot.0))));
+                    records.push(TraceRecord::trim(Lpn::from(slot.0)));
                 }
             }
         }

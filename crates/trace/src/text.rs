@@ -117,8 +117,9 @@ pub fn read_file<P: AsRef<std::path::Path>>(path: P) -> io::Result<Vec<TraceReco
 ///
 /// # Errors
 ///
-/// Returns a [`TraceParseError`] naming the first malformed line;
-/// comment (`#`) and blank lines are skipped.
+/// Returns a [`TraceParseError`] naming the first malformed line,
+/// including an LPN above [`Lpn::MAX`] and an arrival stamp past
+/// [`SimTime::MAX`]; comment (`#`) and blank lines are skipped.
 pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
     let mut records = Vec::new();
     for (idx, line) in input.lines().enumerate() {
@@ -150,6 +151,12 @@ pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
             .ok_or_else(|| TraceParseError::new(lineno, "missing lpn"))?
             .parse()
             .map_err(|e| TraceParseError::new(lineno, format!("bad lpn: {e}")))?;
+        let lpn = u32::try_from(lpn).map(Lpn::from).map_err(|_| {
+            TraceParseError::new(
+                lineno,
+                format!("lpn {lpn} out of range: at most {}", Lpn::MAX.index()),
+            )
+        })?;
         let value: u64 = fields
             .next()
             .ok_or_else(|| TraceParseError::new(lineno, "missing value"))?
@@ -163,6 +170,13 @@ pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
                 let ns: u64 = ns
                     .parse()
                     .map_err(|e| TraceParseError::new(lineno, format!("bad arrival: {e}")))?;
+                let last = SimTime::MAX.as_nanos();
+                if ns > last {
+                    return Err(TraceParseError::new(
+                        lineno,
+                        format!("arrival {ns} out of range: at most {last} ns"),
+                    ));
+                }
                 arrival = Some(SimTime::from_nanos(ns));
             } else if token != digest(ValueId::new(value)) {
                 return Err(TraceParseError::new(
@@ -173,7 +187,7 @@ pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
         }
         records.push(TraceRecord {
             op,
-            lpn: Lpn::new(lpn),
+            lpn,
             value: ValueId::new(value),
             arrival,
         });
@@ -229,6 +243,35 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("arrival"));
+    }
+
+    #[test]
+    fn an_lpn_beyond_32_bits_is_an_error_naming_its_line() {
+        let last = format!("0 W {} 2", u32::MAX);
+        assert_eq!(parse_text(&last).expect("parse")[0].lpn, Lpn::MAX);
+        let err = parse_text("0 W 3 7\n1 W 4294967296 8\n").unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert_eq!(
+            err.to_string(),
+            "trace line 2: lpn 4294967296 out of range: at most 4294967295"
+        );
+        let err = parse_text("0 R 18446744073709551615 8").unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("lpn 18446744073709551615 out of range"));
+    }
+
+    #[test]
+    fn a_stamp_past_the_last_instant_is_an_error_naming_its_line() {
+        let last = format!("0 W 3 7 @{}", u64::MAX - 1);
+        let parsed = parse_text(&last).expect("parse");
+        assert_eq!(parsed[0].arrival, Some(SimTime::MAX));
+        let err = parse_text("# header\n0 W 3 7 @18446744073709551615\n").unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert_eq!(
+            err.to_string(),
+            "trace line 2: arrival 18446744073709551615 out of range: at most 18446744073709551614 ns"
+        );
     }
 
     #[test]
@@ -315,18 +358,19 @@ mod tests {
         assert_eq!(seqs, ["0", "1"], "written with each record's index");
     }
 
-    /// Any record: all three ops, any LPN and value, stamped or not.
+    /// Any record: all three ops, any value, any LPN and stamp the
+    /// types hold, stamped or not.
     fn any_record() -> impl Strategy<Value = TraceRecord> {
         (
             0u8..3,
-            any::<u64>(),
+            any::<u32>(),
             any::<u64>(),
             any::<bool>(),
-            any::<u64>(),
+            0..SimTime::MAX.as_nanos() + 1,
         )
             .prop_map(|(op, lpn, value, stamped, at)| TraceRecord {
                 op: [IoOp::Read, IoOp::Write, IoOp::Trim][usize::from(op)],
-                lpn: Lpn::new(lpn),
+                lpn: Lpn::from(lpn),
                 value: ValueId::new(value),
                 arrival: stamped.then(|| SimTime::from_nanos(at)),
             })
@@ -350,6 +394,13 @@ mod tests {
             }
             // A non-numeric or out-of-range seq, LPN or value column.
             3 => tokens[[0, 2, 3][pick % 3]] = bad_number.to_string(),
+            // An LPN that fits a `u64` but not an `Lpn`.
+            4 => tokens[2] = (Lpn::MAX.index() + 1 + pick as u64 % 1_000).to_string(),
+            // A stamp that fits a `u64` but is past `SimTime::MAX`.
+            5 => {
+                tokens.truncate(5);
+                tokens.push(format!("@{}", u64::MAX));
+            }
             _ => {
                 tokens.truncate(5);
                 tokens.push(format!("@{bad_number}"));
@@ -373,7 +424,7 @@ mod tests {
         fn a_malformed_line_is_an_error_naming_its_line(
             records in prop::collection::vec(any_record(), 1..20),
             at in any::<usize>(),
-            kind in 0u8..5,
+            kind in 0u8..7,
             pick in any::<usize>(),
         ) {
             let mut buf = Vec::new();

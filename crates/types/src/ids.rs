@@ -1,12 +1,20 @@
 //! Page-number and value-identity newtypes.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
 
 /// A logical page number: the host-visible 4 KB block address.
 ///
 /// The FTL maps each `Lpn` to at most one live [`Ppn`]. Keeping the two
 /// address spaces as distinct types means a physical address can never
 /// be handed to an API expecting a logical one.
+///
+/// An `Lpn` holds a 32-bit index, `0..=Lpn::MAX.index()`: every drive
+/// the simulator builds has fewer logical pages than that (Table I's
+/// drive has 2^28), and four bytes per address halve the LPN share of
+/// each trace record. [`index`](Lpn::index) still returns a `u64`, and
+/// the hash feeds that `u64`, so maps keyed by `Lpn` iterate as they
+/// would keyed by the index.
 ///
 /// # Examples
 ///
@@ -15,21 +23,44 @@ use core::fmt;
 /// let lpn = Lpn::new(128);
 /// assert_eq!(lpn.index(), 128);
 /// assert!(Lpn::new(1) < Lpn::new(2));
+/// assert_eq!(Lpn::from(7u32), Lpn::new(7));
+/// assert_eq!(Lpn::MAX.index(), u64::from(u32::MAX));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Lpn(u64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct Lpn(u32);
 
 impl Lpn {
+    /// The highest logical page number the type holds.
+    pub const MAX: Lpn = Lpn(u32::MAX);
+
     /// Creates a logical page number from its raw index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is above [`Lpn::MAX`]; [`From<u32>`] needs no
+    /// check.
     #[inline]
     pub const fn new(index: u64) -> Self {
-        Lpn(index)
+        assert!(
+            index <= Lpn::MAX.0 as u64,
+            "LPN beyond the 32-bit logical page range"
+        );
+        Lpn(index as u32)
     }
 
     /// Returns the raw index of this logical page.
     #[inline]
     pub const fn index(self) -> u64 {
-        self.0
+        self.0 as u64
+    }
+}
+
+impl Hash for Lpn {
+    /// Hashes the `u64` index, so a map keyed by `Lpn` hashes as one
+    /// keyed by the index.
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.index().hash(state);
     }
 }
 
@@ -39,9 +70,10 @@ impl fmt::Display for Lpn {
     }
 }
 
-impl From<u64> for Lpn {
-    fn from(index: u64) -> Self {
-        Lpn::new(index)
+impl From<u32> for Lpn {
+    #[inline]
+    fn from(index: u32) -> Self {
+        Lpn(index)
     }
 }
 
@@ -140,8 +172,38 @@ mod tests {
     fn lpn_round_trips_and_orders() {
         assert_eq!(Lpn::new(5).index(), 5);
         assert!(Lpn::new(5) < Lpn::new(6));
-        assert_eq!(Lpn::from(7u64), Lpn::new(7));
+        assert_eq!(Lpn::from(7u32), Lpn::new(7));
         assert_eq!(Lpn::default(), Lpn::new(0));
+        assert_eq!(Lpn::new(u64::from(u32::MAX)), Lpn::MAX);
+        assert!(Lpn::new(1 << 31) < Lpn::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit logical page range")]
+    fn lpn_beyond_32_bits_panics() {
+        let _ = Lpn::new(1 << 32);
+    }
+
+    #[test]
+    fn an_lpn_is_4_bytes() {
+        assert_eq!(core::mem::size_of::<Lpn>(), 4);
+    }
+
+    #[test]
+    fn lpn_keys_hash_as_their_u64_index() {
+        use crate::{FxBuildHasher, FxHashMap};
+        use core::hash::BuildHasher;
+        let build = FxBuildHasher::default();
+        for i in [0, 1, 7, 1 << 20, u64::from(u32::MAX)] {
+            assert_eq!(build.hash_one(Lpn::new(i)), build.hash_one(i));
+        }
+        // Same hashes, same insertion sequence: same iteration order.
+        let keys = (0..1_000u64).map(|i| i.wrapping_mul(0x9e37_79b9) % 300_000);
+        let by_lpn: FxHashMap<Lpn, ()> = keys.clone().map(|i| (Lpn::new(i), ())).collect();
+        let by_u64: FxHashMap<u64, ()> = keys.map(|i| (i, ())).collect();
+        let lpn_order: Vec<u64> = by_lpn.keys().map(|l| l.index()).collect();
+        let u64_order: Vec<u64> = by_u64.keys().copied().collect();
+        assert_eq!(lpn_order, u64_order);
     }
 
     #[test]

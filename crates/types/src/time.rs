@@ -9,6 +9,8 @@
 //!   life-cycle intervals are measured on this clock.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
+use core::num::NonZeroU64;
 use core::ops::{Add, AddAssign, Sub};
 
 /// A span of simulated time, in nanoseconds.
@@ -96,6 +98,14 @@ impl fmt::Display for SimDuration {
 
 /// An instant on the simulated wall clock, in nanoseconds since start.
 ///
+/// Instants run from [`SimTime::ZERO`] to [`SimTime::MAX`], one
+/// nanosecond short of `u64::MAX`: the type stores `ns + 1` in a
+/// `NonZeroU64`, so `Option<SimTime>` (a trace record's arrival stamp)
+/// takes 8 bytes, not 16. The mapping is monotone, so comparisons and
+/// differences are those of the nanosecond counts. Adding a
+/// [`SimDuration`] past `MAX` panics rather than wrapping to an instant
+/// before the epoch.
+///
 /// # Examples
 ///
 /// ```
@@ -103,24 +113,35 @@ impl fmt::Display for SimDuration {
 /// let t = SimTime::ZERO + SimDuration::from_micros(75);
 /// assert_eq!(t.as_nanos(), 75_000);
 /// assert!(t > SimTime::ZERO);
+/// assert_eq!(size_of::<Option<SimTime>>(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(u64);
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SimTime(NonZeroU64);
 
 impl SimTime {
     /// The simulation epoch.
-    pub const ZERO: SimTime = SimTime(0);
+    pub const ZERO: SimTime = SimTime(NonZeroU64::MIN);
+
+    /// The last representable instant, `u64::MAX - 1` ns.
+    pub const MAX: SimTime = SimTime(NonZeroU64::MAX);
 
     /// Creates an instant from nanoseconds since the epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ns` is `u64::MAX`, one past [`SimTime::MAX`].
     #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
+        match NonZeroU64::new(ns.wrapping_add(1)) {
+            Some(stored) => SimTime(stored),
+            None => panic!("instant past the end of the simulated clock"),
+        }
     }
 
     /// Returns nanoseconds since the epoch.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
-        self.0
+        self.0.get() - 1
     }
 
     /// Returns the later of two instants.
@@ -137,33 +158,75 @@ impl SimTime {
     /// is in the future.
     #[inline]
     pub const fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
+        SimDuration(self.0.get().saturating_sub(earlier.0.get()))
+    }
+}
+
+impl Default for SimTime {
+    /// The epoch, [`SimTime::ZERO`].
+    fn default() -> Self {
+        SimTime::ZERO
+    }
+}
+
+impl Hash for SimTime {
+    /// Hashes the nanosecond count, not the stored `ns + 1`.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_nanos().hash(state);
+    }
+}
+
+impl fmt::Debug for SimTime {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SimTime").field(&self.as_nanos()).finish()
     }
 }
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    /// # Panics
+    ///
+    /// Panics if the sum is past [`SimTime::MAX`].
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        match self.0.checked_add(rhs.0) {
+            Some(sum) => SimTime(sum),
+            None => clock_overflow(self, rhs),
+        }
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    /// # Panics
+    ///
+    /// Panics if the sum is past [`SimTime::MAX`].
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
+}
+
+#[cold]
+#[inline(never)]
+fn clock_overflow(at: SimTime, by: SimDuration) -> ! {
+    panic!(
+        "simulated clock overflow: {} ns + {} ns is past the last instant, {} ns",
+        at.as_nanos(),
+        by.as_nanos(),
+        SimTime::MAX.as_nanos()
+    )
 }
 
 impl Sub for SimTime {
     type Output = SimDuration;
     fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0 - rhs.0)
+        SimDuration(self.0.get() - rhs.0.get())
     }
 }
 
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={}", SimDuration(self.0))
+        write!(f, "t={}", SimDuration(self.as_nanos()))
     }
 }
 
@@ -264,6 +327,60 @@ mod tests {
         let mut t = t0;
         t += SimDuration::from_nanos(5);
         assert_eq!(t.as_nanos(), 15);
+    }
+
+    #[test]
+    fn time_range_ends_one_short_of_u64_max() {
+        assert_eq!(SimTime::ZERO.as_nanos(), 0);
+        assert_eq!(SimTime::default(), SimTime::ZERO);
+        assert_eq!(SimTime::MAX.as_nanos(), u64::MAX - 1);
+        assert_eq!(SimTime::from_nanos(u64::MAX - 1), SimTime::MAX);
+        assert!(SimTime::ZERO < SimTime::from_nanos(1));
+        assert!(SimTime::from_nanos(u64::MAX - 2) < SimTime::MAX);
+        assert_eq!(
+            SimTime::MAX.saturating_since(SimTime::ZERO).as_nanos(),
+            u64::MAX - 1
+        );
+        assert_eq!(
+            SimTime::ZERO + SimDuration::from_nanos(u64::MAX - 1),
+            SimTime::MAX
+        );
+        assert_eq!(format!("{:?}", SimTime::from_nanos(7)), "SimTime(7)");
+    }
+
+    #[test]
+    fn an_optional_instant_is_8_bytes() {
+        assert_eq!(core::mem::size_of::<SimTime>(), 8);
+        assert_eq!(core::mem::size_of::<Option<SimTime>>(), 8);
+    }
+
+    #[test]
+    fn instants_hash_as_their_nanoseconds() {
+        use crate::FxBuildHasher;
+        use core::hash::BuildHasher;
+        let build = FxBuildHasher::default();
+        for ns in [0, 1, 1_000, u64::MAX - 1] {
+            assert_eq!(build.hash_one(SimTime::from_nanos(ns)), build.hash_one(ns));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of the simulated clock")]
+    fn an_instant_at_u64_max_panics() {
+        let _ = SimTime::from_nanos(u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated clock overflow")]
+    fn adding_past_the_last_instant_panics() {
+        let _ = SimTime::MAX + SimDuration::from_nanos(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated clock overflow")]
+    fn add_assign_past_the_last_instant_panics() {
+        let mut t = SimTime::from_nanos(u64::MAX / 2 + 1);
+        t += SimDuration::from_nanos(u64::MAX / 2);
     }
 
     #[test]
